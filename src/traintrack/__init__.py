@@ -20,7 +20,6 @@ from .graphs import (
     GraphSelfMap,
     compose,
     cyclic_tighten,
-    genus_of,
     identity_map,
     is_cyclic_rotation,
     reverse_path,
@@ -102,7 +101,6 @@ __all__ = [
     "full_report",
     "gate_map",
     "gates",
-    "genus_of",
     "identity_map",
     "infinitesimal_edges",
     "is_cyclic_rotation",

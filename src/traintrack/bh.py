@@ -3,9 +3,10 @@
 Moves are pure functions: each takes a :class:`GraphSelfMap` and returns a
 new one (or the input object itself when nothing applies).  After every move
 the boundary word must still be preserved and the genus unchanged; these
-checks are cheap and always on.  The main loop alternates simplification
-(tightening, collapsing invariant forests, removing low-valence vertices)
-with folding away illegal turns, and stops at one of three outcomes:
+checks are cheap and always on.  The main loop tightens the input once, then
+alternates simplification (collapsing invariant forests, removing
+low-valence vertices) with folding away illegal turns, and stops at one of
+three outcomes:
 
 * :class:`TrainTrack` — every turn taken by an edge image is legal and the
   transition matrix is irreducible with growth > 1,
@@ -19,7 +20,12 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, IterationLimitExceeded
 from .graphs import EmbeddedGraph, GraphSelfMap, reverse_path, tighten
-from .growth import _crossing_digraph, _sccs, is_irreducible, is_permutation_matrix, spectral_radius
+from .growth import (
+    is_irreducible,
+    is_permutation_matrix,
+    sink_components,
+    spectral_radius,
+)
 
 
 @dataclass(frozen=True)
@@ -83,64 +89,28 @@ def pull_tight(f):
     return _check_move("pull_tight", f, new)
 
 
-def _find_invariant_forest(f):
-    """A collapsible edge set, or None.
+def _find_invariant_forest(f, m):
+    """A collapsible edge set of ``f`` (transition matrix ``m``), or None.
 
     Sink components of the crossing digraph are exactly the minimal invariant
     edge sets; a sink whose edges form a forest can be collapsed.  Sinks are
-    tried in order of smallest edge id, and the whole edge set never counts
-    (an invariant everything is just an irreducible matrix).
+    tried in order of smallest edge id.
     """
     order = sorted(f.graph.edges)
-    m = f.transition_matrix()
-    adj = _crossing_digraph(m)
-    comps = _sccs(adj)
-    if len(comps) <= 1:
-        return None
-    sinks = []
-    for comp in comps:
-        members = set(comp)
-        if len(members) == len(order):
-            continue
-        if all(w in members for j in comp for w in adj[j]):
-            sinks.append(sorted(comp))
-    sinks.sort(key=lambda c: order[c[0]])
-    for comp in sinks:
+    for comp in sink_components(m):
         edges = {order[j] for j in comp}
-        if _is_forest(f.graph, edges):
+        if _contract(f.graph, edges) is not None:
             return edges
     return None
 
 
-def _is_forest(graph, edges):
-    parent = {}
+def _contract(graph, edges):
+    """Vertex -> representative once ``edges`` are shrunk to points.
 
-    def find(v):
-        root = v
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    for e in edges:
-        u, v = graph.edges[e]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
-
-
-def _collapse_edges(f, forest, move="collapse"):
-    """Collapse a forest of edges whose images stay inside the forest."""
-    g = f.graph
-    for e in forest:
-        for d in f.edge_image[e]:
-            if abs(d) not in forest:
-                raise InternalInvariantError(
-                    "collapse target is not invariant under the map")
-    parent = {v: v for v in g.vertices}
+    Each representative is the smallest vertex of its component; returns
+    None when ``edges`` contain a cycle.
+    """
+    parent = {v: v for v in graph.vertices}
 
     def find(v):
         root = v
@@ -150,20 +120,29 @@ def _collapse_edges(f, forest, move="collapse"):
             parent[v], v = root, parent[v]
         return root
 
-    for e in forest:
-        u, v = g.edges[e]
+    for e in edges:
+        u, v = graph.edges[e]
         ru, rv = find(u), find(v)
         if ru == rv:
-            raise InternalInvariantError("collapse target contains a cycle")
+            return None
         parent[ru] = rv
     groups = {}
-    for v in g.vertices:
+    for v in graph.vertices:
         groups.setdefault(find(v), []).append(v)
-    rep = {}
-    for members in groups.values():
-        keep = min(members)
-        for v in members:
-            rep[v] = keep
+    return {v: min(members) for members in groups.values() for v in members}
+
+
+def _collapse_edges(f, forest):
+    """Collapse a forest of edges whose images stay inside the forest."""
+    g = f.graph
+    for e in forest:
+        for d in f.edge_image[e]:
+            if abs(d) not in forest:
+                raise InternalInvariantError(
+                    "collapse target is not invariant under the map")
+    rep = _contract(g, forest)
+    if rep is None:
+        raise InternalInvariantError("collapse target contains a cycle")
     edges = {e: (rep[u], rep[v])
              for e, (u, v) in g.edges.items() if e not in forest}
     rho = tuple(d for d in g.rho if abs(d) not in forest)
@@ -177,7 +156,7 @@ def _collapse_edges(f, forest, move="collapse"):
     edge_image = {e: tighten(tuple(d for d in p if abs(d) not in forest))
                   for e, p in f.edge_image.items() if e not in forest}
     new = GraphSelfMap(graph, vertex_image, edge_image)
-    return _check_move(move, f, new)
+    return _check_move("collapse", f, new)
 
 
 def collapse_invariant_forest(f):
@@ -189,7 +168,7 @@ def collapse_invariant_forest(f):
     the transition matrix and reports reducibility instead.
     """
     while True:
-        forest = _find_invariant_forest(f)
+        forest = _find_invariant_forest(f, f.transition_matrix())
         if forest is None:
             return f
         f = _collapse_edges(f, forest)
@@ -480,15 +459,15 @@ def _no_pretrivial_loops(f):
 
 
 def _simplify(f, hook):
-    """Drive tightening/collapsing/valence moves to a joint fixed point."""
+    """Drive collapsing/valence moves to a joint fixed point.
+
+    Returns the map together with its transition matrix.  Images stay
+    tight: every move tightens what it builds.
+    """
     while True:
-        new = pull_tight(f)
-        if new is not f:
-            f = new
-            hook("pull_tight", f)
-            continue
         _no_pretrivial_loops(f)
-        forest = _find_invariant_forest(f)
+        m = f.transition_matrix()
+        forest = _find_invariant_forest(f, m)
         if forest is not None:
             f = _collapse_edges(f, forest)
             hook("collapse", f, edges=sorted(forest))
@@ -503,7 +482,7 @@ def _simplify(f, hook):
             f = new
             hook("valence_two", f)
             continue
-        return f
+        return f, m
 
 
 def _adjacent_fold_pair(f, t1, t2):
@@ -660,40 +639,32 @@ def _fold_away(f, turn, hook, complete=False):
 
 
 def _canonical_key(f):
-    """A relabeling-invariant encoding of a map, for detecting repeats.
+    """A relabeling-invariant encoding of a simplified map, for repeats.
 
-    Walking the boundary word from each starting position induces a
-    renaming of edges and vertices by first appearance; the smallest of the
-    resulting encodings is identical for two maps exactly when some
-    rotation-preserving relabeling carries one to the other.
+    Walking the boundary word from each starting position renames edges by
+    first appearance; the smallest of the resulting encodings of the
+    boundary word and the edge images is identical for two maps exactly
+    when some rotation-preserving relabeling carries one to the other.  The
+    renamed boundary word fixes the graph, and since no edge image of a
+    simplified map is empty, the images fix the vertex map.
     """
-    g = f.graph
-    n = len(g.rho)
+    rho = f.graph.rho
+    n = len(rho)
     best = None
     for i in range(n):
         ren = {}
-        vren = {}
+        first = []  # each edge as the walk first meets it, in meeting order
         for j in range(n):
-            d = g.rho[(i + j) % n]
+            d = rho[(i + j) % n]
             if abs(d) not in ren:
-                ren[abs(d)] = (len(ren) + 1, 1 if d > 0 else -1)
-            vren.setdefault(g.tail(d), len(vren) + 1)
+                ren[abs(d)] = len(ren) + 1 if d > 0 else -(len(ren) + 1)
+                first.append(d)
 
         def rd(d):
-            new, sgn = ren[abs(d)]
-            return new * sgn * (1 if d > 0 else -1)
+            return ren[d] if d > 0 else -ren[-d]
 
-        rho_c = tuple(rd(g.rho[(i + j) % n]) for j in range(n))
-        by_new = sorted((new, e, sgn) for e, (new, sgn) in ren.items())
-        edges_c = []
-        images_c = []
-        for new, e, sgn in by_new:
-            t, h = g.edges[e] if sgn > 0 else reversed(g.edges[e])
-            edges_c.append((vren[t], vren[h]))
-            images_c.append(tuple(rd(x) for x in f.image(e * sgn)))
-        vimg_c = tuple(sorted(
-            (vren[v], vren[f.vertex_image[v]]) for v in g.vertices))
-        key = (rho_c, tuple(edges_c), vimg_c, tuple(images_c))
+        rho_c = tuple(rd(rho[(i + j) % n]) for j in range(n))
+        key = (rho_c, tuple(tuple(rd(x) for x in f.image(d)) for d in first))
         if best is None or key < best:
             best = key
     return best
@@ -711,11 +682,14 @@ def bestvina_handel(f, max_rounds=10000, hook=None, tol=1e-12):
     if not f.preserves_boundary():
         raise InternalInvariantError(
             "input map does not preserve the boundary word")
+    new = pull_tight(f)
+    if new is not f:
+        f = new
+        hook("pull_tight", f)
     seen = set()
     complete = False
     for _ in range(max_rounds):
-        f = _simplify(f, hook)
-        m = f.transition_matrix()
+        f, m = _simplify(f, hook)
         # permutation first: the identity matrix is also reducible, but a
         # permutation means a finite-order (growth one) class, not a reduction
         if is_permutation_matrix(m):
@@ -743,21 +717,13 @@ def bestvina_handel(f, max_rounds=10000, hook=None, tol=1e-12):
 def _reduction_witness(f, m):
     # the lowest sink component of the crossing digraph; simplification has
     # already collapsed every invariant forest, so this one is essential
-    order = sorted(f.graph.edges)
-    adj = _crossing_digraph(m)
-    sinks = []
-    for comp in _sccs(adj):
-        members = set(comp)
-        if len(members) == len(order):
-            continue
-        if all(w in members for j in comp for w in adj[j]):
-            sinks.append(sorted(comp))
+    sinks = sink_components(m)
     if not sinks:
         raise InternalInvariantError(
             "reducible matrix without a proper sink component")
-    sinks.sort(key=lambda c: order[c[0]])
+    order = sorted(f.graph.edges)
     witness = {order[j] for j in sinks[0]}
-    if _is_forest(f.graph, witness):
+    if _contract(f.graph, witness) is not None:
         raise InternalInvariantError(
             "invariant forest survived simplification")
     return witness

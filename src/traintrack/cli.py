@@ -67,9 +67,6 @@ def build_parser():
                         help="report format (default: text)")
     parser.add_argument("--svg", metavar="PATH", default=None,
                         help="write an SVG of the developed train track here")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="numerical tolerance for growth/packing "
-                             "(default: 1e-9)")
     parser.add_argument("--max-steps", type=int, default=10000,
                         help="iteration cap for the train track algorithm "
                              "(default: 10000)")
@@ -80,21 +77,17 @@ def build_parser():
     return parser
 
 
-def _fraction_str(x):
-    return str(x)
-
-
 def _report_dict(report, moves, graph):
     data = {"verdict": report.verdict, "moves": moves}
     if report.growth is not None:
         data["growth"] = report.growth
     if report.polygons is not None:
         data["polygons"] = [
-            {"k": k, "index": _fraction_str(index), "orbit": orbit}
+            {"k": k, "index": str(index), "orbit": orbit}
             for k, index, orbit in report.polygons
         ]
     if report.puncture_index is not None:
-        data["puncture_index"] = _fraction_str(report.puncture_index)
+        data["puncture_index"] = str(report.puncture_index)
     data["graph"] = {
         "vertices": list(graph.vertices),
         "edges": {str(e): list(graph.edges[e]) for e in sorted(graph.edges)},
@@ -140,7 +133,7 @@ def run(args, out=sys.stdout, err=sys.stderr):
 
     t0 = time.perf_counter()
     outcome = bestvina_handel(f, max_rounds=args.max_steps, hook=hook,
-                              tol=min(args.tol, 1e-9))
+                              tol=1e-9)
     timings["algorithm"] = time.perf_counter() - t0
 
     report = full_report(outcome, genus=args.genus)
@@ -150,7 +143,7 @@ def run(args, out=sys.stdout, err=sys.stderr):
     if args.svg:
         t0 = time.perf_counter()
         tri = cone_triangulation(final.graph)
-        radii = circle_pack(tri, tol=min(args.tol, 1e-10))
+        radii = circle_pack(tri, tol=1e-10)
         layout = develop(tri, radii)
         structure = ()
         if isinstance(outcome, TrainTrack):

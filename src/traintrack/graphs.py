@@ -193,11 +193,6 @@ class EmbeddedGraph:
                 f"genus={self.genus})")
 
 
-def genus_of(graph):
-    """Genus of the once-punctured surface encoded by the graph."""
-    return graph.genus
-
-
 class GraphSelfMap:
     """A self-map of an embedded graph, combinatorially: vertices to vertices,
     edges to edge paths.

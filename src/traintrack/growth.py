@@ -80,7 +80,7 @@ def _crossing_digraph(m):
     # arc j -> i whenever edge j's image crosses edge i; an edge set closed
     # under out-arcs is exactly an invariant subgraph
     n = m.shape[0]
-    return [list(np.nonzero(m[:, j])[0]) for j in range(n)]
+    return [np.nonzero(m[:, j])[0].tolist() for j in range(n)]
 
 
 def is_irreducible(m) -> bool:
@@ -92,6 +92,25 @@ def is_irreducible(m) -> bool:
     if m.shape[0] <= 1:
         return True
     return len(_sccs(_crossing_digraph(m))) == 1
+
+
+def sink_components(m):
+    """Proper sink components of the crossing digraph of ``m``.
+
+    An edge set closed under the arcs "image crosses" is an invariant
+    subgraph, and the sink components are exactly the minimal ones.  Each
+    comes back as a sorted list of indices, ordered by smallest index; the
+    whole index set never counts, so the list is empty exactly when ``m`` is
+    irreducible.
+    """
+    adj = _crossing_digraph(np.asarray(m))
+    sinks = []
+    for comp in _sccs(adj):
+        members = set(comp)
+        if len(members) < len(adj) and all(
+                w in members for j in comp for w in adj[j]):
+            sinks.append(sorted(comp))
+    return sorted(sinks)
 
 
 def _block_radius(block, tol, max_iterations):

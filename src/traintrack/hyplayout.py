@@ -83,9 +83,6 @@ class PackingRadii:
     apex: float
     vertex: dict
 
-    def of_corner(self, tri, i):
-        return self.vertex[tri.corner_vertex[i % len(tri.corner_vertex)]]
-
 
 def _corner_angle(r0, r1, r2):
     """Angle at the radius-``r0`` vertex of the triangle of tangent circles.

@@ -25,7 +25,9 @@ from traintrack import (
     standard_generators,
     standard_rose,
     subdivide,
+    tighten,
 )
+from traintrack import bh
 
 import oracles
 from conftest import REFERENCE_WORDS, run_word
@@ -109,6 +111,26 @@ def test_iteration_cap():
         bestvina_handel(f, max_rounds=0)
 
 
+# the genus-2 word whose cheap fold policy reproduces an earlier map, so the
+# run ends only after switching to the complete policy
+POLICY_SWITCH_WORD = (("a1", 1), ("a0", 1), ("c0", -1), ("c1", 1),
+                      ("d1", 1), ("c0", 1))
+
+
+def test_fold_policy_switch(monkeypatch):
+    f = compose_word(2, list(POLICY_SWITCH_WORD))
+    moves = []
+    outcome = bestvina_handel(
+        f, hook=lambda name, g, **info: moves.append(name))
+    assert isinstance(outcome, GrowthOne)
+    # the move count pins the round at which the policy switches
+    assert len(moves) == 112
+    # with no repeat ever detected the cheap policy cycles forever
+    monkeypatch.setattr(bh, "_canonical_key", lambda g: object())
+    with pytest.raises(IterationLimitExceeded):
+        bestvina_handel(f, max_rounds=3000)
+
+
 # ---------------------------------------------------------------------------
 # Move-level invariants
 # ---------------------------------------------------------------------------
@@ -125,6 +147,14 @@ def test_hook_snapshots_keep_surface_invariants(reference_runs):
         growth = spectral_radius(f.transition_matrix())
         assert growth <= last_growth + 1e-7
         last_growth = growth
+
+
+def test_hook_snapshots_have_tight_images(reference_runs):
+    # every move returns tight images, so tightening once on entry suffices
+    for name in REFERENCE_WORDS:
+        for move, f, _info in reference_runs[name].snapshots:
+            for e, p in f.edge_image.items():
+                assert tighten(p) == p, (name, move, e)
 
 
 def test_moves_reported_with_details(reference_runs):

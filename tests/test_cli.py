@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -88,6 +89,9 @@ def test_json_output_schema():
     code, out, _ = run_cli(EX3 + ["--format", "json"])
     assert code == 0
     data = json.loads(out)
+    # the report carries the final graph but no edge images
+    assert set(data) == {"verdict", "growth", "polygons", "puncture_index",
+                         "moves", "graph", "timings"}
     assert data["verdict"] == "PseudoAnosov"
     assert data["growth"] == pytest.approx(2.015357, abs=1e-5)
     assert data["polygons"] == [
@@ -177,6 +181,14 @@ def test_missing_genus_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_tol_is_not_an_option(capsys):
+    # growth and packing tolerances are fixed; a looser one was never honoured
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(EX1 + ["--tol", "1e-3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_trace_goes_to_stderr():
     code, out, err = run_cli(EX5 + ["--trace"])
     assert code == 0
@@ -186,10 +198,15 @@ def test_trace_goes_to_stderr():
 
 
 def test_module_entry_point(tmp_path):
+    # the child finds the package where this process found it, also when
+    # pytest put src/ on sys.path rather than PYTHONPATH
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-c",
          "from traintrack.cli import main; import sys; sys.exit(main())",
          "--genus", "2", "--word", "d0 c0 d1", "--format", "json"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert json.loads(result.stdout)["verdict"] == "Reducible"

@@ -1,6 +1,7 @@
 """Spectral radius and matrix predicates against an exact oracle."""
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from traintrack import (
     is_permutation_matrix,
     spectral_radius,
 )
+from traintrack.growth import sink_components
 
 import oracles
 
@@ -80,6 +82,31 @@ def test_is_irreducible():
     # 1x1 matrices count as a single strongly connected component
     assert is_irreducible(np.array([[0]]))
     assert is_irreducible(np.array([[3]]))
+
+
+def test_sink_components_match_condensation():
+    # independent oracle: networkx's condensation of the crossing digraph
+    # (arc j -> i whenever m[i, j] != 0), minus the sink holding everything
+    rng = np.random.default_rng(20261017)
+    seen_reducible = seen_irreducible = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        m = (rng.random((n, n)) < rng.uniform(0.05, 0.6)).astype(int)
+        digraph = nx.DiGraph()
+        digraph.add_nodes_from(range(n))
+        digraph.add_edges_from((j, i) for i, j in zip(*np.nonzero(m)))
+        cond = nx.condensation(digraph)
+        want = sorted(sorted(cond.nodes[c]["members"]) for c in cond
+                      if cond.out_degree(c) == 0
+                      and len(cond.nodes[c]["members"]) < n)
+        got = sink_components(m)
+        assert got == want, m
+        assert is_irreducible(m) == (got == []), m
+        if got:
+            seen_reducible += 1
+        else:
+            seen_irreducible += 1
+    assert seen_reducible and seen_irreducible
 
 
 def test_oracle_self_check():
