@@ -291,8 +291,8 @@ def remove_valence_two(f):
         # the slide direction matters: keep the candidate with the smaller
         # growth rate (ties keep the rotation-successor side for determinism)
         other = build(a, x)
-        lam_new = spectral_radius(new.transition_matrix(), tol=1e-10)
-        lam_other = spectral_radius(other.transition_matrix(), tol=1e-10)
+        lam_new = spectral_radius(new.transition_matrix())
+        lam_other = spectral_radius(other.transition_matrix())
         if lam_other < lam_new - 1e-12:
             new = other
     return _check_move("valence_two", f, new)
@@ -670,12 +670,11 @@ def _canonical_key(f):
     return best
 
 
-def bestvina_handel(f, max_rounds=10000, hook=None, tol=1e-12):
+def bestvina_handel(f, max_rounds=10000, hook=None):
     """Run the train track algorithm on a boundary-preserving self-map.
 
     ``hook(name, map, **details)`` is called after every individual move with
-    the map *after* the move; pass one to trace or audit a run.  ``tol`` is
-    handed to the growth computation of a :class:`TrainTrack` outcome.
+    the map *after* the move; pass one to trace or audit a run.
     Raises :class:`IterationLimitExceeded` after ``max_rounds`` fold rounds.
     """
     hook = hook or _noop_hook
@@ -700,7 +699,7 @@ def bestvina_handel(f, max_rounds=10000, hook=None, tol=1e-12):
         gate_of = gates(f)
         turn = _first_illegal_turn(f, gate_of)
         if turn is None:
-            return TrainTrack(f, spectral_radius(m, tol=tol))
+            return TrainTrack(f, spectral_radius(m))
         if not complete:
             key = _canonical_key(f)
             if key in seen:

@@ -115,8 +115,13 @@ def _text_report(report, moves, svg_path):
     return "\n".join(lines)
 
 
-def run(args, out=sys.stdout, err=sys.stderr):
-    """Execute the pipeline for parsed arguments; returns the exit code."""
+def run(args, out=None, err=None):
+    """Execute the pipeline for parsed arguments; returns the exit code.
+
+    Reports go to ``out`` and traces to ``err`` (default: the current
+    standard streams).
+    """
+    out, err = out or sys.stdout, err or sys.stderr
     timings = {}
     moves = []
 
@@ -132,8 +137,7 @@ def run(args, out=sys.stdout, err=sys.stderr):
     timings["compose"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    outcome = bestvina_handel(f, max_rounds=args.max_steps, hook=hook,
-                              tol=1e-9)
+    outcome = bestvina_handel(f, max_rounds=args.max_steps, hook=hook)
     timings["algorithm"] = time.perf_counter() - t0
 
     report = full_report(outcome, genus=args.genus)
@@ -143,7 +147,7 @@ def run(args, out=sys.stdout, err=sys.stderr):
     if args.svg:
         t0 = time.perf_counter()
         tri = cone_triangulation(final.graph)
-        radii = circle_pack(tri, tol=1e-10)
+        radii = circle_pack(tri)
         layout = develop(tri, radii)
         structure = ()
         if isinstance(outcome, TrainTrack):
@@ -164,6 +168,12 @@ def run(args, out=sys.stdout, err=sys.stderr):
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes the word in "--word -a1" for an unknown option "-a1";
+    # glued into "--word=-a1" it is always read as the word
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--word":
+            argv[i:i + 2] = [f"--word={argv[i + 1]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -179,7 +179,7 @@ def test_criterion_6a_move_invariants_on_random_words(corpus_runs):
     bad_boundary = bad_faces = bad_genus = 0
     worst_uptick = 0.0
     for run in corpus_runs:
-        lam = spectral_radius(run.start.transition_matrix(), tol=1e-12)
+        lam = spectral_radius(run.start.transition_matrix())
         for _name, f, _info in run.snapshots:
             moves += 1
             if not f.preserves_boundary():
@@ -188,7 +188,7 @@ def test_criterion_6a_move_invariants_on_random_words(corpus_runs):
                 bad_faces += 1
             if oracles.genus_via_euler(f.graph) != 2:
                 bad_genus += 1
-            new = spectral_radius(f.transition_matrix(), tol=1e-12)
+            new = spectral_radius(f.transition_matrix())
             worst_uptick = max(worst_uptick, new - lam)
             lam = new
     _record("6a", [
@@ -267,7 +267,7 @@ def test_criterion_6e_growth_matches_exact_oracle(reference_runs,
             note(f.transition_matrix())
     worst = 0.0
     for m in seen.values():
-        got = spectral_radius(m, tol=1e-12)
+        got = spectral_radius(m)
         want = oracles.largest_real_root(m)
         worst = max(worst, abs(got - want))
     _record("6e", [

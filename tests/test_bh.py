@@ -131,6 +131,36 @@ def test_fold_policy_switch(monkeypatch):
         bestvina_handel(f, max_rounds=3000)
 
 
+# a genus-3 word that ends as a train track although its rotation by two
+# letters, a conjugate, ends with a fixed essential loop: TrainTrack alone
+# does not yet certify a pseudo-Anosov class
+CONJUGATE_SPLIT_WORD = (
+    ("d0", -1), ("d0", -1), ("a2", 1), ("a2", -1), ("c1", -1), ("d2", 1),
+    ("a1", 1), ("c2", -1), ("c1", 1), ("d0", -1), ("d2", -1), ("d0", 1),
+    ("d2", -1), ("c2", -1), ("d0", 1), ("d0", 1), ("a2", 1), ("a0", -1),
+    ("d0", -1), ("d0", -1), ("a2", -1))
+
+
+@pytest.mark.xfail(strict=True, reason="a train track map is not tested "
+                   "for reducibility, so a reducible class can end as "
+                   "TrainTrack")
+def test_verdict_is_conjugation_invariant():
+    word = CONJUGATE_SPLIT_WORD
+    first = run_word(3, word).outcome
+    rotated = run_word(3, word[2:] + word[:2]).outcome
+    assert type(first) is type(rotated)
+
+
+def test_rotated_word_reduces_to_a_fixed_loop():
+    word = CONJUGATE_SPLIT_WORD
+    outcome = run_word(3, word[2:] + word[:2]).outcome
+    assert isinstance(outcome, Reducible)
+    (e,) = outcome.invariant_edges
+    u, v = outcome.map.graph.edges[e]
+    assert u == v
+    assert outcome.map.edge_image[e] in ((e,), (-e,))
+
+
 # ---------------------------------------------------------------------------
 # Move-level invariants
 # ---------------------------------------------------------------------------

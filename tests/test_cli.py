@@ -162,6 +162,13 @@ def test_exit_code_bad_word(capsys):
     assert "bad twist token" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("word", ["-a1", "-a1^-1"])
+def test_word_may_start_with_an_inverted_letter(word, capsys):
+    # "--word -a1" must not be taken for an unknown option "-a1"
+    assert cli.main(["--genus", "2", "--word", word]) == 0
+    assert "verdict: Reducible" in capsys.readouterr().out
+
+
 def test_exit_code_iteration_limit(capsys):
     argv = EX1 + ["--max-steps", "0"]
     assert cli.main(argv) == 3

@@ -5,12 +5,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from traintrack import (
-    IterationLimitExceeded,
-    is_irreducible,
-    is_permutation_matrix,
-    spectral_radius,
-)
+from traintrack import is_irreducible, is_permutation_matrix, spectral_radius
 from traintrack.growth import sink_components
 
 import oracles
@@ -55,15 +50,32 @@ def test_matches_exact_oracle_on_random_matrices():
         density = rng.uniform(0.2, 0.9)
         m = (rng.random((n, n)) < density) * rng.integers(0, 4, (n, n))
         m = m.astype(int)
-        got = spectral_radius(m, tol=1e-12)
+        got = spectral_radius(m)
         want = oracles.largest_real_root(m)
         worst = max(worst, abs(got - want))
     assert worst <= 1e-9
 
 
-def test_iteration_cap_raises():
-    with pytest.raises(IterationLimitExceeded):
-        spectral_radius(np.array([[0, 1], [1, 1]]), max_iterations=1)
+def test_imprimitive_irreducible_block():
+    # a 3-cycle with weights 3, 1, 2: irreducible with period 3, so all three
+    # eigenvalues share the modulus 6 ** (1/3)
+    m = np.array([[0, 0, 3], [1, 0, 0], [0, 2, 0]])
+    assert is_irreducible(m)
+    assert abs(spectral_radius(m) - 6 ** (1 / 3)) <= 1e-12
+
+
+def test_defective_reducible_matrix():
+    # two Fibonacci blocks on the interleaved index sets {0, 2} and {1, 3},
+    # one coupling entry from the first block into the second: the golden
+    # ratio is a double eigenvalue of the whole matrix with one eigenvector,
+    # and an eigen-solve of the whole matrix misses it by about 1e-8
+    m = np.zeros((4, 4), dtype=int)
+    m[np.ix_([0, 2], [0, 2])] = [[0, 1], [1, 1]]
+    m[np.ix_([1, 3], [1, 3])] = [[0, 1], [1, 1]]
+    m[3, 2] = 1
+    assert np.linalg.matrix_rank(m - GOLDEN * np.eye(4), tol=1e-9) == 3
+    assert sink_components(m) == [[1, 3]]
+    assert abs(spectral_radius(m) - GOLDEN) <= 1e-12
 
 
 def test_is_permutation_matrix():
@@ -101,6 +113,7 @@ def test_sink_components_match_condensation():
                       and len(cond.nodes[c]["members"]) < n)
         got = sink_components(m)
         assert got == want, m
+        assert all(type(i) is int for comp in got for i in comp)
         assert is_irreducible(m) == (got == []), m
         if got:
             seen_reducible += 1
