@@ -67,5 +67,5 @@ print(f"puncture index: {punct}")
 print(f"index sum {total} equals 2 - 2g = {2 - 2 * genus}")
 
 # full_report bundles all of the above for any outcome.
-report = full_report(outcome, genus=genus)
+report = full_report(outcome)
 print("\nbundled report:", report)

@@ -59,7 +59,7 @@ print(f"first corner at ({first[0]:.4f}, {first[1]:.4f}), "
 
 # Step 4: emit the picture.  Geodesic arcs for the graph's edges, paired
 # side labels, shaded infinitesimal polygons, the puncture at the center.
-report = full_report(outcome, genus=genus)
+report = full_report(outcome)
 structure = polygons(f, infinitesimal_edges(f))
 svg = emit_svg(layout, report, structure)
 path = sys.argv[1] if len(sys.argv) > 1 else "train_track.svg"

@@ -38,7 +38,6 @@ from .bh import (
     Reducible,
     TrainTrack,
     bestvina_handel,
-    collapse_invariant_forest,
     fold,
     gate_map,
     gates,
@@ -89,7 +88,6 @@ __all__ = [
     "TrainTrack",
     "bestvina_handel",
     "circle_pack",
-    "collapse_invariant_forest",
     "compose",
     "compose_word",
     "cone_triangulation",

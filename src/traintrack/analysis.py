@@ -187,10 +187,8 @@ class SingularityReport:
     orbit: tuple | None
 
 
-def full_report(outcome, genus=None):
+def full_report(outcome):
     """Assemble the singularity report for a finished algorithm outcome."""
-    if genus is None:
-        genus = outcome.map.graph.genus
     if isinstance(outcome, Reducible):
         return SingularityReport("Reducible", None, None, None, None)
     if isinstance(outcome, GrowthOne):
@@ -204,6 +202,7 @@ def full_report(outcome, genus=None):
     edges = infinitesimal_edges(f)
     polys = polygons(f, edges)
     orbit = orbit_permutation(f, polys)
+    genus = f.graph.genus
     punct = puncture_index(genus, polys)
     interior = sum((p.index for p in polys), Fraction(0))
     if punct + interior != Fraction(2 - 2 * genus):

@@ -89,21 +89,6 @@ def pull_tight(f):
     return _check_move("pull_tight", f, new)
 
 
-def _find_invariant_forest(f, m):
-    """A collapsible edge set of ``f`` (transition matrix ``m``), or None.
-
-    Sink components of the crossing digraph are exactly the minimal invariant
-    edge sets; a sink whose edges form a forest can be collapsed.  Sinks are
-    tried in order of smallest edge id.
-    """
-    order = sorted(f.graph.edges)
-    for comp in sink_components(m):
-        edges = {order[j] for j in comp}
-        if _contract(f.graph, edges) is not None:
-            return edges
-    return None
-
-
 def _contract(graph, edges):
     """Vertex -> representative once ``edges`` are shrunk to points.
 
@@ -157,21 +142,6 @@ def _collapse_edges(f, forest):
                   for e, p in f.edge_image.items() if e not in forest}
     new = GraphSelfMap(graph, vertex_image, edge_image)
     return _check_move("collapse", f, new)
-
-
-def collapse_invariant_forest(f):
-    """Collapse invariant forests until none remain; no-op when none exist.
-
-    Edges with trivial image are the common case (they form invariant
-    forests all by themselves, when not loops).  An invariant subgraph that
-    is *not* a forest is left alone — the main loop reads that situation off
-    the transition matrix and reports reducibility instead.
-    """
-    while True:
-        forest = _find_invariant_forest(f, f.transition_matrix())
-        if forest is None:
-            return f
-        f = _collapse_edges(f, forest)
 
 
 def remove_valence_one(f):
@@ -461,13 +431,24 @@ def _no_pretrivial_loops(f):
 def _simplify(f, hook):
     """Drive collapsing/valence moves to a joint fixed point.
 
-    Returns the map together with its transition matrix.  Images stay
-    tight: every move tightens what it builds.
+    Returns the map, its transition matrix and the edge sets of the proper
+    sink components (the minimal invariant subgraphs) by smallest edge id:
+    empty exactly when the matrix is irreducible, and never a forest, since
+    forests are collapsed.  Images stay tight: every move tightens what it
+    builds.
     """
     while True:
         _no_pretrivial_loops(f)
         m = f.transition_matrix()
-        forest = _find_invariant_forest(f, m)
+        sinks = []
+        if not is_irreducible(m):
+            order = sorted(f.graph.edges)
+            sinks = [{order[j] for j in comp} for comp in sink_components(m)]
+            if not sinks:
+                raise InternalInvariantError(
+                    "reducible matrix without a proper sink component")
+        forest = next(
+            (s for s in sinks if _contract(f.graph, s) is not None), None)
         if forest is not None:
             f = _collapse_edges(f, forest)
             hook("collapse", f, edges=sorted(forest))
@@ -482,7 +463,7 @@ def _simplify(f, hook):
             f = new
             hook("valence_two", f)
             continue
-        return f, m
+        return f, m, sinks
 
 
 def _adjacent_fold_pair(f, t1, t2):
@@ -501,23 +482,13 @@ def _adjacent_fold_pair(f, t1, t2):
     if g.successor(t2) == t1:
         return t2, t1
     for a, b in ((t1, t2), (t2, t1)):
-        arc = [a]
-        d = g.successor(a)
-        steps = 0
-        while d != b:
-            arc.append(d)
-            d = g.successor(d)
-            steps += 1
-            if steps > g.valence(g.tail(t1)):
-                raise InternalInvariantError("rotation walk did not close")
-        arc.append(b)
+        arc = (a,) + g.arc(a, b) + (b,)
         want = f.derivative(a)
         if all(f.derivative(x) == want for x in arc):
             return arc[0], arc[1]
     for v in sorted(g.vertices):
-        order = g.rotation_order(v)
-        for i, x in enumerate(order):
-            y = order[(i + 1) % len(order)]
+        for x in g.rotation_order(v):
+            y = g.successor(x)
             if x != y and f.derivative(x) == f.derivative(y):
                 return x, y
     raise InternalInvariantError("no adjacent foldable pair exists")
@@ -688,14 +659,18 @@ def bestvina_handel(f, max_rounds=10000, hook=None):
     seen = set()
     complete = False
     for _ in range(max_rounds):
-        f, m = _simplify(f, hook)
+        f, m, sinks = _simplify(f, hook)
         # permutation first: the identity matrix is also reducible, but a
         # permutation means a finite-order (growth one) class, not a reduction
         if is_permutation_matrix(m):
             return GrowthOne(f)
-        if not is_irreducible(m):
-            witness = _reduction_witness(f, m)
-            return Reducible(f, frozenset(witness))
+        if sinks:
+            # the lowest sink is the witness; simplification has collapsed
+            # every invariant forest, so it is essential
+            if _contract(f.graph, sinks[0]) is not None:
+                raise InternalInvariantError(
+                    "invariant forest survived simplification")
+            return Reducible(f, frozenset(sinks[0]))
         gate_of = gates(f)
         turn = _first_illegal_turn(f, gate_of)
         if turn is None:
@@ -711,18 +686,3 @@ def bestvina_handel(f, max_rounds=10000, hook=None):
         f = _fold_away(f, turn, hook, complete)
     raise IterationLimitExceeded(
         f"no train track representative within {max_rounds} rounds")
-
-
-def _reduction_witness(f, m):
-    # the lowest sink component of the crossing digraph; simplification has
-    # already collapsed every invariant forest, so this one is essential
-    sinks = sink_components(m)
-    if not sinks:
-        raise InternalInvariantError(
-            "reducible matrix without a proper sink component")
-    order = sorted(f.graph.edges)
-    witness = {order[j] for j in sinks[0]}
-    if _contract(f.graph, witness) is not None:
-        raise InternalInvariantError(
-            "invariant forest survived simplification")
-    return witness

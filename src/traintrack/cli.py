@@ -140,7 +140,7 @@ def run(args, out=None, err=None):
     outcome = bestvina_handel(f, max_rounds=args.max_steps, hook=hook)
     timings["algorithm"] = time.perf_counter() - t0
 
-    report = full_report(outcome, genus=args.genus)
+    report = full_report(outcome)
     final = outcome.map
 
     svg_path = None

@@ -168,13 +168,24 @@ class EmbeddedGraph:
         except KeyError:
             raise GraphStructureError(f"unknown direction {d}") from None
 
+    def arc(self, a, b):
+        """Directions strictly between ``a`` and ``b``, walking the rotation
+        from ``a`` at their shared vertex; ``arc(a, a)`` is every direction
+        there but ``a``."""
+        if self.tail(a) != self.tail(b):
+            raise GraphStructureError(
+                f"directions {a} and {b} sit at different vertices")
+        out = []
+        d = self._succ[a]
+        while d != b:
+            out.append(d)
+            d = self._succ[d]
+        return tuple(out)
+
     def rotation_order(self, v):
         """Directions at ``v`` in rotation order, starting from the smallest."""
-        ds = self.directions(v)
-        out = [min(ds)]
-        while len(out) < len(ds):
-            out.append(self._succ[out[-1]])
-        return tuple(out)
+        first = min(self.directions(v))
+        return (first,) + self.arc(first, first)
 
     def rotation_system(self):
         """The full rotation system, vertex id -> tuple in rotation order."""

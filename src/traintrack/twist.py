@@ -103,13 +103,6 @@ def _visits(graph, curve):
     return visits
 
 
-def _in_arc(pos, size, start, stop, d):
-    # strictly between start and stop, walking in rotation direction
-    a = (pos[d] - pos[start]) % size
-    b = (pos[stop] - pos[start]) % size
-    return 0 < a < b
-
-
 def _twist_sectors(graph, curve):
     """The germ -> visit-index assignment for the twisting sectors.
 
@@ -126,27 +119,16 @@ def _twist_sectors(graph, curve):
         chord_germs.extend((rev_in, out))
     if len(set(chord_germs)) != len(chord_germs):
         raise CurveNotRealizable("two curve strands share a direction")
-    by_vertex = {}
-    for i, (v, rev_in, out) in enumerate(visits):
-        by_vertex.setdefault(v, []).append(i)
-    for v, idxs in by_vertex.items():
-        order = graph.rotation_order(v)
-        pos = {d: k for k, d in enumerate(order)}
-        size = len(order)
-        for i, j in combinations(idxs, 2):
-            _, a1, b1 = visits[i]
-            _, a2, b2 = visits[j]
-            inside = sum(1 for t in (a2, b2) if _in_arc(pos, size, a1, b1, t))
-            if inside == 1:
-                raise CurveNotRealizable(
-                    f"curve strands cross at vertex {v}")
+    for (v, a1, b1), (w, a2, b2) in combinations(visits, 2):
+        if v == w:
+            arc = graph.arc(a1, b1)
+            if (a2 in arc) != (b2 in arc):
+                raise CurveNotRealizable(f"curve strands cross at vertex {v}")
     chord_set = set(chord_germs)
     sector_of = {}
     for i, (v, rev_in, out) in enumerate(visits):
         start, stop = (rev_in, out) if _TWIST_SIDE > 0 else (out, rev_in)
-        d = graph.successor(start)
-        steps = 0
-        while d != stop:
+        for d in graph.arc(start, stop):
             if d in chord_set:
                 raise CurveNotRealizable(
                     "curve strands nest inside a twisting sector "
@@ -155,10 +137,6 @@ def _twist_sectors(graph, curve):
                 raise InternalInvariantError(
                     "twisting sectors overlap on a simple curve")
             sector_of[d] = i
-            d = graph.successor(d)
-            steps += 1
-            if steps > graph.valence(v):
-                raise InternalInvariantError("rotation walk did not close")
     return visits, sector_of
 
 

@@ -30,7 +30,7 @@ def run_word(genus, word, collect_snapshots=False):
     t0 = time.perf_counter()
     f0 = compose_word(genus, list(word))
     outcome = bestvina_handel(f0, hook=hook if collect_snapshots else None)
-    report = full_report(outcome, genus=genus)
+    report = full_report(outcome)
     wall = time.perf_counter() - t0
     return SimpleNamespace(
         genus=genus,

@@ -201,14 +201,9 @@ def test_report_fields_pseudo_anosov(reference_runs):
     assert rep.orbit == (1, 0, 3, 2)
 
 
-def test_report_without_genus_matches(reference_runs):
-    run = reference_runs["ex4"]
-    assert full_report(run.outcome) == run.report
-
-
 def test_report_growth_one():
     outcome = bestvina_handel(compose_word(2, [("a1", 1), ("a1", -1)]))
-    rep = full_report(outcome, genus=2)
+    rep = full_report(outcome)
     assert rep.verdict == "GrowthOne"
     assert rep.growth == 1.0
     assert rep.polygons is None

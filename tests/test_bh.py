@@ -12,7 +12,6 @@ from traintrack import (
     Reducible,
     TrainTrack,
     bestvina_handel,
-    collapse_invariant_forest,
     compose_word,
     dehn_twist,
     identity_map,
@@ -234,15 +233,41 @@ def test_pull_tight_reduces_images():
     g = pull_tight(f)
     assert g.image(1) == (1,)
     assert g.image(2) == (2,)
+    # the algorithm tightens its input once, on entry
+    moves = []
+    outcome = bestvina_handel(
+        f, hook=lambda name, g, **info: moves.append(name))
+    assert moves == ["pull_tight"]
+    assert isinstance(outcome, GrowthOne)
+
+
+# a genus-1 spine: the rose's two loops at vertex 0 and an edge 3 out to
+# the leaf vertex 1
+LEAF_GRAPH = ({1: (0, 0), 2: (0, 0), 3: (0, 1)}, (1, 2, -1, -2, 3, -3))
 
 
 def test_collapse_trivial_edge():
-    graph = EmbeddedGraph({1: (0, 0), 2: (0, 0), 3: (0, 1)},
-                          (1, 2, -1, -2, 3, -3))
-    f = GraphSelfMap(graph, {0: 0, 1: 0}, {1: (1,), 2: (2,), 3: ()})
-    g = collapse_invariant_forest(f)
+    f = GraphSelfMap(EmbeddedGraph(*LEAF_GRAPH), {0: 0, 1: 0},
+                     {1: (1,), 2: (2,), 3: ()})
+    moves = []
+    outcome = bestvina_handel(
+        f, hook=lambda name, g, **info: moves.append((name, info, g)))
+    [(name, info, g)] = moves
+    assert (name, info) == ("collapse", {"edges": [3]})
     assert sorted(g.graph.edges) == [1, 2]
     assert g.preserves_boundary()
-    outcome = bestvina_handel(f)
     assert isinstance(outcome, GrowthOne)
-    assert len(outcome.map.graph.edges) == 2
+    assert outcome.map is g
+
+
+def test_valence_one_retracts_leaf():
+    # edge 3 maps across itself, so it is no invariant forest; the leaf
+    # vertex 1 is retracted instead
+    f = GraphSelfMap(EmbeddedGraph(*LEAF_GRAPH), {0: 0, 1: 1},
+                     {1: (1,), 2: (2,), 3: (1, 3)})
+    moves = []
+    outcome = bestvina_handel(
+        f, hook=lambda name, g, **info: moves.append(name))
+    assert moves == ["valence_one"]
+    assert isinstance(outcome, GrowthOne)
+    assert sorted(outcome.map.graph.edges) == [1, 2]

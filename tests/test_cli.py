@@ -217,3 +217,15 @@ def test_module_entry_point(tmp_path):
         env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert json.loads(result.stdout)["verdict"] == "Reducible"
+
+
+def test_benchmark_span_targets_resolve(monkeypatch):
+    # the traced benchmark (benchmarks/spans.py) patches these names by
+    # attribute; renaming or deleting one breaks its --trace 1 pass
+    benchmarks = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "benchmarks")
+    monkeypatch.syspath_prepend(os.path.abspath(benchmarks))
+    import spans
+    targets = [(owner, attr) for owner, attr, _name in spans.WRAPPED]
+    for owner, attr in targets + [(cli, "bestvina_handel")]:
+        assert callable(getattr(owner, attr, None)), (owner, attr)

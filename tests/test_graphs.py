@@ -1,6 +1,8 @@
 """Embedded-graph construction, validation, and path utilities."""
 from __future__ import annotations
 
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +102,22 @@ def test_unknown_ids_raise():
         g.directions(9)
     with pytest.raises(GraphStructureError):
         g.successor(0)
+
+
+def test_arc_walks_the_rotation(reference_runs):
+    for run in reference_runs.values():
+        g = run.final.graph
+        for v in g.vertices:
+            order = g.rotation_order(v)
+            for a, b in product(order, repeat=2):
+                if a == b:
+                    assert sorted(g.arc(a, a)) == sorted(set(order) - {a})
+                else:
+                    walk = (a,) + g.arc(a, b) + (b,) + g.arc(b, a)
+                    assert is_cyclic_rotation(walk, order)
+        for v, w in combinations(g.vertices, 2):
+            with pytest.raises(GraphStructureError):
+                g.arc(g.directions(v)[0], g.directions(w)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,11 @@ def test_unrealizable_curves(rose2):
         dehn_twist(rose2, CurveOnGraph((1, -1)))      # not cyclically tight
     with pytest.raises(CurveNotRealizable):
         dehn_twist(rose2, CurveOnGraph((9,)))         # unknown edge
+    with pytest.raises(CurveNotRealizable, match="curve strands cross"):
+        dehn_twist(rose2, CurveOnGraph((1, 4)))
+    with pytest.raises(CurveNotRealizable,
+                       match="nest inside a twisting sector"):
+        dehn_twist(rose2, CurveOnGraph((1, 2)))
 
 
 # ---------------------------------------------------------------------------
