@@ -4,14 +4,36 @@ Moves are pure functions: each takes a :class:`GraphSelfMap` and returns a
 new one (or the input object itself when nothing applies).  After every move
 the boundary word must still be preserved and the genus unchanged; these
 checks are cheap and always on.  The main loop tightens the input once, then
-alternates simplification (collapsing invariant forests, removing
-low-valence vertices) with folding away illegal turns, and stops at one of
-three outcomes:
+runs rounds.  A round simplifies (collapsing invariant forests, removing
+low-valence vertices) and stops at one of three outcomes:
 
 * :class:`TrainTrack` — every turn taken by an edge image is legal and the
   transition matrix is irreducible with growth > 1,
 * :class:`GrowthOne` — the transition matrix became a permutation matrix,
 * :class:`Reducible` — an essential invariant subgraph remains.
+
+Otherwise it folds along the derivative orbit of the first illegal turn
+until letters cancel.  When a subdivision splits the turn's last
+occurrence, the new valence-two vertex x is kept and folding goes on along
+x's orbit until merging through x cancels.
+
+Termination rests on three statements of Bestvina and Handel (BH92: Train
+tracks and automorphisms of free groups, Annals 135, 1992, section 1 and
+the proof of Theorem 1.7; BH95: Train-tracks for surface homeomorphisms,
+Topology 34, 1995), for the Perron-Frobenius growth λ of the transition
+matrix:
+
+* cancellation in the images of an irreducible map lowers λ strictly;
+* valence-one, valence-two, forest-collapse and subdivision moves never
+  raise λ;
+* below any bound, the Perron-Frobenius eigenvalues of non-negative integer
+  matrices of bounded size form a finite set, and with no vertex of valence
+  one or two the edge count is at most ``6g - 3``.
+
+So the loop stops if every round cancels.  That is checked exactly, on
+integer image lengths, not on λ: a round that cancels no letter raises
+:class:`InternalInvariantError`.  Real rounds lower λ by as little as
+4e-13, below any float margin.
 """
 
 from __future__ import annotations
@@ -182,11 +204,13 @@ def remove_valence_two(f):
     across the move.  Returns ``f`` itself when no valence-two vertex
     exists.
     """
+    candidates = [v for v in f.graph.vertices if f.graph.valence(v) == 2]
+    return _merge_through(f, min(candidates)) if candidates else f
+
+
+def _merge_through(f, v):
+    # remove_valence_two at the valence-two vertex v
     g = f.graph
-    candidates = [v for v in g.vertices if g.valence(v) == 2]
-    if not candidates:
-        return f
-    v = min(candidates)
     a, b = g.rotation_order(v)
     if abs(a) == abs(b):
         # both germs of one loop: the component would be a lone circle
@@ -515,20 +539,33 @@ def _subdivide_towards(f, d, length, tracked, hook):
     top = max(f.graph.edges)
     f = subdivide(f, e, k)
     hook("subdivide", f, edge=e, at=k, into=[top + 1, top + 2])
-
-    def track(t):
-        if abs(t) != e:
-            return t
-        return top + 1 if t > 0 else -(top + 2)
-
-    return f, track(d), [track(t) for t in tracked]
+    rename = {e: top + 1, -e: -(top + 2)}
+    return f, rename.get(d, d), [rename.get(t, t) for t in tracked]
 
 
-def _fold_pass(f, o1, o2, hook):
-    """Walk the turn's derivative orbit to its merge point and fold there.
+def _letter_to_split(f, c):
+    """The direction whose edge to subdivide so that the letter ``c`` grows.
 
-    Returns the new map together with the images of ``o1``/``o2`` under the
-    renaming that the preparing subdivisions and the fold introduce.
+    Subdividing ``|c|`` turns every ``c`` into two letters, but needs an
+    image of two or more letters; when that image is the single letter
+    ``c'``, ``c'`` must grow first, and so on along the chain.
+    """
+    for _ in range(len(f.graph.edges)):
+        if len(f.image(c)) > 1:
+            return c
+        (c,) = f.image(c)
+    raise InternalInvariantError("one-letter edge images close up into a cycle")
+
+
+def _fold_pass(f, o1, o2, x, hook):
+    """Fold once at the merge point of the turn ``(o1, o2)``'s derivative orbit.
+
+    Returns the new map, the renamed turn and ``x``, and the number of
+    letters the pass cancels.  ``x`` is None while an edge image takes the
+    turn; once a subdivision splits its last occurrence, x is the new vertex
+    and the turn x's own, and no fold takes a segment ending at x.  A pair
+    that fills a valence-two vertex has a degenerate turn: the pass merges
+    the two edges through the vertex instead of folding.
     """
     t1, t2 = o1, o2
     guard = 2 * len(f.graph.edges) + 2
@@ -538,26 +575,44 @@ def _fold_pass(f, o1, o2, hook):
         if guard < 0:
             raise InternalInvariantError("derivative orbit never merged")
     d1, d2 = _adjacent_fold_pair(f, t1, t2)
-    if f.graph.valence(f.graph.tail(d1)) == 2:
-        # earlier folds left the pair's vertex with no other directions, so
-        # no single corner separates them and folding is meaningless there;
-        # merging the two edges through the vertex cancels their common
-        # image prefix instead, which the simplification pass performs
-        return f, None, None
-    for _ in range(8):
+    v = f.graph.tail(d1)
+    if f.graph.valence(v) == 2:
+        # no single corner separates the pair, so folding is meaningless;
+        # merging through v cancels their common image prefix.  It comes
+        # before any other valence move, whose slides could undo that
+        through = reverse_path(f.image(d1)) + f.image(d2)
+        f = _merge_through(f, v)
+        hook("valence_two", f)
+        return f, None, None, None, len(through) - len(tighten(through))
+    for _ in range(len(f.graph.edges) + 8):
+        if x is None and not any(
+                pair in ((-o1, o2), (-o2, o1))
+                for p in f.edge_image.values() for pair in zip(p, p[1:])):
+            # a subdivision split the turn's last occurrence; its new
+            # vertex x is the turn's point
+            x = max(z for z in f.graph.vertices if sorted(
+                map(f.derivative, f.graph.directions(z))) == sorted((o1, o2)))
+            o1, o2 = f.graph.directions(x)
         p1, p2 = f.image(d1), f.image(d2)
-        if p1 == p2:
-            if f.graph.head(d1) != f.graph.head(d2):
-                break
-            # parallel pair: identifying the whole edges would seal the strip
-            # between them and change the surface, so split off the first
-            # image letter on both sides and fold those initial segments
-            if len(p1) == 1:
-                raise InternalInvariantError(
-                    "parallel fold pair with unsplittable images")
-            shared = 1
-        else:
+        ends = {f.graph.head(d1), f.graph.head(d2)}
+        if p1 == p2 and len(ends) == 2 and x not in ends:
+            break
+        if p1 != p2:
             shared = _common_prefix_len(p1, p2)
+        else:
+            # the whole edges may not fold: x must keep valence two, and
+            # identifying parallel edges would seal the strip between them
+            # and change the surface.  Fold all but the last half letter, so
+            # that letter's edge is subdivided first
+            c = _letter_to_split(f, p1[-1])
+            f, _, (d1, d2, o1, o2) = _subdivide_towards(
+                f, c, 1, (d1, d2, o1, o2), hook)
+            if c != p1[-1] or f.image(d1) != f.image(d2):
+                # a step along a chain of one-letter images, or the pair's
+                # own edge was subdivided: prepare afresh
+                continue
+            shared = len(p1)
+            p1 = f.image(d1)
         if shared < 1:
             raise InternalInvariantError("fold pair lost its common prefix")
         if len(p1) > shared:
@@ -569,84 +624,27 @@ def _fold_pass(f, o1, o2, hook):
     else:
         raise InternalInvariantError("fold preparation did not settle")
     folded_ids = sorted((abs(d1), abs(d2)))
+    # the fold replaces letters one for one and two images by one, so any
+    # shortfall below this count is cancellation
+    untightened = sum(map(len, f.edge_image.values())) - len(p1)
     f = fold(f, d1, d2)
     fused = max(f.graph.edges)
     hook("fold", f, edges=folded_ids, into=fused)
-
-    def track(t):
-        if t in (d1, d2):
-            return fused
-        if -t in (d1, d2):
-            return -fused
-        return t
-
-    return f, track(o1), track(o2)
-
-
-def _fold_away(f, turn, hook, complete=False):
-    """Remove one illegal turn, folding at its derivative orbit's merge point.
-
-    By default one fold is performed per call and the simplification moves
-    run again before the next turn is chosen; that is the cheap policy and
-    it suffices for almost every input.  With ``complete`` the turn is
-    resolved fully: folding continues until the turn's own two directions
-    are identified, which changes which turns later rounds see.  The main
-    loop switches to the complete policy when it detects that the cheap one
-    has started reproducing earlier maps, since each policy escapes
-    constant-growth cycles that trap the other.  A turn formed by an edge
-    against its own reverse cannot end with its directions identified; for
-    such turns each call performs one fold at the orbit's merge point.
-    """
-    o1, o2 = turn
-    budget = (2 * len(f.graph.edges) + 2) ** 2
-    while True:
-        f, o1, o2 = _fold_pass(f, o1, o2, hook)
-        if not complete or o1 is None or o1 == o2 or abs(o1) == abs(o2):
-            return f
-        budget -= 1
-        if budget < 0:
-            raise InternalInvariantError(
-                "illegal turn resolution did not settle")
-
-
-def _canonical_key(f):
-    """A relabeling-invariant encoding of a simplified map, for repeats.
-
-    Walking the boundary word from each starting position renames edges by
-    first appearance; the smallest of the resulting encodings of the
-    boundary word and the edge images is identical for two maps exactly
-    when some rotation-preserving relabeling carries one to the other.  The
-    renamed boundary word fixes the graph, and since no edge image of a
-    simplified map is empty, the images fix the vertex map.
-    """
-    rho = f.graph.rho
-    n = len(rho)
-    best = None
-    for i in range(n):
-        ren = {}
-        first = []  # each edge as the walk first meets it, in meeting order
-        for j in range(n):
-            d = rho[(i + j) % n]
-            if abs(d) not in ren:
-                ren[abs(d)] = len(ren) + 1 if d > 0 else -(len(ren) + 1)
-                first.append(d)
-
-        def rd(d):
-            return ren[d] if d > 0 else -ren[-d]
-
-        rho_c = tuple(rd(rho[(i + j) % n]) for j in range(n))
-        key = (rho_c, tuple(tuple(rd(x) for x in f.image(d)) for d in first))
-        if best is None or key < best:
-            best = key
-    return best
+    cancelled = untightened - sum(map(len, f.edge_image.values()))
+    rename = {d1: fused, d2: fused, -d1: -fused, -d2: -fused}
+    return f, rename.get(o1, o1), rename.get(o2, o2), x, cancelled
 
 
 def bestvina_handel(f, max_rounds=10000, hook=None):
     """Run the train track algorithm on a boundary-preserving self-map.
 
+    A round that cancels no letter raises :class:`InternalInvariantError`.
+    By the descent argument in the module docstring no input should reach
+    ``max_rounds``; :class:`IterationLimitExceeded` after that many rounds
+    stays as a safety net.
+
     ``hook(name, map, **details)`` is called after every individual move with
     the map *after* the move; pass one to trace or audit a run.
-    Raises :class:`IterationLimitExceeded` after ``max_rounds`` fold rounds.
     """
     hook = hook or _noop_hook
     if not f.preserves_boundary():
@@ -656,8 +654,6 @@ def bestvina_handel(f, max_rounds=10000, hook=None):
     if new is not f:
         f = new
         hook("pull_tight", f)
-    seen = set()
-    complete = False
     for _ in range(max_rounds):
         f, m, sinks = _simplify(f, hook)
         # permutation first: the identity matrix is also reducible, but a
@@ -675,14 +671,17 @@ def bestvina_handel(f, max_rounds=10000, hook=None):
         turn = _first_illegal_turn(f, gate_of)
         if turn is None:
             return TrainTrack(f, spectral_radius(m))
-        if not complete:
-            key = _canonical_key(f)
-            if key in seen:
-                # one fold per round has started reproducing earlier maps;
-                # resolving each turn fully breaks out of such cycles
-                complete = True
-            else:
-                seen.add(key)
-        f = _fold_away(f, turn, hook, complete)
+        # passes fold along the turn's derivative orbit, shortening it (or
+        # the rotation arc between the pair), until letters cancel; the cap
+        # is a safety net far above any round seen
+        o1, o2 = turn
+        x = None
+        for _ in range((2 * len(f.graph.edges) + 2) ** 2):
+            f, o1, o2, x, cancelled = _fold_pass(f, o1, o2, x, hook)
+            if cancelled > 0:
+                break
+        else:
+            # the descent that ends this loop needs every round to cancel
+            raise InternalInvariantError("fold round cancelled no letter")
     raise IterationLimitExceeded(
         f"no train track representative within {max_rounds} rounds")

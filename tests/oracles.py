@@ -10,7 +10,8 @@ back into the code under test, so agreement is meaningful evidence:
   the stored boundary word);
 * action on first homology of a rose, with the symplectic form of the
   once-punctured surface;
-* raw (untightened) edge-path substitution, for immersion checks;
+* raw (untightened) edge-path substitution, for immersion checks, and the
+  period of a map on all short cyclically reduced circuits;
 * direct cusp count of the puncture region along the boundary word;
 * geometric intersection of curve words (linked pairs) and Penner's
   construction: faces, prongs and dilatation of T_A T_B^-1;
@@ -242,6 +243,65 @@ def raw_apply(f, path) -> tuple:
 
 def has_cancellation(path) -> bool:
     return any(a == -b for a, b in zip(path, path[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Periods of conjugacy classes
+# ---------------------------------------------------------------------------
+
+def _cyclic_reduce(path) -> tuple:
+    """Free reduction by a stack scan, then cancellation across the seam."""
+    out = []
+    for d in path:
+        if out and out[-1] == -d:
+            out.pop()
+        else:
+            out.append(d)
+    i, j = 0, len(out)
+    while j - i >= 2 and out[i] == -out[j - 1]:
+        i, j = i + 1, j - 1
+    return tuple(out[i:j])
+
+
+def cyclic_circuits(graph, max_len: int) -> list:
+    """Every cyclically reduced closed edge path of 1..max_len letters, read
+    off the edge table; each rotation of a circuit is listed on its own."""
+    dirs = [d for e in sorted(graph.edges) for d in (e, -e)]
+    tail = {d: graph.edges[abs(d)][0 if d > 0 else 1] for d in dirs}
+    found = []
+
+    def grow(path):
+        last = path[-1]
+        if tail[-last] == tail[path[0]] and path[0] != -last:
+            found.append(tuple(path))
+        if len(path) < max_len:
+            for d in dirs:
+                if tail[d] == tail[-last] and d != -last:
+                    grow(path + [d])
+
+    for d in dirs:
+        grow([d])
+    return found
+
+
+def _rotations(path) -> set:
+    return {path[i:] + path[:i] for i in range(len(path))}
+
+
+def circuit_period(f, max_len: int, max_period: int):
+    """Least p <= max_period after which f^p carries every cyclically
+    reduced circuit of at most ``max_len`` letters to a rotation of itself,
+    or None.  Each step substitutes the letter images and reduces the
+    result cyclically, so a finite-order class shows its order."""
+    start = cyclic_circuits(f.graph, max_len)
+    current = start
+    for p in range(1, max_period + 1):
+        current = [_cyclic_reduce(raw_apply(f, c)) for c in current]
+        if all(len(c) == len(s) and c in _rotations(s)
+               for c, s in zip(current, start)):
+            return p
+    return None
+
 
 
 # ---------------------------------------------------------------------------

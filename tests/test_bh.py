@@ -1,6 +1,8 @@
 """The track-finding algorithm: outcomes, moves, and invariants."""
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from traintrack import (
     EmbeddedGraph,
     GraphSelfMap,
     GrowthOne,
+    InternalInvariantError,
     IterationLimitExceeded,
     Reducible,
     TrainTrack,
@@ -110,29 +113,102 @@ def test_iteration_cap():
         bestvina_handel(f, max_rounds=0)
 
 
-# the genus-2 word whose cheap fold policy reproduces an earlier map, so the
-# run ends only after switching to the complete policy
+# -a0 -a1 -c0 -d1 -d0 twists about the chain a0-d0-c0-d1-a1.  The chain
+# relation (T1 ... T5)^6 = T_boundary, and the boundary twist is trivial on
+# the once-punctured surface, so the class has order six.  A full fold at
+# the orbit's merge point merges the illegal turn's point into the rose
+# vertex and rebuilds the same map, so the round must keep that point.
+CHAIN_OF_FIVE_WORD = (("a0", -1), ("a1", -1), ("c0", -1), ("d1", -1),
+                      ("d0", -1))
+
+
+def test_chain_of_five_has_order_six():
+    words = {name: c.path for name, c in standard_generators(2).items()}
+    rho = standard_rose(2).rho
+    chain = ("a0", "d0", "c0", "d1", "a1")
+    for i, a in enumerate(chain):
+        for j in range(i + 1, len(chain)):
+            meet = oracles.geometric_intersection(words[a], words[chain[j]],
+                                                  rho)
+            assert meet == (j == i + 1), (a, chain[j])
+    f = compose_word(2, list(CHAIN_OF_FIVE_WORD))
+    assert oracles.circuit_period(f, 4, 6) == 6
+    assert isinstance(bestvina_handel(f), GrowthOne)
+
+
+# genus-2 classes of order ten, on which fold loops without a descent
+# check ran past 1500 rounds
 POLICY_SWITCH_WORD = (("a1", 1), ("a0", 1), ("c0", -1), ("c1", 1),
                       ("d1", 1), ("c0", 1))
+ORDER_TEN_WORD = (("a1", 1), ("c0", -1), ("a0", 1), ("a1", -1), ("c0", 1),
+                  ("c1", 1), ("d0", 1), ("d1", 1))
 
 
-def test_fold_policy_switch(monkeypatch):
-    f = compose_word(2, list(POLICY_SWITCH_WORD))
-    moves = []
-    outcome = bestvina_handel(
-        f, hook=lambda name, g, **info: moves.append(name))
-    assert isinstance(outcome, GrowthOne)
-    # the move count pins the round at which the policy switches
-    assert len(moves) == 112
-    # with no repeat ever detected the cheap policy cycles forever
-    monkeypatch.setattr(bh, "_canonical_key", lambda g: object())
-    with pytest.raises(IterationLimitExceeded):
-        bestvina_handel(f, max_rounds=3000)
+@pytest.mark.parametrize("word", [POLICY_SWITCH_WORD, ORDER_TEN_WORD],
+                         ids=["policy_switch", "order_ten"])
+def test_order_ten_words_are_growth_one(word):
+    f = compose_word(2, list(word))
+    assert oracles.circuit_period(f, 4, 10) == 10
+    assert isinstance(bestvina_handel(f), GrowthOne)
 
 
-# a genus-3 word that ends as a train track although its rotation by two
-# letters, a conjugate, ends with a fixed essential loop: TrainTrack alone
-# does not yet certify a pseudo-Anosov class
+def test_word_that_broke_full_turn_folding_is_a_train_track():
+    # resolving every turn fully raised "derivative orbit never merged" here
+    f = compose_word(2, [("c1", -1), ("d1", -1), ("c0", -1), ("d1", -1),
+                         ("c0", -1), ("a0", -1)])
+    outcome = bestvina_handel(f)
+    assert isinstance(outcome, TrainTrack)
+    assert outcome.growth == pytest.approx(1.7220838057393362, abs=1e-9)
+
+
+def test_round_that_cancels_nothing_raises(monkeypatch):
+    # the descent check stops the first round; without it the loop would
+    # run on to max_rounds
+    rounds = []
+    count_round = bh.is_permutation_matrix
+    monkeypatch.setattr(bh, "is_permutation_matrix",
+                        lambda m: rounds.append(m) or count_round(m))
+    monkeypatch.setattr(bh, "_fold_pass",
+                        lambda f, o1, o2, x, hook: (f, o1, o2, x, 0))
+    f = compose_word(*REFERENCE_WORDS["ex1"])
+    with pytest.raises(InternalInvariantError, match="cancelled no letter"):
+        bestvina_handel(f)
+    assert len(rounds) == 1
+
+
+def _inverse(word):
+    return tuple((name, -sign) for name, sign in reversed(word))
+
+
+def test_random_words_terminate_with_consistent_verdicts():
+    """Seeded words at genus 2-5: every run gets a verdict, growth is at
+    least the homology action's spectral radius, and a class and its
+    inverse that both end as train tracks share growth and singularity
+    data."""
+    rng = random.Random(0)
+    pairs = 0
+    for _ in range(60):
+        genus = rng.randint(2, 5)
+        names = sorted(standard_generators(genus))
+        word = tuple((rng.choice(names), rng.choice((1, -1)))
+                     for _ in range(rng.randint(1, 10)))
+        runs = [run_word(genus, w) for w in (word, _inverse(word))]
+        for run in runs:
+            if not isinstance(run.outcome, Reducible):
+                assert run.report.growth >= oracles.h1_spectral_radius(
+                    run.start) - 1e-9, word
+        if all(isinstance(run.outcome, TrainTrack) for run in runs):
+            pairs += 1
+            first, second = (run.report for run in runs)
+            assert first.growth == pytest.approx(second.growth, abs=1e-9)
+            assert (sorted(p[:2] for p in first.polygons)
+                    == sorted(p[:2] for p in second.polygons)), word
+            assert first.puncture_index == second.puncture_index, word
+    assert pairs >= 5
+
+
+# a genus-3 word that used to end as a train track although its rotation by
+# two letters, a conjugate, ends with an essential invariant subgraph
 CONJUGATE_SPLIT_WORD = (
     ("d0", -1), ("d0", -1), ("a2", 1), ("a2", -1), ("c1", -1), ("d2", 1),
     ("a1", 1), ("c2", -1), ("c1", 1), ("d0", -1), ("d2", -1), ("d0", 1),
@@ -140,9 +216,6 @@ CONJUGATE_SPLIT_WORD = (
     ("d0", -1), ("d0", -1), ("a2", -1))
 
 
-@pytest.mark.xfail(strict=True, reason="a train track map is not tested "
-                   "for reducibility, so a reducible class can end as "
-                   "TrainTrack")
 def test_verdict_is_conjugation_invariant():
     word = CONJUGATE_SPLIT_WORD
     first = run_word(3, word).outcome
@@ -150,14 +223,16 @@ def test_verdict_is_conjugation_invariant():
     assert type(first) is type(rotated)
 
 
-def test_rotated_word_reduces_to_a_fixed_loop():
+def test_rotated_word_has_an_essential_invariant_subgraph():
     word = CONJUGATE_SPLIT_WORD
     outcome = run_word(3, word[2:] + word[:2]).outcome
     assert isinstance(outcome, Reducible)
-    (e,) = outcome.invariant_edges
-    u, v = outcome.map.graph.edges[e]
-    assert u == v
-    assert outcome.map.edge_image[e] in ((e,), (-e,))
+    inv = set(outcome.invariant_edges)
+    assert inv and inv < set(outcome.map.graph.edges)
+    for e in inv:
+        assert {abs(d) for d in outcome.map.image(e)} <= inv
+    # a forest would have been collapsed: the witness carries a loop
+    assert bh._contract(outcome.map.graph, inv) is None
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +240,19 @@ def test_rotated_word_reduces_to_a_fixed_loop():
 # ---------------------------------------------------------------------------
 
 def test_hook_snapshots_keep_surface_invariants(reference_runs):
-    run = reference_runs["ex3"]
-    assert run.snapshots, "expected at least one elementary move"
-    last_growth = spectral_radius(run.start.transition_matrix())
-    for move, f, info in run.snapshots:
-        assert move in MOVE_NAMES
-        assert f.preserves_boundary()
-        assert oracles.face_count(f.graph) == 1
-        assert oracles.genus_via_euler(f.graph) == run.genus
-        growth = spectral_radius(f.transition_matrix())
-        assert growth <= last_growth + 1e-7
-        last_growth = growth
+    runs = list(reference_runs.values())
+    runs.append(run_word(2, CHAIN_OF_FIVE_WORD, collect_snapshots=True))
+    for run in runs:
+        assert run.snapshots, "expected at least one elementary move"
+        last_growth = spectral_radius(run.start.transition_matrix())
+        for move, f, info in run.snapshots:
+            assert move in MOVE_NAMES
+            assert f.preserves_boundary()
+            assert oracles.face_count(f.graph) == 1
+            assert oracles.genus_via_euler(f.graph) == run.genus
+            growth = spectral_radius(f.transition_matrix())
+            assert growth <= last_growth + 1e-7, (run.word, move)
+            last_growth = growth
 
 
 def test_hook_snapshots_have_tight_images(reference_runs):
