@@ -61,7 +61,7 @@ print(f"first corner at ({first[0]:.4f}, {first[1]:.4f}), "
 # side labels, shaded infinitesimal polygons, the puncture at the center.
 report = full_report(outcome)
 structure = polygons(f, infinitesimal_edges(f))
-svg = emit_svg(layout, report, structure)
+svg = emit_svg(layout, structure)
 path = sys.argv[1] if len(sys.argv) > 1 else "train_track.svg"
 with open(path, "w", encoding="utf-8") as handle:
     handle.write(svg)

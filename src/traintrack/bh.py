@@ -1,7 +1,9 @@
 """The train track algorithm for self-maps of punctured-surface spines.
 
 Moves are pure functions: each takes a :class:`GraphSelfMap` and returns a
-new one (or the input object itself when nothing applies).  After every move
+new one (or the input object itself when nothing applies).  Each move that
+changes the graph is a homotopy equivalence given by a letter substitution,
+and one path, ``_rebuild``, pushes the map through it.  After every move
 the boundary word must still be preserved and the genus unchanged; these
 checks are cheap and always on.  The main loop tightens the input once, then
 runs rounds.  A round simplifies (collapsing invariant forests, removing
@@ -83,23 +85,52 @@ def _check_move(move, old, new):
     return new
 
 
-def _full_table(edge_ids, replacements):
-    # letter-for-path substitution table covering every direction
-    table = {}
-    for e in edge_ids:
-        table[e] = (e,)
-        table[-e] = (-e,)
-    for d, rep in replacements.items():
-        table[d] = tuple(rep)
-        table[-d] = reverse_path(rep)
-    return table
-
-
 def _subst(path, table):
+    # letter substitution: ``table`` lists only the directions that change
     out = []
     for d in path:
-        out.extend(table[d])
-    return tuple(out)
+        rep = table.get(d)
+        if rep is None:
+            out.append(d)
+        else:
+            out.extend(rep)
+    return out
+
+
+def _rebuild(move, f, edges, rho, translate, *versions):
+    """The map ``f`` pushed through a move onto the graph ``(edges, rho)``.
+
+    A move is a homotopy equivalence given by ``translate``, which spells a
+    path of f's graph in the new graph's letters; ``rho`` is f's boundary
+    word, read from where the move needs it.  Each version is a vertex image
+    on the new graph and images, in f's letters, of every edge the new graph
+    keeps or adds: f's own, or f's after a homotopy.  Those images are
+    translated and tightened.  Of several versions the one whose map has the
+    smallest growth is kept (ties keep the earlier one), so that the move
+    does not raise it.
+    """
+    graph = EmbeddedGraph(edges, translate(rho))
+    maps = [GraphSelfMap(graph, vertex_image,
+                         {e: tighten(translate(images[e])) for e in edges})
+            for vertex_image, images in versions]
+    if len(maps) > 1:
+        lams = [spectral_radius(h.transition_matrix()) for h in maps]
+        maps = [h for h, lam in zip(maps, lams) if lam <= min(lams) + 1e-12]
+    return _check_move(move, f, maps[0])
+
+
+def _merge_vertices(move, f, rep, dropped=None):
+    """The vertex image of ``f`` once each vertex ``z`` becomes
+    ``rep.get(z, z)``; ``dropped`` leaves the graph."""
+    vertex_image = {}
+    for z, fz in f.vertex_image.items():
+        if z == dropped:
+            continue
+        r, w = rep.get(z, z), rep.get(fz, fz)
+        if vertex_image.setdefault(r, w) != w:
+            raise InternalInvariantError(
+                f"{move} merged vertices with different images")
+    return vertex_image
 
 
 def pull_tight(f):
@@ -128,8 +159,7 @@ def _contract(graph, edges):
         return root
 
     for e in edges:
-        u, v = graph.edges[e]
-        ru, rv = find(u), find(v)
+        ru, rv = find(graph.tail(e)), find(graph.head(e))
         if ru == rv:
             return None
         parent[ru] = rv
@@ -152,18 +182,9 @@ def _collapse_edges(f, forest):
         raise InternalInvariantError("collapse target contains a cycle")
     edges = {e: (rep[u], rep[v])
              for e, (u, v) in g.edges.items() if e not in forest}
-    rho = tuple(d for d in g.rho if abs(d) not in forest)
-    graph = EmbeddedGraph(edges, rho)
-    vertex_image = {}
-    for v in g.vertices:
-        r, w = rep[v], rep[f.vertex_image[v]]
-        if vertex_image.setdefault(r, w) != w:
-            raise InternalInvariantError(
-                "collapse merged vertices with different images")
-    edge_image = {e: tighten(tuple(d for d in p if abs(d) not in forest))
-                  for e, p in f.edge_image.items() if e not in forest}
-    new = GraphSelfMap(graph, vertex_image, edge_image)
-    return _check_move("collapse", f, new)
+    table = {d: () for e in forest for d in (e, -e)}
+    return _rebuild("collapse", f, edges, g.rho, lambda p: _subst(p, table),
+                    (_merge_vertices("collapse", f, rep), f.edge_image))
 
 
 def remove_valence_one(f):
@@ -175,22 +196,13 @@ def remove_valence_one(f):
     v = min(leaves)
     (germ,) = g.directions(v)
     u = abs(germ)
-    w = g.head(germ)
     # rho turns around at a leaf: it holds the consecutive pair (-germ, germ),
     # and dropping both letters removes exactly that corner
-    rho = tuple(d for d in g.rho if abs(d) != u)
     edges = {e: uv for e, uv in g.edges.items() if e != u}
-    graph = EmbeddedGraph(edges, rho)
-    vertex_image = {}
-    for z in g.vertices:
-        if z == v:
-            continue
-        fz = f.vertex_image[z]
-        vertex_image[z] = w if fz == v else fz
-    edge_image = {e: tighten(tuple(d for d in p if abs(d) != u))
-                  for e, p in f.edge_image.items() if e != u}
-    new = GraphSelfMap(graph, vertex_image, edge_image)
-    return _check_move("valence_one", f, new)
+    table = {u: (), -u: ()}
+    vertex_image = _merge_vertices("valence_one", f, {v: g.head(germ)}, v)
+    return _rebuild("valence_one", f, edges, g.rho,
+                    lambda p: _subst(p, table), (vertex_image, f.edge_image))
 
 
 def remove_valence_two(f):
@@ -222,7 +234,7 @@ def _merge_through(f, v):
     m = max(g.edges) + 1
     abs_old = (abs(a), abs(b))
 
-    def merged(path, what):
+    def merged(path):
         out = []
         i = 0
         while i < len(path):
@@ -236,60 +248,36 @@ def _merge_through(f, v):
             else:
                 if abs(path[i]) in abs_old:
                     raise InternalInvariantError(
-                        f"stray half-edge while merging through vertex {v} ({what})")
+                        f"stray half-edge while merging through vertex {v}")
                 out.append(path[i])
                 i += 1
-        return tuple(out)
+        return out
 
     edges = {e: uv for e, uv in g.edges.items() if e not in abs_old}
     edges[m] = (x, y)
     i0 = g.rho.index(-a)
-    rho = merged(g.rho[i0:] + g.rho[:i0], "boundary word")
-    graph = EmbeddedGraph(edges, rho)
+    movers = {z for z in g.vertices if f.vertex_image[z] == v}
 
-    def build(through, target):
+    def slid(through, target):
         # slide every vertex mapping to v across ``through`` (a direction
-        # based at v), so its image becomes ``target``, then merge
-        vertex_image = dict(f.vertex_image)
-        edge_image = dict(f.edge_image)
-        movers = {z for z in g.vertices if vertex_image[z] == v}
-        if movers:
-            slid = {}
-            for e, p in edge_image.items():
-                q = p
-                if g.tail(e) in movers:
-                    q = (-through,) + q
-                if g.head(e) in movers:
-                    q = q + (through,)
-                slid[e] = tighten(q)
-            edge_image = slid
-            for z in movers:
-                vertex_image[z] = target
+        # based at v), so its image becomes ``target``
 
-        def oriented(d):
-            p = edge_image[abs(d)]
-            return p if d > 0 else reverse_path(p)
+        def image(d):
+            pre = (-through,) if g.tail(d) in movers else ()
+            post = (through,) if g.head(d) in movers else ()
+            p = f.image(d)
+            return tighten(pre + p + post) if pre or post else p
 
-        new_images = {}
-        for e, p in edge_image.items():
-            if e in abs_old:
-                continue
-            new_images[e] = tighten(merged(p, f"image of {e}"))
-        new_images[m] = tighten(merged(tighten(oriented(-a) + oriented(b)),
-                                       "image of the merged edge"))
-        new_vertex_image = {z: vertex_image[z] for z in g.vertices if z != v}
-        return GraphSelfMap(graph, new_vertex_image, new_images)
+        images = {e: image(e) for e in edges if e != m}
+        images[m] = tighten(image(-a) + image(b))
+        return _merge_vertices("valence_two", f, {v: target}, v), images
 
-    new = build(b, y)
-    if any(f.vertex_image[z] == v for z in g.vertices):
-        # the slide direction matters: keep the candidate with the smaller
-        # growth rate (ties keep the rotation-successor side for determinism)
-        other = build(a, x)
-        lam_new = spectral_radius(new.transition_matrix())
-        lam_other = spectral_radius(other.transition_matrix())
-        if lam_other < lam_new - 1e-12:
-            new = other
-    return _check_move("valence_two", f, new)
+    versions = [slid(b, y)]
+    if movers:
+        # the slide direction matters; ties keep the rotation-successor side
+        versions.append(slid(a, x))
+    return _rebuild("valence_two", f, edges, g.rho[i0:] + g.rho[:i0], merged,
+                    *versions)
 
 
 def subdivide(f, e, k):
@@ -306,23 +294,15 @@ def subdivide(f, e, k):
     if not 0 < k < len(p):
         raise ValueError(
             f"subdivision point {k} out of range for image of length {len(p)}")
-    t, h = g.edges[e]
     e1, e2 = max(g.edges) + 1, max(g.edges) + 2
     z = max(g.vertices) + 1
-    table = _full_table(g.edges, {e: (e1, e2)})
     edges = {x: uv for x, uv in g.edges.items() if x != e}
-    edges[e1] = (t, z)
-    edges[e2] = (z, h)
-    rho = _subst(g.rho, table)
-    graph = EmbeddedGraph(edges, rho)
-    vertex_image = dict(f.vertex_image)
-    vertex_image[z] = g.head(p[k - 1])
-    edge_image = {x: _subst(q, table)
-                  for x, q in f.edge_image.items() if x != e}
-    edge_image[e1] = _subst(p[:k], table)
-    edge_image[e2] = _subst(p[k:], table)
-    new = GraphSelfMap(graph, vertex_image, edge_image)
-    return _check_move("subdivide", f, new)
+    edges[e1] = (g.tail(e), z)
+    edges[e2] = (z, g.head(e))
+    table = {e: (e1, e2), -e: (-e2, -e1)}
+    vertex_image = {**f.vertex_image, z: g.head(p[k - 1])}
+    return _rebuild("subdivide", f, edges, g.rho, lambda q: _subst(q, table),
+                    (vertex_image, {**f.edge_image, e1: p[:k], e2: p[k:]}))
 
 
 def fold(f, d1, d2):
@@ -354,12 +334,9 @@ def fold(f, d1, d2):
         raise InternalInvariantError(
             "parallel fold: far endpoints already agree")
     w = min(w1, w2)
-
-    def vmap(z):
-        return w if z in (w1, w2) else z
-
+    rep = {w1: w, w2: w}
     fused = max(g.edges) + 1
-    table = _full_table(g.edges, {d1: (fused,), d2: (fused,)})
+    table = {d1: (fused,), d2: (fused,), -d1: (-fused,), -d2: (-fused,)}
     # the corner being sewn shut shows up in rho as (-first, second); rotate
     # rho so the pair sits at the front and drop it, every other occurrence
     # of the two edges becomes the fused edge
@@ -368,23 +345,12 @@ def fold(f, d1, d2):
     rotated = g.rho[i0:] + g.rho[:i0]
     if rotated[1] != second:
         raise InternalInvariantError("rotation and boundary word disagree")
-    rho = _subst(rotated[2:], table)
-    edges = {e: (vmap(t), vmap(h))
+    edges = {e: (rep.get(t, t), rep.get(h, h))
              for e, (t, h) in g.edges.items() if e not in (abs(d1), abs(d2))}
-    edges[fused] = (vmap(v), w)
-    graph = EmbeddedGraph(edges, rho)
-    vertex_image = {}
-    for z in g.vertices:
-        r, img = vmap(z), vmap(f.vertex_image[z])
-        if vertex_image.setdefault(r, img) != img:
-            raise InternalInvariantError(
-                "fold merged vertices with different images")
-    edge_image = {e: tighten(_subst(p, table))
-                  for e, p in f.edge_image.items()
-                  if e not in (abs(d1), abs(d2))}
-    edge_image[fused] = tighten(_subst(p1, table))
-    new = GraphSelfMap(graph, vertex_image, edge_image)
-    return _check_move("fold", f, new)
+    edges[fused] = (rep.get(v, v), w)
+    vertex_image = _merge_vertices("fold", f, rep)
+    return _rebuild("fold", f, edges, rotated[2:], lambda p: _subst(p, table),
+                    (vertex_image, {**f.edge_image, fused: p1}))
 
 
 def gates(f):

@@ -70,8 +70,6 @@ def build_parser():
     parser.add_argument("--max-steps", type=int, default=10000,
                         help="iteration cap for the train track algorithm "
                              "(default: 10000)")
-    parser.add_argument("--allow-low-genus", action="store_true",
-                        help="permit genus 1 (no chain generators there)")
     parser.add_argument("--trace", action="store_true",
                         help="log every algorithm move to stderr")
     return parser
@@ -133,7 +131,7 @@ def run(args, out=None, err=None):
 
     word = parse_word(args.word)
     t0 = time.perf_counter()
-    f = compose_word(args.genus, word, allow_low_genus=args.allow_low_genus)
+    f = compose_word(args.genus, word)
     timings["compose"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -152,7 +150,7 @@ def run(args, out=None, err=None):
         structure = ()
         if isinstance(outcome, TrainTrack):
             structure = polygons(final, infinitesimal_edges(final))
-        svg = emit_svg(layout, report, structure)
+        svg = emit_svg(layout, structure)
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(svg)
         svg_path = args.svg

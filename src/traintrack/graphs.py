@@ -84,7 +84,7 @@ class EmbeddedGraph:
     graphs rather than mutating.
     """
 
-    __slots__ = ("edges", "rho", "_succ", "_dirs")
+    __slots__ = ("edges", "rho", "_tail", "_succ", "_dirs")
 
     def __init__(self, edges, rho):
         self.edges = {e: (u, v) for e, (u, v) in dict(edges).items()}
@@ -95,14 +95,18 @@ class EmbeddedGraph:
             if not isinstance(e, int) or isinstance(e, bool) or e <= 0:
                 raise GraphStructureError(
                     f"edge ids must be positive integers, got {e!r}")
+        # direction -> the vertex it leaves from; the head of d is tail[-d]
+        tail = {}
+        for e, (u, v) in self.edges.items():
+            tail[e], tail[-e] = u, v
+        self._tail = tail
         counts = Counter(self.rho)
-        expected = {d for e in self.edges for d in (e, -e)}
-        if set(counts) != expected or any(c != 1 for c in counts.values()):
+        if set(counts) != tail.keys() or any(c != 1 for c in counts.values()):
             raise GraphStructureError(
                 "boundary word must cross every oriented edge exactly once")
         n = len(self.rho)
         for i, d in enumerate(self.rho):
-            if self.head(d) != self.tail(self.rho[(i + 1) % n]):
+            if tail[-d] != tail[self.rho[(i + 1) % n]]:
                 raise GraphStructureError("boundary word is not a closed walk")
         # Rotation system: consecutive boundary steps (d, d') turn the corner
         # between the directions -d and d', so d' succeeds -d at that vertex.
@@ -112,7 +116,7 @@ class EmbeddedGraph:
         self._succ = succ
         dirs = {}
         for d in succ:
-            dirs.setdefault(self.tail(d), []).append(d)
+            dirs.setdefault(tail[d], []).append(d)
         self._dirs = {v: tuple(sorted(ds)) for v, ds in dirs.items()}
         for v, ds in self._dirs.items():
             d = self._succ[ds[0]]
@@ -131,15 +135,19 @@ class EmbeddedGraph:
 
     def tail(self, d):
         """Vertex an oriented edge leaves from."""
-        e = abs(d)
-        if e not in self.edges:
-            raise GraphStructureError(f"unknown edge in direction {d}")
-        u, v = self.edges[e]
-        return u if d > 0 else v
+        try:
+            return self._tail[d]
+        except KeyError:
+            raise GraphStructureError(
+                f"unknown edge in direction {d}") from None
 
     def head(self, d):
         """Vertex an oriented edge arrives at."""
-        return self.tail(-d)
+        try:
+            return self._tail[-d]
+        except KeyError:
+            raise GraphStructureError(
+                f"unknown edge in direction {-d}") from None
 
     @property
     def vertices(self):
@@ -233,9 +241,10 @@ class GraphSelfMap:
         if set(self.edge_image) != set(graph.edges):
             raise MapCompatibilityError(
                 "edge_image must cover exactly the edges")
+        tail = graph._tail
         for e, p in self.edge_image.items():
-            want_from = self.vertex_image[graph.tail(e)]
-            want_to = self.vertex_image[graph.head(e)]
+            want_from = self.vertex_image[tail[e]]
+            want_to = self.vertex_image[tail[-e]]
             if not p:
                 if want_from != want_to:
                     raise MapCompatibilityError(
@@ -243,14 +252,14 @@ class GraphSelfMap:
                         "map to distinct vertices")
                 continue
             for d in p:
-                if abs(d) not in graph.edges:
+                if d not in tail:
                     raise MapCompatibilityError(
                         f"image of edge {e} uses unknown edge {abs(d)}")
             for a, b in zip(p, p[1:]):
-                if graph.head(a) != graph.tail(b):
+                if tail[-a] != tail[b]:
                     raise MapCompatibilityError(
                         f"image of edge {e} is not a path")
-            if graph.tail(p[0]) != want_from or graph.head(p[-1]) != want_to:
+            if tail[p[0]] != want_from or tail[-p[-1]] != want_to:
                 raise MapCompatibilityError(
                     f"image of edge {e} has the wrong endpoints")
 
@@ -268,11 +277,11 @@ class GraphSelfMap:
 
     def derivative(self, d):
         """First step of the image of ``d`` (the direction map)."""
-        p = self.image(d)
+        p = self.edge_image[abs(d)]
         if not p:
             raise MapCompatibilityError(
                 f"direction {d} has a trivial image, no derivative")
-        return p[0]
+        return p[0] if d > 0 else -p[-1]
 
     def preserves_boundary(self):
         """Whether the map fixes the puncture loop up to free homotopy.

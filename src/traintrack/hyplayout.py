@@ -279,7 +279,7 @@ _STYLE = """\
 </style>"""
 
 
-def emit_svg(layout, report, structure=()):
+def emit_svg(layout, structure=()):
     """Deterministic SVG of the developed polygon and train track data.
 
     Draws the unit-circle boundary, every polygon side as a geodesic with its

@@ -5,10 +5,9 @@ annulus around ``c`` once around the curve.  Combinatorially, on a spine that
 carries ``c`` as an embedded cycle: every direction landing in the *twisting
 sector* at a curve visit gets the curve word appended to its image.  Which of
 the two sectors at a visit is the twisting one, and with which orientation the
-curve word is inserted, are global handedness conventions; they are fixed once
-by the two module constants below, calibrated so that composites of the
-standard generators reproduce known growth rates, and then apply uniformly to
-every curve and every sign.
+curve word is inserted, are global handedness conventions, fixed once in
+:func:`_twist_sectors` and :func:`dehn_twist` and applied uniformly to every
+curve and every sign.
 """
 
 from __future__ import annotations
@@ -17,15 +16,6 @@ from itertools import combinations
 
 from .errors import CurveNotRealizable, GraphStructureError, InternalInvariantError
 from .graphs import EmbeddedGraph, GraphSelfMap, compose, identity_map, reverse_path, tighten
-
-# Handedness of the construction, frozen by calibration (see the regression
-# test pinning generator words and growth rates).  _TWIST_SIDE selects which
-# sector at a curve visit receives insertions: +1 walks the rotation from the
-# reversed incoming direction to the outgoing one, -1 walks the other way
-# around.  _INSERT_SIGN is the orientation of the inserted curve word for a
-# positive twist.
-_TWIST_SIDE = 1
-_INSERT_SIGN = 1
 
 
 class CurveOnGraph:
@@ -127,8 +117,12 @@ def _twist_sectors(graph, curve):
     chord_set = set(chord_germs)
     sector_of = {}
     for i, (v, rev_in, out) in enumerate(visits):
-        start, stop = (rev_in, out) if _TWIST_SIDE > 0 else (out, rev_in)
-        for d in graph.arc(start, stop):
+        # handedness: the twisting sector walks the rotation from the
+        # reversed incoming direction to the outgoing one, and a positive
+        # twist inserts the curve word forwards; calibrated once so that
+        # composites of the standard generators reproduce known growth rates
+        # (the regression tests pin generator words and growth rates)
+        for d in graph.arc(rev_in, out):
             if d in chord_set:
                 raise CurveNotRealizable(
                     "curve strands nest inside a twisting sector "
@@ -154,11 +148,10 @@ def dehn_twist(graph, curve, sign=1):
     visits, sector_of = _twist_sectors(graph, curve)
     p = curve.path
     n = len(p)
-    orient = sign * _INSERT_SIGN
     suffix = {}
     for germ, i in sector_of.items():
         gamma = p[i:] + p[:i]
-        suffix[germ] = gamma if orient > 0 else reverse_path(gamma)
+        suffix[germ] = gamma if sign > 0 else reverse_path(gamma)
     images = {}
     for e in graph.edges:
         img = (e,)
@@ -176,8 +169,8 @@ def dehn_twist(graph, curve, sign=1):
     return f
 
 
-def _generator_curves(genus):
-    """Twist curves a_i, d_i, c_i on ``standard_rose(genus)``.
+def standard_generators(genus):
+    """Name -> curve for the standard twist generators at this genus.
 
     ``a_i`` and ``d_i`` are the two loops of handle ``i``.  The ``c_i`` are
     chain curves crossing several handles; together with the a's and d's they
@@ -190,7 +183,9 @@ def _generator_curves(genus):
       ``i < genus - 1``, closed up by the short chain
       ``c_{genus-1} = y0~ x1``.
 
-    At genus 1 only ``a0``, ``d0`` exist (no chain curve fits on one handle).
+    At genus 1 only ``a0`` and ``d0`` exist (no chain curve fits on one
+    handle); their twists generate the mapping class group of the
+    once-punctured torus, SL(2, Z).
     """
     if genus < 1:
         raise GraphStructureError("genus must be at least 1")
@@ -212,34 +207,15 @@ def _generator_curves(genus):
     return curves
 
 
-def standard_generators(genus):
-    """Name -> curve for the standard twist generators at this genus.
-
-    Provides ``a0..a{g-1}``, ``d0..d{g-1}`` and the chain curves
-    ``c0..c{g-1}``; genus must be at least 2 (use :func:`compose_word` with
-    ``allow_low_genus`` for torus experiments).
-    """
-    if genus < 2:
-        raise GraphStructureError(
-            "standard generators are defined for genus >= 2")
-    return _generator_curves(genus)
-
-
-def compose_word(genus, word, *, allow_low_genus=False):
+def compose_word(genus, word):
     """The composite twist map of a word in the standard generators.
 
     ``word`` is a sequence of ``(name, sign)`` pairs, leftmost letter
     outermost: the rightmost twist acts first.  An empty word gives the
-    identity map of the rose.
+    identity map of the rose.  Genus must be at least 1.
     """
-    if genus < 1:
-        raise GraphStructureError("genus must be at least 1")
-    if genus < 2 and not allow_low_genus:
-        raise GraphStructureError(
-            "genus 1 needs allow_low_genus=True (chain generators are "
-            "missing there)")
     graph = standard_rose(genus)
-    curves = _generator_curves(genus)
+    curves = standard_generators(genus)
     f = identity_map(graph)
     for name, sign in word:
         try:

@@ -10,8 +10,9 @@ back into the code under test, so agreement is meaningful evidence:
   the stored boundary word);
 * action on first homology of a rose, with the symplectic form of the
   once-punctured surface;
-* raw (untightened) edge-path substitution, for immersion checks, and the
-  period of a map on all short cyclically reduced circuits;
+* raw (untightened) edge-path substitution, for immersion checks, the
+  period of a map on all short cyclically reduced circuits, and the short
+  non-peripheral circuits a map fixes up to rotation and reversal;
 * direct cusp count of the puncture region along the boundary word;
 * geometric intersection of curve words (linked pairs) and Penner's
   construction: faces, prongs and dilatation of T_A T_B^-1;
@@ -302,6 +303,32 @@ def circuit_period(f, max_len: int, max_period: int):
             return p
     return None
 
+
+def _reversed(path) -> tuple:
+    return tuple(-d for d in reversed(path))
+
+
+def fixed_circuits(f, max_len: int, max_period: int) -> list:
+    """Cyclically reduced circuits c of at most ``max_len`` letters, other
+    than rotations of rho and its reverse, such that for some
+    p <= max_period f^p carries c to a rotation of c or of its reverse
+    (each rotation of such a circuit is listed on its own).  A
+    pseudo-Anosov class fixes no periodic non-peripheral curve, so a train
+    track map with such a circuit represents a reducible class."""
+    rho = tuple(f.graph.rho)
+    peripheral = _rotations(rho) | _rotations(_reversed(rho))
+    found = []
+    for c in cyclic_circuits(f.graph, max_len):
+        if c in peripheral:
+            continue
+        targets = _rotations(c) | _rotations(_reversed(c))
+        image = c
+        for _ in range(max_period):
+            image = _cyclic_reduce(raw_apply(f, image))
+            if image in targets:
+                found.append(c)
+                break
+    return found
 
 
 # ---------------------------------------------------------------------------

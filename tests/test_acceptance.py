@@ -310,7 +310,7 @@ def _layout_and_svg(run):
         structure = polygons(run.final, infinitesimal_edges(run.final))
     else:
         structure = ()
-    return tri, radii, layout, emit_svg(layout, run.report, structure)
+    return tri, radii, layout, emit_svg(layout, structure)
 
 
 def test_criterion_8_layout_suite(reference_runs):

@@ -235,6 +235,22 @@ def test_rotated_word_has_an_essential_invariant_subgraph():
     assert bh._contract(outcome.map.graph, inv) is None
 
 
+# genus-2 words whose final train track maps fix non-peripheral circuits (16
+# and 24 of them, rotations and reversals counted, up to 6 letters): the
+# classes are reducible, but train track maps do not yet get BH95's
+# reducibility test
+@pytest.mark.xfail(strict=True,
+                   reason="TrainTrack outcomes are not tested for reducibility")
+@pytest.mark.parametrize("word", [
+    (("d0", -1), ("d0", 1), ("d1", -1), ("d0", -1), ("c0", 1)),
+    (("c0", 1), ("c1", -1), ("c0", 1), ("d1", 1)),
+], ids=["-d0 d0 -d1 -d0 c0", "c0 -c1 c0 d1"])
+def test_train_track_outcome_fixes_no_circuit(word):
+    outcome = run_word(2, word).outcome
+    if isinstance(outcome, TrainTrack):
+        assert oracles.fixed_circuits(outcome.map, 6, 1) == []
+
+
 # ---------------------------------------------------------------------------
 # Move-level invariants
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -179,6 +181,34 @@ def test_exit_code_unwritable_svg(tmp_path, capsys):
     target = tmp_path / "no" / "such" / "dir" / "x.svg"
     assert cli.main(EX1 + ["--svg", str(target)]) == 2
     capsys.readouterr()
+
+
+def test_genus_exit_codes(tmp_path, capsys):
+    # genus 1 gets verdicts, but circle packing needs genus >= 2
+    assert cli.main(["--genus", "0", "--word", ""]) == 2
+    assert cli.main(["--genus", "1", "--word", "a0 -d0"]) == 0
+    assert "verdict: PseudoAnosov" in capsys.readouterr().out
+    svg = tmp_path / "torus.svg"
+    assert cli.main(["--genus", "1", "--word", "a0 -d0",
+                     "--svg", str(svg)]) == 2
+    assert "genus >= 2" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(
+            ["--genus", "1", "--word", "a0", "--allow-low-genus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_readme_example_output(capsys):
+    # the README's "$ traintrack ..." block is what the command prints
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    block = re.search(r"```\n\$ traintrack (.*?)\n(.*?)```", text, re.S)
+    command, expected = block.groups()
+    capsys.readouterr()
+    assert cli.main(shlex.split(command)) == 0
+    assert capsys.readouterr().out.splitlines() == expected.splitlines()
 
 
 def test_missing_genus_is_usage_error(capsys):

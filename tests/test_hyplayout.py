@@ -40,7 +40,7 @@ def svg_for(run):
         structure = polygons(run.final, infinitesimal_edges(run.final))
     else:
         structure = ()
-    return emit_svg(layout, run.report, structure)
+    return emit_svg(layout, structure)
 
 
 # ---------------------------------------------------------------------------

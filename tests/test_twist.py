@@ -1,6 +1,9 @@
 """Dehn twist construction and word composition."""
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,10 @@ from traintrack import (
     CurveNotRealizable,
     CurveOnGraph,
     GraphStructureError,
+    GrowthOne,
+    Reducible,
+    TrainTrack,
+    bestvina_handel,
     compose,
     compose_word,
     dehn_twist,
@@ -53,13 +60,40 @@ def test_generator_words_are_pinned():
     assert g3["c2"].path == (-2, 3)
 
 
-def test_low_genus_guard():
+def test_genus_one_verdicts_follow_the_trace():
+    """a0 and d0 generate Mod(S_1,1) = SL(2, Z), where the trace t of the
+    homology action decides the class: |t| > 2 is Anosov with dilatation
+    (|t| + sqrt(t^2 - 4)) / 2, |t| = 2 fixes a curve (reducible) unless the
+    class is +-I, and |t| < 2 has finite order."""
+    assert set(standard_generators(1)) == {"a0", "d0"}
     with pytest.raises(GraphStructureError):
-        standard_generators(1)
-    with pytest.raises(GraphStructureError):
-        compose_word(1, [("a0", 1)])
-    f = compose_word(1, [("a0", 1)], allow_low_genus=True)
-    assert f.image(2) == (-1, 2)
+        standard_generators(0)
+    rng = random.Random(1)
+    seen = set()
+    for _ in range(600):
+        word = [(rng.choice(("a0", "d0")), rng.choice((1, -1)))
+                for _ in range(rng.randint(1, 12))]
+        f = compose_word(1, word)
+        a = oracles.abelianization(f)
+        t = int(np.trace(a))
+        outcome = bestvina_handel(f)
+        if abs(t) > 2:
+            kind = TrainTrack
+            assert outcome.growth == pytest.approx(
+                (abs(t) + math.sqrt(t * t - 4)) / 2, abs=1e-12), word
+        elif (a == np.eye(2, dtype=int)).all():
+            kind = GrowthOne
+        elif (a == -np.eye(2, dtype=int)).all():
+            # the hyperelliptic involution is periodic and fixes every
+            # curve, and the fold path decides which verdict it gets
+            kind = (GrowthOne, Reducible)
+        elif abs(t) == 2:
+            kind = Reducible
+        else:
+            kind = GrowthOne
+        assert isinstance(outcome, kind), (word, t)
+        seen.add(max(-3, min(3, t)))
+    assert seen == {-3, -2, -1, 0, 1, 2, 3}
 
 
 # ---------------------------------------------------------------------------
