@@ -22,8 +22,6 @@ from traintrack import (
     develop,
     emit_svg,
     full_report,
-    infinitesimal_edges,
-    polygons,
 )
 
 genus = 2
@@ -60,11 +58,10 @@ print(f"first corner at ({first[0]:.4f}, {first[1]:.4f}), "
 # Step 4: emit the picture.  Geodesic arcs for the graph's edges, paired
 # side labels, shaded infinitesimal polygons, the puncture at the center.
 report = full_report(outcome)
-structure = polygons(f, infinitesimal_edges(f))
-svg = emit_svg(layout, structure)
+svg = emit_svg(layout, report.polygons)
 path = sys.argv[1] if len(sys.argv) > 1 else "train_track.svg"
 with open(path, "w", encoding="utf-8") as handle:
     handle.write(svg)
 print(f"\nwrote {len(svg)} bytes of SVG to {path}")
-print(f"shaded {len(structure)} infinitesimal polygons "
+print(f"shaded {len(report.polygons)} infinitesimal polygons "
       f"(dilatation of the drawn track: {report.growth:.6f})")

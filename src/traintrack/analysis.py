@@ -176,9 +176,10 @@ class SingularityReport:
     """Everything the pipeline learned about one mapping class.
 
     ``verdict`` is ``"PseudoAnosov"``, ``"GrowthOne"`` or ``"Reducible"``.
-    ``polygons`` holds ``(k, index, orbit_label)`` triples in label order;
-    growth/polygons/puncture data that does not apply is ``None`` (growth is
-    exactly 1.0 for GrowthOne).
+    ``polygons`` holds the :class:`InfinitesimalPolygon` objects in label
+    order, as :func:`polygons` returns them, and ``orbit[i]`` is the label
+    of polygon ``i``'s image; growth/polygons/puncture data that does not
+    apply is ``None`` (growth is exactly 1.0 for GrowthOne).
     """
     verdict: str
     growth: float | None
@@ -207,6 +208,5 @@ def full_report(outcome):
     interior = sum((p.index for p in polys), Fraction(0))
     if punct + interior != Fraction(2 - 2 * genus):
         raise InternalInvariantError("index sum drifted from 2 - 2g")
-    triples = tuple((p.k, p.index, orbit[i]) for i, p in enumerate(polys))
-    return SingularityReport("PseudoAnosov", outcome.growth, triples,
+    return SingularityReport("PseudoAnosov", outcome.growth, tuple(polys),
                              punct, orbit)

@@ -51,6 +51,9 @@ from .growth import (
     spectral_radius,
 )
 
+# safety net: by the descent argument above no input reaches this many rounds
+MAX_ROUNDS = 10000
+
 
 @dataclass(frozen=True)
 class TrainTrack:
@@ -601,13 +604,13 @@ def _fold_pass(f, o1, o2, x, hook):
     return f, rename.get(o1, o1), rename.get(o2, o2), x, cancelled
 
 
-def bestvina_handel(f, max_rounds=10000, hook=None):
+def bestvina_handel(f, hook=None):
     """Run the train track algorithm on a boundary-preserving self-map.
 
     A round that cancels no letter raises :class:`InternalInvariantError`.
     By the descent argument in the module docstring no input should reach
-    ``max_rounds``; :class:`IterationLimitExceeded` after that many rounds
-    stays as a safety net.
+    :data:`MAX_ROUNDS` rounds; :class:`IterationLimitExceeded` after that
+    many stays as a safety net.
 
     ``hook(name, map, **details)`` is called after every individual move with
     the map *after* the move; pass one to trace or audit a run.
@@ -620,7 +623,7 @@ def bestvina_handel(f, max_rounds=10000, hook=None):
     if new is not f:
         f = new
         hook("pull_tight", f)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         f, m, sinks = _simplify(f, hook)
         # permutation first: the identity matrix is also reducible, but a
         # permutation means a finite-order (growth one) class, not a reduction
@@ -650,4 +653,4 @@ def bestvina_handel(f, max_rounds=10000, hook=None):
             # the descent that ends this loop needs every round to cancel
             raise InternalInvariantError("fold round cancelled no letter")
     raise IterationLimitExceeded(
-        f"no train track representative within {max_rounds} rounds")
+        f"no train track representative within {MAX_ROUNDS} rounds")

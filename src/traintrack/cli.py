@@ -16,8 +16,10 @@ import re
 import sys
 import time
 
-from .analysis import full_report, infinitesimal_edges, polygons
-from .bh import TrainTrack, bestvina_handel
+from .analysis import full_report
+# not called here: benchmarks/spans.py times analysis through these names
+from .analysis import infinitesimal_edges, polygons
+from .bh import bestvina_handel
 from .errors import (
     InternalInvariantError,
     IterationLimitExceeded,
@@ -67,9 +69,6 @@ def build_parser():
                         help="report format (default: text)")
     parser.add_argument("--svg", metavar="PATH", default=None,
                         help="write an SVG of the developed train track here")
-    parser.add_argument("--max-steps", type=int, default=10000,
-                        help="iteration cap for the train track algorithm "
-                             "(default: 10000)")
     parser.add_argument("--trace", action="store_true",
                         help="log every algorithm move to stderr")
     return parser
@@ -81,8 +80,8 @@ def _report_dict(report, moves, graph):
         data["growth"] = report.growth
     if report.polygons is not None:
         data["polygons"] = [
-            {"k": k, "index": str(index), "orbit": orbit}
-            for k, index, orbit in report.polygons
+            {"k": p.k, "index": str(p.index), "orbit": report.orbit[i]}
+            for i, p in enumerate(report.polygons)
         ]
     if report.puncture_index is not None:
         data["puncture_index"] = str(report.puncture_index)
@@ -100,9 +99,9 @@ def _text_report(report, moves, svg_path):
         lines.append(f"growth: {report.growth:.6f}")
     if report.polygons is not None:
         if report.polygons:
-            for label, (k, index, orbit) in enumerate(report.polygons):
-                lines.append(
-                    f"polygon {label}: k={k}, index={index}, maps to {orbit}")
+            for i, p in enumerate(report.polygons):
+                lines.append(f"polygon {i}: k={p.k}, index={p.index}, "
+                             f"maps to {report.orbit[i]}")
         else:
             lines.append("polygons: none")
     if report.puncture_index is not None:
@@ -135,7 +134,7 @@ def run(args, out=None, err=None):
     timings["compose"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    outcome = bestvina_handel(f, max_rounds=args.max_steps, hook=hook)
+    outcome = bestvina_handel(f, hook=hook)
     timings["algorithm"] = time.perf_counter() - t0
 
     report = full_report(outcome)
@@ -147,10 +146,7 @@ def run(args, out=None, err=None):
         tri = cone_triangulation(final.graph)
         radii = circle_pack(tri)
         layout = develop(tri, radii)
-        structure = ()
-        if isinstance(outcome, TrainTrack):
-            structure = polygons(final, infinitesimal_edges(final))
-        svg = emit_svg(layout, structure)
+        svg = emit_svg(layout, report.polygons or ())
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(svg)
         svg_path = args.svg

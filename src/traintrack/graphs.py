@@ -204,9 +204,6 @@ class EmbeddedGraph:
             return NotImplemented
         return self.edges == other.edges and self.rho == other.rho
 
-    def __hash__(self):
-        return hash((tuple(sorted(self.edges.items())), self.rho))
-
     def __repr__(self):
         return (f"EmbeddedGraph(V={len(self._dirs)}, E={len(self.edges)}, "
                 f"genus={self.genus})")
@@ -310,17 +307,6 @@ class GraphSelfMap:
             for d in p:
                 m[index[abs(d)], j] += 1
         return m
-
-    def __eq__(self, other):
-        if not isinstance(other, GraphSelfMap):
-            return NotImplemented
-        return (self.graph == other.graph
-                and self.vertex_image == other.vertex_image
-                and self.edge_image == other.edge_image)
-
-    def __hash__(self):
-        return hash((self.graph, tuple(sorted(self.vertex_image.items())),
-                     tuple(sorted(self.edge_image.items()))))
 
     def __repr__(self):
         total = sum(len(p) for p in self.edge_image.values())

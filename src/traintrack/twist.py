@@ -47,14 +47,6 @@ class CurveOnGraph:
         if len(set(p)) != n:
             raise CurveNotRealizable("curve repeats an oriented edge")
 
-    def __eq__(self, other):
-        if not isinstance(other, CurveOnGraph):
-            return NotImplemented
-        return self.path == other.path
-
-    def __hash__(self):
-        return hash(self.path)
-
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"CurveOnGraph({list(self.path)}{label})"

@@ -113,7 +113,7 @@ def test_criterion_2_genus2_four_letter_word(reference_runs):
         ("puncture index -2 exactly", rep.puncture_index == Fraction(-2)),
         ("under 10 s", run.wall < 10.0),
     ], f"growth {rep.growth:.6f}, computed polygons "
-       f"{[(p[0], str(p[1])) for p in polys]}, "
+       f"{[(p.k, str(p.index)) for p in polys]}, "
        f"puncture {rep.puncture_index}, {run.wall:.2f}s")
 
 
@@ -126,14 +126,14 @@ def test_criterion_3_genus2_mixed_sign_word(reference_runs):
         ("growth 2.015357 ± 1e-5",
          rep.growth == pytest.approx(2.015357, abs=1e-5)),
         ("four polygons, each k=3, index -1/2",
-         len(polys) == 4 and all(p[:2] == (3, Fraction(-1, 2))
+         len(polys) == 4 and all((p.k, p.index) == (3, Fraction(-1, 2))
                                  for p in polys)),
         ("orbit permutation is two 2-cycles",
          rep.orbit is not None and _cycle_lengths(rep.orbit) == [2, 2]),
         ("puncture index 0", rep.puncture_index == 0),
         ("under 10 s", run.wall < 10.0),
     ], f"growth {rep.growth:.6f}, polygons "
-       f"{[(p[0], str(p[1])) for p in polys]}, orbit {rep.orbit}, "
+       f"{[(p.k, str(p.index)) for p in polys]}, orbit {rep.orbit}, "
        f"puncture {rep.puncture_index}, {run.wall:.2f}s")
 
 
@@ -141,14 +141,14 @@ def test_criterion_4_genus3_word(reference_runs):
     run = reference_runs["ex4"]
     rep = run.report
     polys = rep.polygons or ()
-    index_total = (sum((p[1] for p in polys), Fraction(0))
+    index_total = (sum((p.index for p in polys), Fraction(0))
                    + (rep.puncture_index or 0))
     _record("4", [
         ("verdict PseudoAnosov", rep.verdict == "PseudoAnosov"),
         ("growth 2.042491 ± 1e-5",
          rep.growth == pytest.approx(2.042491, abs=1e-5)),
         ("two polygons with k=6, index -2",
-         len(polys) == 2 and all(p[:2] == (6, Fraction(-2))
+         len(polys) == 2 and all((p.k, p.index) == (6, Fraction(-2))
                                  for p in polys)),
         ("polygons exchanged (one 2-cycle)",
          rep.orbit is not None and _cycle_lengths(rep.orbit) == [2]),
@@ -156,7 +156,7 @@ def test_criterion_4_genus3_word(reference_runs):
         ("index sum -4 = 2-2*3", index_total == Fraction(-4)),
         ("under 10 s", run.wall < 10.0),
     ], f"growth {rep.growth:.6f}, polygons "
-       f"{[(p[0], str(p[1])) for p in polys]}, orbit {rep.orbit}, "
+       f"{[(p.k, str(p.index)) for p in polys]}, orbit {rep.orbit}, "
        f"index sum {index_total}, {run.wall:.2f}s")
 
 
@@ -222,7 +222,7 @@ def test_criterion_6c_index_sum_identity(reference_runs, corpus_runs):
         rep = run.report
         if rep.verdict != "PseudoAnosov":
             continue
-        total = (sum((p[1] for p in rep.polygons), Fraction(0))
+        total = (sum((p.index for p in rep.polygons), Fraction(0))
                  + rep.puncture_index)
         if total != 2 - 2 * run.genus:
             bad += 1

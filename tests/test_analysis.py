@@ -195,8 +195,10 @@ def test_report_fields_pseudo_anosov(reference_runs):
     assert isinstance(rep, SingularityReport)
     assert rep.verdict == "PseudoAnosov"
     assert rep.growth == pytest.approx(2.0153571812809963, abs=1e-9)
-    assert rep.polygons == ((3, Fraction(-1, 2), 1), (3, Fraction(-1, 2), 0),
-                            (3, Fraction(-1, 2), 3), (3, Fraction(-1, 2), 2))
+    assert [(p.k, p.index) for p in rep.polygons] == [(3, Fraction(-1, 2))] * 4
+    # the report carries the polygons themselves, in polygons()'s label order
+    f = run.final
+    assert rep.polygons == tuple(polygons(f, infinitesimal_edges(f)))
     assert rep.puncture_index == 0
     assert rep.orbit == (1, 0, 3, 2)
 

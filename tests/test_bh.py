@@ -107,10 +107,11 @@ def test_inverse_pair_word_is_growth_one():
     assert isinstance(outcome, GrowthOne)
 
 
-def test_iteration_cap():
+def test_iteration_cap(monkeypatch):
+    monkeypatch.setattr(bh, "MAX_ROUNDS", 0)
     f = compose_word(2, list(REFERENCE_WORDS["ex1"][1]))
     with pytest.raises(IterationLimitExceeded):
-        bestvina_handel(f, max_rounds=0)
+        bestvina_handel(f)
 
 
 # -a0 -a1 -c0 -d1 -d0 twists about the chain a0-d0-c0-d1-a1.  The chain
@@ -163,7 +164,7 @@ def test_word_that_broke_full_turn_folding_is_a_train_track():
 
 def test_round_that_cancels_nothing_raises(monkeypatch):
     # the descent check stops the first round; without it the loop would
-    # run on to max_rounds
+    # run on to bh.MAX_ROUNDS
     rounds = []
     count_round = bh.is_permutation_matrix
     monkeypatch.setattr(bh, "is_permutation_matrix",
@@ -201,8 +202,8 @@ def test_random_words_terminate_with_consistent_verdicts():
             pairs += 1
             first, second = (run.report for run in runs)
             assert first.growth == pytest.approx(second.growth, abs=1e-9)
-            assert (sorted(p[:2] for p in first.polygons)
-                    == sorted(p[:2] for p in second.polygons)), word
+            assert (sorted((p.k, p.index) for p in first.polygons)
+                    == sorted((p.k, p.index) for p in second.polygons)), word
             assert first.puncture_index == second.puncture_index, word
     assert pairs >= 5
 

@@ -9,10 +9,21 @@ import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 
-from traintrack import cli
+from traintrack import (
+    analysis,
+    bh,
+    circle_pack,
+    cli,
+    cone_triangulation,
+    develop,
+    emit_svg,
+)
+
+from conftest import REFERENCE_WORDS, run_word
 
 EX1 = ["--genus", "2", "--word", "a1 c0 d0 a1 d1 a1"]
 EX3 = ["--genus", "2", "--word", "a0 -c0 d0 d1^-1"]
@@ -155,6 +166,47 @@ def test_svg_byte_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_svg_run_analyses_the_word_once(tmp_path, monkeypatch):
+    # count calls through every name benchmarks/spans.py times them by
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("infinitesimal_edges", "polygons"):
+        wrapper = counted(getattr(analysis, name))
+        monkeypatch.setattr(analysis, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
+    target = tmp_path / "ex3.svg"
+    code, _, _ = run_cli(EX3 + ["--svg", str(target)])
+    assert code == 0
+    assert calls == {"infinitesimal_edges": 1, "polygons": 1}
+    monkeypatch.undo()
+    # the drawing equals one made from polygons computed independently
+    run = run_word(*REFERENCE_WORDS["ex3"])
+    tri = cone_triangulation(run.final.graph)
+    layout = develop(tri, circle_pack(tri))
+    structure = analysis.polygons(
+        run.final, analysis.infinitesimal_edges(run.final))
+    assert target.read_bytes() == emit_svg(layout, structure).encode("utf-8")
+
+
+def test_readme_library_tour_draws_the_cli_svg(tmp_path, capsys):
+    # the README's python block computes `svg`; the CLI writes the same bytes
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        tour = re.search(r"```python\n(.*?)```", handle.read(), re.S).group(1)
+    namespace = {}
+    exec(tour, namespace)
+    target = tmp_path / "ex1.svg"
+    assert cli.main(EX1 + ["--svg", str(target)]) == 0
+    capsys.readouterr()
+    assert target.read_bytes() == namespace["svg"].encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # Exit codes and entry point
 # ---------------------------------------------------------------------------
@@ -171,9 +223,9 @@ def test_word_may_start_with_an_inverted_letter(word, capsys):
     assert "verdict: Reducible" in capsys.readouterr().out
 
 
-def test_exit_code_iteration_limit(capsys):
-    argv = EX1 + ["--max-steps", "0"]
-    assert cli.main(argv) == 3
+def test_exit_code_iteration_limit(monkeypatch, capsys):
+    monkeypatch.setattr(bh, "MAX_ROUNDS", 0)
+    assert cli.main(EX1) == 3
     capsys.readouterr()
 
 
@@ -222,6 +274,14 @@ def test_tol_is_not_an_option(capsys):
     # growth and packing tolerances are fixed; a looser one was never honoured
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(EX1 + ["--tol", "1e-3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_max_steps_is_not_an_option(capsys):
+    # the round cap is bh.MAX_ROUNDS, a safety net no known input reaches
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(EX1 + ["--max-steps", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
 
