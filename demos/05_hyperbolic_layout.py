@@ -39,7 +39,7 @@ print("side pairing:",
 
 # Step 2: solve for hyperbolic radii.  The apex circle sits at the
 # puncture; each boundary vertex of the polygon gets its own radius, and
-# the sweep adjusts them until all angle sums close up.
+# damped Newton steps on all of them at once close up every angle sum.
 radii = circle_pack(tri)
 print(f"\napex radius {radii.apex:.6f}")
 for v in sorted(radii.vertex):

@@ -3,14 +3,17 @@
 Cutting the once-punctured surface open along its spine leaves a single
 ``2n``-gon (``n`` = number of edges) whose boundary spells the boundary word
 and whose interior contains the puncture.  Coning the puncture to the polygon
-corners triangulates the closed surface; a Thurston circle packing makes the
-triangulation geodesic for the surface's hyperbolic metric; developing the
-triangle fan around the puncture then draws the whole picture inside the
-Poincare disk, ready for SVG output.
+corners triangulates the closed surface; a Thurston circle packing, solved
+by Newton's method on the angle sums, makes the triangulation geodesic for
+the surface's hyperbolic metric; developing the triangle fan around the
+puncture then draws the whole picture inside the Poincare disk, ready for
+SVG output.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     GraphStructureError,
@@ -29,6 +32,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+# Newton steps allowed before circle_pack gives up
+MAX_NEWTON_STEPS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +105,48 @@ def _corner_angle(r0, r1, r2):
     return math.acos(min(1.0, max(-1.0, x)))
 
 
-def circle_pack(tri, tol=1e-10, max_sweeps=100000):
-    """Radii making every angle sum ``2*pi``, by per-vertex bisection sweeps.
+def _corner_angles(radii):
+    """Corner angles of triangles of tangent circles, with their derivatives.
 
-    Increasing a vertex's radius strictly decreases its angle sum, so each
-    sweep solves every vertex's one-dimensional problem by bisection with the
-    other radii held fixed (Gauss-Seidel); for genus at least two the sweeps
-    contract to the unique packing.
+    ``radii`` has one row of three radii per triangle.  Side ``s`` of a
+    triangle lies opposite corner ``s`` and has length ``l_s`` equal to the
+    sum of the other two radii.  Returns ``theta`` with ``theta[t, i]`` the
+    angle at corner ``i`` (hyperbolic law of cosines) and ``d_radius`` with
+    ``d_radius[t, i, p]`` its derivative with respect to the radius at corner
+    ``p``.  The closed form is ``dtheta_i/dl_i = sinh l_i / (sinh l_j sinh
+    l_k sin theta_i)`` and ``dtheta_i/dl_j = -(dtheta_i/dl_i) cos theta_k``;
+    radius ``p`` lies on every side but side ``p``.
+    """
+    side = radii.sum(axis=1, keepdims=True) - radii
+    ch = np.cosh(side)
+    sh = np.sinh(side)
+    nxt, far = [1, 2, 0], [2, 0, 1]
+    cos = (ch[:, nxt] * ch[:, far] - ch) / (sh[:, nxt] * sh[:, far])
+    theta = np.arccos(np.clip(cos, -1.0, 1.0))
+    own = sh / (sh[:, nxt] * sh[:, far] * np.sin(theta))
+    d_side = np.empty(radii.shape + (3,))
+    for i, j, k in zip(range(3), nxt, far):
+        d_side[:, i, i] = own[:, i]
+        d_side[:, i, j] = -own[:, i] * cos[:, k]
+        d_side[:, i, k] = -own[:, i] * cos[:, j]
+    return theta, d_side.sum(axis=2, keepdims=True) - d_side
+
+
+def circle_pack(tri):
+    """Radii making every angle sum ``2*pi``, by a damped Newton method.
+
+    The unknowns are the apex radius and one radius per graph vertex; the
+    residual is each angle sum minus ``2*pi``.  In log radii the angle sums
+    are the gradient of a strictly convex function (Colin de Verdiere,
+    Invent. Math. 104, 1991; Bobenko-Springborn, Trans. AMS 356, 2004), so
+    for genus at least two the packing exists, is unique, and Newton's
+    method converges quadratically near it.  Starting from all radii 1/2,
+    each step halves the Newton step until every radius stays positive and
+    the largest residual falls.  Once that residual is below ``1e-10`` the
+    solve takes one more full Newton step, which from so close leaves the
+    radii exact to rounding, and stops.  The system of the apex and ``V``
+    vertices is ``(V+1) x (V+1)``, assembled from the ``2n`` cone triangles
+    in one pass per step.
     """
     graph = tri.graph
     if graph.genus < 2:
@@ -113,58 +154,46 @@ def circle_pack(tri, tol=1e-10, max_sweeps=100000):
             "hyperbolic circle packing needs a surface of genus >= 2, "
             f"got genus {graph.genus}")
     corners = tri.corner_vertex
-    m = len(corners)
-    occurrences = {v: [] for v in graph.vertices}
-    for i, v in enumerate(corners):
-        occurrences[v].append(i)
-    for v, occ in occurrences.items():
-        if len(occ) < 3:
+    for v in graph.vertices:
+        if corners.count(v) < 3:
             raise GraphStructureError(
                 f"vertex {v} has angle deficit: fewer than three polygon "
                 "corners descend to it")
+    # unknown 0 is the apex, unknown k + 1 is the k-th graph vertex
+    unknown = {v: k + 1 for k, v in enumerate(graph.vertices)}
+    c = [unknown[v] for v in corners]
+    tris = np.array([(0, c[i], c[(i + 1) % len(c)]) for i in range(len(c))])
+    n = len(unknown) + 1
+    entry = (tris[:, :, None] * n + tris[:, None, :]).ravel()
 
-    radius = {v: 0.5 for v in graph.vertices}
-    apex = 0.5
+    def residual_and_jacobian(r):
+        theta, d_radius = _corner_angles(r[tris])
+        residual = np.bincount(tris.ravel(), theta.ravel(), n) - _TWO_PI
+        jac = np.bincount(entry, d_radius.ravel(), n * n).reshape(n, n)
+        return residual, jac
 
-    def apex_sum(r):
-        return sum(
-            _corner_angle(r, radius[corners[i]], radius[corners[(i + 1) % m]])
-            for i in range(m))
-
-    def vertex_sum(v, r):
-        total = 0.0
-        for i in occurrences[v]:
-            left = corners[(i - 1) % m]
-            right = corners[(i + 1) % m]
-            total += _corner_angle(r, apex, r if left == v else radius[left])
-            total += _corner_angle(r, apex, r if right == v else radius[right])
-        return total
-
-    def solve(angle_sum, start):
-        lo = hi = start
-        while angle_sum(lo) <= _TWO_PI and lo > 1e-12:
-            lo *= 0.5
-        while angle_sum(hi) >= _TWO_PI and hi < 64.0:
-            hi *= 2.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if angle_sum(mid) > _TWO_PI:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    for _ in range(max_sweeps):
-        apex = solve(apex_sum, apex)
-        for v in graph.vertices:
-            radius[v] = solve(lambda r, v=v: vertex_sum(v, r), radius[v])
-        residual = abs(apex_sum(apex) - _TWO_PI)
-        for v in graph.vertices:
-            residual = max(residual, abs(vertex_sum(v, radius[v]) - _TWO_PI))
-        if residual < tol:
-            return PackingRadii(apex, dict(sorted(radius.items())))
+    r = np.full(n, 0.5)
+    residual, jac = residual_and_jacobian(r)
+    worst = np.abs(residual).max()
+    for _ in range(MAX_NEWTON_STEPS):
+        step = np.linalg.solve(jac, residual)
+        if worst < 1e-10:
+            r -= step
+            return PackingRadii(float(r[0]), {
+                v: float(r[k]) for v, k in sorted(unknown.items())})
+        for _ in range(60):  # by then the step is below rounding
+            trial = r - step
+            if trial.min() > 0.0:
+                trial_residual, trial_jac = residual_and_jacobian(trial)
+                if np.abs(trial_residual).max() < worst:
+                    break
+            step *= 0.5
+        else:
+            break
+        r, residual, jac = trial, trial_residual, trial_jac
+        worst = np.abs(residual).max()
     raise PackingDidNotConverge(
-        f"angle sums still off by {residual:.3e} after {max_sweeps} sweeps")
+        f"angle sums still off by {worst:.3e} when the Newton solve stopped")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ back into the code under test, so agreement is meaningful evidence:
 * direct cusp count of the puncture region along the boundary word;
 * geometric intersection of curve words (linked pairs) and Penner's
   construction: faces, prongs and dilatation of T_A T_B^-1;
-* hyperbolic law of cosines for tangent-circle corner angles.
+* hyperbolic law of cosines for tangent-circle corner angles, and circle
+  packing radii solved in high precision with mpmath (test-only).
 """
 from __future__ import annotations
 
@@ -376,6 +377,49 @@ def disk_distance(p: complex, q: complex) -> float:
     num = 2 * abs(p - q) ** 2
     den = (1 - abs(p) ** 2) * (1 - abs(q) ** 2)
     return math.acosh(1 + num / den)
+
+
+def exact_packing(tri, dps: int = 50):
+    """Circle packing radii of a coned polygon, to ``dps`` digits.
+
+    Reads only ``tri.corner_vertex`` and ``tri.graph.vertices`` and solves
+    the packing equations from scratch: triangle ``i`` joins the apex to
+    corners ``i`` and ``i + 1``, and the angles at the apex, and at each graph
+    vertex, sum to 2*pi.  The unknowns are log radii, so every radius stays
+    positive, and ``mpmath.findroot`` (damped multidimensional Newton,
+    numerical Jacobian) starts from all radii 1/2.  Returns
+    ``(apex, {vertex: radius})`` as mpmath numbers.
+    """
+    import mpmath
+
+    corners = tri.corner_vertex
+    m = len(corners)
+    vertices = list(tri.graph.vertices)
+    with mpmath.workdps(dps):
+        def angle(r_at, r_b, r_c):
+            b, c, a = r_at + r_b, r_at + r_c, r_b + r_c
+            return mpmath.acos(
+                (mpmath.cosh(b) * mpmath.cosh(c) - mpmath.cosh(a))
+                / (mpmath.sinh(b) * mpmath.sinh(c)))
+
+        def defects(*logs):
+            apex = mpmath.exp(logs[0])
+            r = {v: mpmath.exp(x) for v, x in zip(vertices, logs[1:])}
+            at_apex = 0
+            at_vertex = {v: 0 for v in vertices}
+            for i in range(m):
+                u, w = corners[i], corners[(i + 1) % m]
+                at_apex += angle(apex, r[u], r[w])
+                at_vertex[u] += angle(r[u], apex, r[w])
+                at_vertex[w] += angle(r[w], r[u], apex)
+            return [at_apex - 2 * mpmath.pi] + [
+                at_vertex[v] - 2 * mpmath.pi for v in vertices]
+
+        start = [mpmath.log(0.5)] * (len(vertices) + 1)
+        logs = mpmath.findroot(defects, start, tol=mpmath.mpf(10) ** -dps,
+                               maxsteps=100)
+        return (+mpmath.exp(logs[0]),
+                {v: +mpmath.exp(x) for v, x in zip(vertices, logs[1:])})
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,26 @@
 from __future__ import annotations
 
 import math
+import random
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from traintrack import (
     GraphStructureError,
     PackingDidNotConverge,
+    PackingRadii,
+    bestvina_handel,
     circle_pack,
+    compose_word,
     cone_triangulation,
     develop,
     emit_svg,
+    hyplayout,
     infinitesimal_edges,
     polygons,
+    standard_generators,
     standard_rose,
 )
 
@@ -80,26 +87,89 @@ def test_symmetric_rose_packing():
         assert base_angle == pytest.approx(math.pi / (4 * genus), abs=1e-9)
 
 
+def angle_sums(tri, radii):
+    """The apex's angle sum and each vertex's, by the law of cosines."""
+    n = tri.triangle_count
+    r = [radii.vertex[v] for v in tri.corner_vertex]
+    sums = {"apex": 0.0}
+    sums.update((v, 0.0) for v in tri.graph.vertices)
+    for i in range(n):
+        j = (i + 1) % n
+        sums["apex"] += oracles.corner_angle(radii.apex, r[i], r[j])
+        sums[tri.corner_vertex[i]] += oracles.corner_angle(
+            r[i], radii.apex, r[j])
+        sums[tri.corner_vertex[j]] += oracles.corner_angle(
+            r[j], r[i], radii.apex)
+    return sums
+
+
 def test_packing_angle_sums(reference_runs):
     for name, run in reference_runs.items():
-        graph = run.final.graph
+        tri = cone_triangulation(run.final.graph)
+        for v, total in angle_sums(tri, circle_pack(tri)).items():
+            assert total == pytest.approx(2 * math.pi, abs=1e-10), (name, v)
+
+
+def test_packing_matches_exact_oracle(reference_runs):
+    # A label can sit within 1e-10 of a rounding boundary of the 6-decimal
+    # SVG (ex3's e57 label has y = -0.4678515000110), so radii a few 1e-12
+    # off can change the bytes; the drawing must match 50-digit radii.
+    for name, run in reference_runs.items():
+        tri = cone_triangulation(run.final.graph)
+        radii = circle_pack(tri)
+        apex, vertex = oracles.exact_packing(tri)
+        exact = PackingRadii(float(apex),
+                             {v: float(r) for v, r in vertex.items()})
+        assert radii.apex == pytest.approx(exact.apex, abs=1e-12), name
+        assert radii.vertex.keys() == exact.vertex.keys(), name
+        for v, r in exact.vertex.items():
+            assert radii.vertex[v] == pytest.approx(r, abs=1e-12), (name, v)
+        structure = run.report.polygons or ()
+        assert (emit_svg(develop(tri, radii), structure)
+                == emit_svg(develop(tri, exact), structure)), name
+
+
+def test_corner_angle_derivatives():
+    # the closed form against central differences of the law of cosines
+    def angle(r, i):
+        return oracles.corner_angle(r[i], *(r[s] for s in range(3) if s != i))
+
+    rng = random.Random(20)
+    h = 1e-6
+    for _ in range(50):
+        r = [rng.uniform(0.05, 3.0) for _ in range(3)]
+        theta, d_radius = hyplayout._corner_angles(np.array([r]))
+        for i in range(3):
+            assert theta[0, i] == pytest.approx(angle(r, i), abs=1e-12)
+            for p in range(3):
+                up, down = list(r), list(r)
+                up[p] += h
+                down[p] -= h
+                numeric = (angle(up, i) - angle(down, i)) / (2 * h)
+                assert d_radius[0, i, p] == pytest.approx(
+                    numeric, rel=1e-6, abs=1e-7), (r, i, p)
+
+
+def test_packing_wide_final_graphs():
+    # The first 20 words of the classify-wide stream, drawn as in
+    # benchmarks/corpus.py (genus 4-5, length 10-16); that workload draws no
+    # SVG, so nothing else packs graphs this large.
+    draw = random.Random("classify-wide")
+    largest = 0
+    for _ in range(20):
+        genus = draw.randint(4, 5)
+        length = draw.randint(10, 16)
+        names = sorted(standard_generators(genus))
+        word = [(draw.choice(names), draw.choice((1, -1)))
+                for _ in range(length)]
+        graph = bestvina_handel(compose_word(genus, word)).map.graph
+        largest = max(largest, len(graph.vertices))
         tri = cone_triangulation(graph)
         radii = circle_pack(tri)
-        n = tri.triangle_count
-        r = [radii.vertex[v] for v in tri.corner_vertex]
-        apex_sum = sum(
-            oracles.corner_angle(radii.apex, r[i], r[(i + 1) % n])
-            for i in range(n))
-        assert apex_sum == pytest.approx(2 * math.pi, abs=1e-10), name
-        base_sums = {v: 0.0 for v in graph.vertices}
-        for i in range(n):
-            j = (i + 1) % n
-            base_sums[tri.corner_vertex[i]] += oracles.corner_angle(
-                r[i], radii.apex, r[j])
-            base_sums[tri.corner_vertex[j]] += oracles.corner_angle(
-                r[j], r[i], radii.apex)
-        for v, total in base_sums.items():
-            assert total == pytest.approx(2 * math.pi, abs=1e-10), (name, v)
+        for v, total in angle_sums(tri, radii).items():
+            assert total == pytest.approx(2 * math.pi, abs=1e-10), (word, v)
+        develop(tri, radii)
+    assert largest >= 12
 
 
 def test_packing_rejects_genus_one():
@@ -107,10 +177,11 @@ def test_packing_rejects_genus_one():
         circle_pack(cone_triangulation(standard_rose(1)))
 
 
-def test_packing_sweep_cap():
+def test_packing_sweep_cap(monkeypatch):
+    monkeypatch.setattr(hyplayout, "MAX_NEWTON_STEPS", 1)
     tri = cone_triangulation(standard_rose(2))
     with pytest.raises(PackingDidNotConverge):
-        circle_pack(tri, max_sweeps=1)
+        circle_pack(tri)
 
 
 # ---------------------------------------------------------------------------
