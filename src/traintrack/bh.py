@@ -499,8 +499,8 @@ def _common_prefix_len(p, q):
 def _subdivide_towards(f, d, length, tracked, hook):
     """Subdivide ``|d|`` so the direction ``d`` keeps an image of ``length``.
 
-    Returns the new map, the renamed ``d`` and the renames of every
-    direction in ``tracked`` (directions on other edges are unchanged).
+    Returns the new map and the renames of every direction in ``tracked``
+    (directions on other edges are unchanged).
     """
     e = abs(d)
     n = len(f.edge_image[e])
@@ -509,7 +509,7 @@ def _subdivide_towards(f, d, length, tracked, hook):
     f = subdivide(f, e, k)
     hook("subdivide", f, edge=e, at=k, into=[top + 1, top + 2])
     rename = {e: top + 1, -e: -(top + 2)}
-    return f, rename.get(d, d), [rename.get(t, t) for t in tracked]
+    return f, [rename.get(t, t) for t in tracked]
 
 
 def _letter_to_split(f, c):
@@ -534,7 +534,9 @@ def _fold_pass(f, o1, o2, x, hook):
     turn; once a subdivision splits its last occurrence, x is the new vertex
     and the turn x's own, and no fold takes a segment ending at x.  A pair
     that fills a valence-two vertex has a degenerate turn: the pass merges
-    the two edges through the vertex instead of folding.
+    the two edges through the vertex instead of folding.  Two edges with
+    equal images never share their far endpoint too, since the loop they
+    bound would map to a point; :func:`fold` checks this.
     """
     t1, t2 = o1, o2
     guard = 2 * len(f.graph.edges) + 2
@@ -563,18 +565,16 @@ def _fold_pass(f, o1, o2, x, hook):
                 map(f.derivative, f.graph.directions(z))) == sorted((o1, o2)))
             o1, o2 = f.graph.directions(x)
         p1, p2 = f.image(d1), f.image(d2)
-        ends = {f.graph.head(d1), f.graph.head(d2)}
-        if p1 == p2 and len(ends) == 2 and x not in ends:
+        if p1 == p2 and x not in (f.graph.head(d1), f.graph.head(d2)):
             break
         if p1 != p2:
             shared = _common_prefix_len(p1, p2)
         else:
-            # the whole edges may not fold: x must keep valence two, and
-            # identifying parallel edges would seal the strip between them
-            # and change the surface.  Fold all but the last half letter, so
-            # that letter's edge is subdivided first
+            # the whole edges may not fold, since x must keep valence two.
+            # Fold all but the last half letter, so that letter's edge is
+            # subdivided first
             c = _letter_to_split(f, p1[-1])
-            f, _, (d1, d2, o1, o2) = _subdivide_towards(
+            f, (d1, d2, o1, o2) = _subdivide_towards(
                 f, c, 1, (d1, d2, o1, o2), hook)
             if c != p1[-1] or f.image(d1) != f.image(d2):
                 # a step along a chain of one-letter images, or the pair's
@@ -584,12 +584,8 @@ def _fold_pass(f, o1, o2, x, hook):
             p1 = f.image(d1)
         if shared < 1:
             raise InternalInvariantError("fold pair lost its common prefix")
-        if len(p1) > shared:
-            f, d1, (d2, o1, o2) = _subdivide_towards(
-                f, d1, shared, (d2, o1, o2), hook)
-        else:
-            f, d2, (d1, o1, o2) = _subdivide_towards(
-                f, d2, shared, (d1, o1, o2), hook)
+        f, (d1, d2, o1, o2) = _subdivide_towards(
+            f, d1 if len(p1) > shared else d2, shared, (d1, d2, o1, o2), hook)
     else:
         raise InternalInvariantError("fold preparation did not settle")
     folded_ids = sorted((abs(d1), abs(d2)))

@@ -75,6 +75,7 @@ def build_parser():
 
 
 def _report_dict(report, moves, graph):
+    """The facts a report carries; JSON prints them and text renders them."""
     data = {"verdict": report.verdict, "moves": moves}
     if report.growth is not None:
         data["growth"] = report.growth
@@ -93,20 +94,19 @@ def _report_dict(report, moves, graph):
     return data
 
 
-def _text_report(report, moves, svg_path):
-    lines = [f"verdict: {report.verdict}"]
-    if report.growth is not None:
-        lines.append(f"growth: {report.growth:.6f}")
-    if report.polygons is not None:
-        if report.polygons:
-            for i, p in enumerate(report.polygons):
-                lines.append(f"polygon {i}: k={p.k}, index={p.index}, "
-                             f"maps to {report.orbit[i]}")
-        else:
+def _text_report(data, svg_path):
+    lines = [f"verdict: {data['verdict']}"]
+    if "growth" in data:
+        lines.append(f"growth: {data['growth']:.6f}")
+    if "polygons" in data:
+        for i, p in enumerate(data["polygons"]):
+            lines.append(f"polygon {i}: k={p['k']}, index={p['index']}, "
+                         f"maps to {p['orbit']}")
+        if not data["polygons"]:
             lines.append("polygons: none")
-    if report.puncture_index is not None:
-        lines.append(f"puncture index: {report.puncture_index}")
-    lines.append(f"moves: {len(moves)}")
+    if "puncture_index" in data:
+        lines.append(f"puncture index: {data['puncture_index']}")
+    lines.append(f"moves: {len(data['moves'])}")
     if svg_path:
         lines.append(f"svg: {svg_path}")
     return "\n".join(lines)
@@ -140,7 +140,6 @@ def run(args, out=None, err=None):
     report = full_report(outcome)
     final = outcome.map
 
-    svg_path = None
     if args.svg:
         t0 = time.perf_counter()
         tri = cone_triangulation(final.graph)
@@ -149,15 +148,14 @@ def run(args, out=None, err=None):
         svg = emit_svg(layout, report.polygons or ())
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(svg)
-        svg_path = args.svg
         timings["layout"] = time.perf_counter() - t0
 
+    data = _report_dict(report, moves, final.graph)
     if args.format == "json":
-        data = _report_dict(report, moves, final.graph)
         data["timings"] = timings
         print(json.dumps(data, sort_keys=True, indent=2), file=out)
     else:
-        print(_text_report(report, moves, svg_path), file=out)
+        print(_text_report(data, args.svg), file=out)
     return 0
 
 

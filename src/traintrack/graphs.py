@@ -46,10 +46,11 @@ def tighten(path):
 
 def cyclic_tighten(path):
     """Tighten a closed path as a cyclic word (cancel across the seam too)."""
-    p = list(tighten(path))
-    while len(p) >= 2 and p[0] == -p[-1]:
-        p = p[1:-1]
-    return tuple(p)
+    p = tighten(path)
+    k = 0
+    while 2 * k + 1 < len(p) and p[k] == -p[-1 - k]:
+        k += 1
+    return p[k:len(p) - k]
 
 
 def is_cyclic_rotation(p, q):

@@ -11,6 +11,7 @@ from traintrack import (
     GraphStructureError,
     cyclic_tighten,
     is_cyclic_rotation,
+    reverse_path,
     standard_rose,
     tighten,
 )
@@ -179,6 +180,8 @@ def test_cyclic_tighten_examples():
     assert cyclic_tighten((1, 2, -1)) == (2,)
     assert cyclic_tighten((1, -1)) == ()
     assert cyclic_tighten((1, 2)) == (1, 2)
+    w = (1, 2) * 1000
+    assert cyclic_tighten(w + (3,) + reverse_path(w)) == (3,)
 
 
 def test_is_cyclic_rotation_examples():
