@@ -15,9 +15,13 @@ low-valence vertices) and stops at one of three outcomes:
 * :class:`Reducible` — an essential invariant subgraph remains.
 
 Otherwise it folds along the derivative orbit of the first illegal turn
-until letters cancel.  When a subdivision splits the turn's last
-occurrence, the new valence-two vertex x is kept and folding goes on along
-x's orbit until merging through x cancels.
+until letters cancel.  Each fold pass is one partial fold (BH92, section
+1): the subdivisions that prepare it and the fold itself compose into one
+letter substitution, so the map is rebuilt and checked once per pass.  A
+subdivision never cancels a letter, so nothing is lost by not building the
+maps in between.  When a subdivision splits the turn's last occurrence, the
+new valence-two vertex x is kept and folding goes on along x's orbit until
+merging through x cancels.
 
 Termination rests on three statements of Bestvina and Handel (BH92: Train
 tracks and automorphisms of free groups, Annals 135, 1992, section 1 and
@@ -42,7 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError, IterationLimitExceeded
+from .errors import (
+    GraphStructureError,
+    InternalInvariantError,
+    IterationLimitExceeded,
+)
 from .graphs import EmbeddedGraph, GraphSelfMap, reverse_path, tighten
 from .growth import (
     is_irreducible,
@@ -107,10 +115,12 @@ def _rebuild(move, f, edges, rho, translate, *versions):
     path of f's graph in the new graph's letters; ``rho`` is f's boundary
     word, read from where the move needs it.  Each version is a vertex image
     on the new graph and images, in f's letters, of every edge the new graph
-    keeps or adds: f's own, or f's after a homotopy.  Those images are
-    translated and tightened.  Of several versions the one whose map has the
-    smallest growth is kept (ties keep the earlier one), so that the move
-    does not raise it.
+    keeps or adds: f's own, or f's after a homotopy.  A move that subdivides
+    first may spell images and ``rho`` in the subdivided graph's letters,
+    which its ``translate`` reads too.  Those images are translated and
+    tightened.  Of several versions the one whose map has the smallest
+    growth is kept (ties keep the earlier one), so that the move does not
+    raise it.
     """
     graph = EmbeddedGraph(edges, translate(rho))
     maps = [GraphSelfMap(graph, vertex_image,
@@ -122,18 +132,18 @@ def _rebuild(move, f, edges, rho, translate, *versions):
     return _check_move(move, f, maps[0])
 
 
-def _merge_vertices(move, f, rep, dropped=None):
-    """The vertex image of ``f`` once each vertex ``z`` becomes
-    ``rep.get(z, z)``; ``dropped`` leaves the graph."""
-    vertex_image = {}
-    for z, fz in f.vertex_image.items():
+def _merge_vertices(move, vertex_image, rep, dropped=None):
+    """``vertex_image`` once each vertex ``z`` becomes ``rep.get(z, z)``;
+    ``dropped`` leaves the graph."""
+    merged = {}
+    for z, fz in vertex_image.items():
         if z == dropped:
             continue
         r, w = rep.get(z, z), rep.get(fz, fz)
-        if vertex_image.setdefault(r, w) != w:
+        if merged.setdefault(r, w) != w:
             raise InternalInvariantError(
                 f"{move} merged vertices with different images")
-    return vertex_image
+    return merged
 
 
 def pull_tight(f):
@@ -186,8 +196,9 @@ def _collapse_edges(f, forest):
     edges = {e: (rep[u], rep[v])
              for e, (u, v) in g.edges.items() if e not in forest}
     table = {d: () for e in forest for d in (e, -e)}
+    vertex_image = _merge_vertices("collapse", f.vertex_image, rep)
     return _rebuild("collapse", f, edges, g.rho, lambda p: _subst(p, table),
-                    (_merge_vertices("collapse", f, rep), f.edge_image))
+                    (vertex_image, f.edge_image))
 
 
 def remove_valence_one(f):
@@ -203,7 +214,8 @@ def remove_valence_one(f):
     # and dropping both letters removes exactly that corner
     edges = {e: uv for e, uv in g.edges.items() if e != u}
     table = {u: (), -u: ()}
-    vertex_image = _merge_vertices("valence_one", f, {v: g.head(germ)}, v)
+    vertex_image = _merge_vertices("valence_one", f.vertex_image,
+                                   {v: g.head(germ)}, v)
     return _rebuild("valence_one", f, edges, g.rho,
                     lambda p: _subst(p, table), (vertex_image, f.edge_image))
 
@@ -273,7 +285,8 @@ def _merge_through(f, v):
 
         images = {e: image(e) for e in edges if e != m}
         images[m] = tighten(image(-a) + image(b))
-        return _merge_vertices("valence_two", f, {v: target}, v), images
+        return _merge_vertices("valence_two", f.vertex_image,
+                               {v: target}, v), images
 
     versions = [slid(b, y)]
     if movers:
@@ -283,6 +296,86 @@ def _merge_through(f, v):
                     *versions)
 
 
+class _Subdivision:
+    """The graph of ``f`` with edges subdivided, and the map on it, unbuilt.
+
+    The splits compose into ``table``, a letter substitution from f's
+    directions to paths of the subdivided graph.  An edge of f that is not
+    split keeps f's image, translated when read; each new edge has its own
+    image in the new letters (``pieces``).  ``splits`` lists every split as
+    ``(edge, at, into)``, the arguments and new edge ids of
+    :func:`subdivide`.  A subdivided tight path is still tight, so a move
+    that ends the preparation builds the map once, through ``table``.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        self.edges = dict(f.graph.edges)
+        self.vertex_image = dict(f.vertex_image)
+        self.table = {}
+        self.pieces = {}
+        self.splits = []
+
+    def tail(self, d):
+        if abs(d) not in self.edges:
+            raise GraphStructureError(f"unknown edge in direction {d}")
+        t, h = self.edges[abs(d)]
+        return t if d > 0 else h
+
+    def head(self, d):
+        return self.tail(-d)
+
+    def directions(self, v):
+        """All directions based at ``v``, sorted."""
+        return tuple(sorted(d for e in self.edges for d in (e, -e)
+                            if self.tail(d) == v))
+
+    def image(self, d):
+        e = abs(d)
+        p = self.pieces.get(e)
+        if p is None:
+            p = self.f.edge_image[e]
+            if self.table:
+                p = tuple(_subst(p, self.table))
+        return p if d > 0 else reverse_path(p)
+
+    def takes(self, a, b):
+        """Whether some edge image takes the turn ``(a, b)``."""
+        pairs = ((-a, b), (-b, a))
+        for e in self.edges:
+            p = self.image(e)
+            if any(pair in pairs for pair in zip(p, p[1:])):
+                return True
+        return False
+
+    def split(self, e, k):
+        """Split edge ``e`` at position ``k`` of its image, as
+        :func:`subdivide` does; returns the new edges and vertex."""
+        p = self.image(e)
+        e1, e2 = max(self.edges) + 1, max(self.edges) + 2
+        z = max(self.vertex_image) + 1
+        self.vertex_image[z] = self.head(p[k - 1])
+        t, h = self.edges.pop(e)
+        self.edges[e1], self.edges[e2] = (t, z), (z, h)
+        step = {e: (e1, e2), -e: (-e2, -e1)}
+        if self.pieces.pop(e, None) is None:
+            self.table.update(step)
+        else:
+            self.table = {d: tuple(_subst(q, step))
+                          for d, q in self.table.items()}
+        self.pieces = {c: tuple(_subst(q, step))
+                       for c, q in self.pieces.items()}
+        self.pieces[e1] = tuple(_subst(p[:k], step))
+        self.pieces[e2] = tuple(_subst(p[k:], step))
+        self.splits.append((e, k, (e1, e2)))
+        return e1, e2, z
+
+    def images(self):
+        """Every edge's image, in f's letters or the new ones."""
+        return {e: self.pieces[e] if e in self.pieces else self.f.edge_image[e]
+                for e in self.edges}
+
+
 def subdivide(f, e, k):
     """Split edge ``e`` at position ``k`` of its image path.
 
@@ -290,22 +383,17 @@ def subdivide(f, e, k):
     the endpoint of the image prefix of length ``k``; the growth rate is
     untouched.  ``k`` must satisfy ``0 < k < len(image)``.
     """
-    g = f.graph
-    if e not in g.edges:
+    if e not in f.graph.edges:
         raise ValueError(f"unknown edge {e!r}")
-    p = f.edge_image[e]
-    if not 0 < k < len(p):
+    n = len(f.edge_image[e])
+    if not 0 < k < n:
         raise ValueError(
-            f"subdivision point {k} out of range for image of length {len(p)}")
-    e1, e2 = max(g.edges) + 1, max(g.edges) + 2
-    z = max(g.vertices) + 1
-    edges = {x: uv for x, uv in g.edges.items() if x != e}
-    edges[e1] = (g.tail(e), z)
-    edges[e2] = (z, g.head(e))
-    table = {e: (e1, e2), -e: (-e2, -e1)}
-    vertex_image = {**f.vertex_image, z: g.head(p[k - 1])}
-    return _rebuild("subdivide", f, edges, g.rho, lambda q: _subst(q, table),
-                    (vertex_image, {**f.edge_image, e1: p[:k], e2: p[k:]}))
+            f"subdivision point {k} out of range for image of length {n}")
+    prep = _Subdivision(f)
+    prep.split(e, k)
+    return _rebuild("subdivide", f, prep.edges, f.graph.rho,
+                    lambda q: _subst(q, prep.table),
+                    (prep.vertex_image, prep.images()))
 
 
 def fold(f, d1, d2):
@@ -318,42 +406,60 @@ def fold(f, d1, d2):
     equal nonempty image paths, are adjacent in the rotation through exactly
     one of their two corners, and their far endpoints differ.
     """
-    g = f.graph
+    return _fold(_Subdivision(f), d1, d2)[0]
+
+
+def _fold(prep, d1, d2):
+    """:func:`fold` on the subdivided graph of ``prep`` (a partial fold).
+
+    Returns the map and the number of letters that tightening cancelled.
+    """
+    f = prep.f
     if abs(d1) == abs(d2):
         raise InternalInvariantError("fold needs two distinct edges")
-    v = g.tail(d1)
-    if g.tail(d2) != v:
+    v = prep.tail(d1)
+    if prep.tail(d2) != v:
         raise InternalInvariantError("fold needs directions at one vertex")
-    p1, p2 = f.image(d1), f.image(d2)
+    p1, p2 = prep.image(d1), prep.image(d2)
     if not p1 or p1 != p2:
         raise InternalInvariantError("fold needs equal nonempty images")
-    adj12 = g.successor(d1) == d2
-    adj21 = g.successor(d2) == d1
+    rho = tuple(_subst(f.graph.rho, prep.table))
+    # d' succeeds d in the rotation when rho steps along -d, then d'
+    succ = {-a: b for a, b in zip(rho, rho[1:] + rho[:1])}
+    adj12 = succ[d1] == d2
+    adj21 = succ[d2] == d1
     if adj12 == adj21:
         raise InternalInvariantError(
             "fold needs directions adjacent through exactly one corner")
-    w1, w2 = g.head(d1), g.head(d2)
+    w1, w2 = prep.head(d1), prep.head(d2)
     if w1 == w2:
         raise InternalInvariantError(
             "parallel fold: far endpoints already agree")
     w = min(w1, w2)
     rep = {w1: w, w2: w}
-    fused = max(g.edges) + 1
-    table = {d1: (fused,), d2: (fused,), -d1: (-fused,), -d2: (-fused,)}
+    fused = max(prep.edges) + 1
+    step = {d1: (fused,), d2: (fused,), -d1: (-fused,), -d2: (-fused,)}
+    table = {d: tuple(_subst(q, step)) for d, q in prep.table.items()}
+    table.update(step)
     # the corner being sewn shut shows up in rho as (-first, second); rotate
     # rho so the pair sits at the front and drop it, every other occurrence
     # of the two edges becomes the fused edge
-    first, second = (d1, d2) if adj12 else (d2, d1)
-    i0 = g.rho.index(-first)
-    rotated = g.rho[i0:] + g.rho[:i0]
-    if rotated[1] != second:
-        raise InternalInvariantError("rotation and boundary word disagree")
+    i0 = rho.index(-(d1 if adj12 else d2))
+    rotated = rho[i0:] + rho[:i0]
     edges = {e: (rep.get(t, t), rep.get(h, h))
-             for e, (t, h) in g.edges.items() if e not in (abs(d1), abs(d2))}
+             for e, (t, h) in prep.edges.items()
+             if e not in (abs(d1), abs(d2))}
     edges[fused] = (rep.get(v, v), w)
-    vertex_image = _merge_vertices("fold", f, rep)
-    return _rebuild("fold", f, edges, rotated[2:], lambda p: _subst(p, table),
-                    (vertex_image, {**f.edge_image, fused: p1}))
+    images = prep.images()
+    images[fused] = p1
+    new = _rebuild("fold", f, edges, rotated[2:], lambda p: _subst(p, table),
+                   (_merge_vertices("fold", prep.vertex_image, rep), images))
+    # the fold replaces letters one for one and two images by one, so any
+    # shortfall below the substituted length is cancellation
+    longer = [(d, len(q) - 1) for d, q in table.items() if len(q) > 1]
+    grown = sum(len(p) + sum(n * p.count(d) for d, n in longer)
+                for p in map(images.get, edges))
+    return new, grown - sum(map(len, new.edge_image.values()))
 
 
 def gates(f):
@@ -496,33 +602,18 @@ def _common_prefix_len(p, q):
     return n
 
 
-def _subdivide_towards(f, d, length, tracked, hook):
-    """Subdivide ``|d|`` so the direction ``d`` keeps an image of ``length``.
-
-    Returns the new map and the renames of every direction in ``tracked``
-    (directions on other edges are unchanged).
-    """
-    e = abs(d)
-    n = len(f.edge_image[e])
-    k = length if d > 0 else n - length
-    top = max(f.graph.edges)
-    f = subdivide(f, e, k)
-    hook("subdivide", f, edge=e, at=k, into=[top + 1, top + 2])
-    rename = {e: top + 1, -e: -(top + 2)}
-    return f, [rename.get(t, t) for t in tracked]
-
-
-def _letter_to_split(f, c):
+def _letter_to_split(prep, c):
     """The direction whose edge to subdivide so that the letter ``c`` grows.
 
     Subdividing ``|c|`` turns every ``c`` into two letters, but needs an
     image of two or more letters; when that image is the single letter
-    ``c'``, ``c'`` must grow first, and so on along the chain.
+    ``c'``, ``c'`` must grow first, and so on along the chain.  ``prep`` is
+    the :class:`_Subdivision` being prepared.
     """
-    for _ in range(len(f.graph.edges)):
-        if len(f.image(c)) > 1:
+    for _ in range(len(prep.edges)):
+        if len(prep.image(c)) > 1:
             return c
-        (c,) = f.image(c)
+        (c,) = prep.image(c)
     raise InternalInvariantError("one-letter edge images close up into a cycle")
 
 
@@ -534,9 +625,14 @@ def _fold_pass(f, o1, o2, x, hook):
     turn; once a subdivision splits its last occurrence, x is the new vertex
     and the turn x's own, and no fold takes a segment ending at x.  A pair
     that fills a valence-two vertex has a degenerate turn: the pass merges
-    the two edges through the vertex instead of folding.  Two edges with
-    equal images never share their far endpoint too, since the loop they
-    bound would map to a point; :func:`fold` checks this.
+    the two edges through the vertex instead of folding.
+
+    Otherwise the pass is one partial fold.  The pair's edges are split at
+    the end of their common image prefix, and, while x is a far end, first
+    at the last half letter that x keeps.  These splits are bookkeeping on a
+    :class:`_Subdivision`, not moves, and the fold builds the map once.  Two
+    edges with equal images never share their far endpoint too, since the
+    loop they bound would map to a point; :func:`fold` checks this.
     """
     t1, t2 = o1, o2
     guard = 2 * len(f.graph.edges) + 2
@@ -555,47 +651,57 @@ def _fold_pass(f, o1, o2, x, hook):
         f = _merge_through(f, v)
         hook("valence_two", f)
         return f, None, None, None, len(through) - len(tighten(through))
+    prep = _Subdivision(f)
+    cut = None  # the vertex of the split that took the turn's last occurrence
+
+    def split(d, length):
+        # subdivide |d| so that d keeps an image of ``length``, and rename
+        # the directions the pass follows.  A split keeps every occurrence
+        # of the turn but the one it cuts, so only such a cut can take the
+        # last one
+        nonlocal d1, d2, o1, o2, cut
+        e = abs(d)
+        p = prep.image(e)
+        k = length if d > 0 else len(p) - length
+        took = (x is None and cut is None
+                and (p[k - 1], p[k]) in ((-o1, o2), (-o2, o1)))
+        e1, e2, z = prep.split(e, k)
+        rename = {e: e1, -e: -e2}
+        d1, d2, o1, o2 = (rename.get(t, t) for t in (d1, d2, o1, o2))
+        if took and not prep.takes(o1, o2):
+            cut = z
+
     for _ in range(len(f.graph.edges) + 8):
-        if x is None and not any(
-                pair in ((-o1, o2), (-o2, o1))
-                for p in f.edge_image.values() for pair in zip(p, p[1:])):
-            # a subdivision split the turn's last occurrence; its new
-            # vertex x is the turn's point
-            x = max(z for z in f.graph.vertices if sorted(
-                map(f.derivative, f.graph.directions(z))) == sorted((o1, o2)))
-            o1, o2 = f.graph.directions(x)
-        p1, p2 = f.image(d1), f.image(d2)
-        if p1 == p2 and x not in (f.graph.head(d1), f.graph.head(d2)):
+        if cut is not None:
+            # x is the turn's point from now on
+            x, cut = cut, None
+            o1, o2 = prep.directions(x)
+        p1, p2 = prep.image(d1), prep.image(d2)
+        if p1 == p2 and x not in (prep.head(d1), prep.head(d2)):
             break
         if p1 != p2:
             shared = _common_prefix_len(p1, p2)
         else:
             # the whole edges may not fold, since x must keep valence two.
             # Fold all but the last half letter, so that letter's edge is
-            # subdivided first
-            c = _letter_to_split(f, p1[-1])
-            f, (d1, d2, o1, o2) = _subdivide_towards(
-                f, c, 1, (d1, d2, o1, o2), hook)
-            if c != p1[-1] or f.image(d1) != f.image(d2):
+            # split first
+            c = _letter_to_split(prep, p1[-1])
+            split(c, 1)
+            if c != p1[-1] or prep.image(d1) != prep.image(d2):
                 # a step along a chain of one-letter images, or the pair's
-                # own edge was subdivided: prepare afresh
+                # own edge was split: prepare afresh
                 continue
             shared = len(p1)
-            p1 = f.image(d1)
+            p1 = prep.image(d1)
         if shared < 1:
             raise InternalInvariantError("fold pair lost its common prefix")
-        f, (d1, d2, o1, o2) = _subdivide_towards(
-            f, d1 if len(p1) > shared else d2, shared, (d1, d2, o1, o2), hook)
+        split(d1 if len(p1) > shared else d2, shared)
     else:
         raise InternalInvariantError("fold preparation did not settle")
-    folded_ids = sorted((abs(d1), abs(d2)))
-    # the fold replaces letters one for one and two images by one, so any
-    # shortfall below this count is cancellation
-    untightened = sum(map(len, f.edge_image.values())) - len(p1)
-    f = fold(f, d1, d2)
+    f, cancelled = _fold(prep, d1, d2)
     fused = max(f.graph.edges)
-    hook("fold", f, edges=folded_ids, into=fused)
-    cancelled = untightened - sum(map(len, f.edge_image.values()))
+    hook("fold", f, edges=sorted((abs(d1), abs(d2))), into=fused,
+         directions=(d1, d2), splits=prep.splits)
     rename = {d1: fused, d2: fused, -d1: -fused, -d2: -fused}
     return f, rename.get(o1, o1), rename.get(o2, o2), x, cancelled
 

@@ -18,6 +18,7 @@ so ``rho`` carries exactly the embedding data and nothing more.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 
@@ -301,13 +302,18 @@ class GraphSelfMap:
         edge ``i``, in either direction.
         """
         order = sorted(self.graph.edges)
-        index = {e: i for i, e in enumerate(order)}
-        m = np.zeros((len(order), len(order)), dtype=np.int64)
-        for e, p in self.edge_image.items():
-            j = index[e]
-            for d in p:
-                m[index[abs(d)], j] += 1
-        return m
+        n = len(order)
+        images = [self.edge_image[e] for e in order]
+        lengths = [len(p) for p in images]
+        letters = np.fromiter(chain.from_iterable(images), np.int64,
+                              sum(lengths))
+        # one bin per entry, row-major: a letter d in column j's image lands
+        # in bin i * n + j, where edge |d| is the i-th smallest
+        start = np.zeros(order[-1] + 1, np.int64)
+        start[order] = range(0, n * n, n)
+        cells = start[np.abs(letters)]
+        cells += np.repeat(np.arange(n), lengths)
+        return np.bincount(cells, minlength=n * n).reshape(n, n)
 
     def __repr__(self):
         total = sum(len(p) for p in self.edge_image.values())

@@ -208,6 +208,27 @@ def test_random_words_terminate_with_consistent_verdicts():
     assert pairs >= 5
 
 
+@pytest.mark.parametrize("name", sorted(REFERENCE_WORDS))
+def test_inverse_and_square_keep_the_invariants(reference_runs, name):
+    # phi and its inverse share verdict, dilatation and singularity data,
+    # since the stable and unstable foliations swap; phi squared has the
+    # square of the dilatation and the same data
+    genus, word = REFERENCE_WORDS[name]
+    first = reference_runs[name].report
+    for other, power in ((run_word(genus, _inverse(word)).report, 1),
+                         (run_word(genus, word + word).report, 2)):
+        assert other.verdict == first.verdict, power
+        if first.growth is None:
+            assert other.growth is None
+        else:
+            assert other.growth == pytest.approx(first.growth ** power,
+                                                 abs=1e-9)
+        if first.verdict == "PseudoAnosov":
+            assert (sorted((p.k, p.index) for p in other.polygons)
+                    == sorted((p.k, p.index) for p in first.polygons))
+            assert other.puncture_index == first.puncture_index
+
+
 # a genus-3 word that used to end as a train track although its rotation by
 # two letters, a conjugate, ends with an essential invariant subgraph
 CONJUGATE_SPLIT_WORD = (
@@ -301,12 +322,36 @@ def test_hook_snapshots_have_tight_images(reference_runs):
 def test_moves_reported_with_details(reference_runs):
     for name in REFERENCE_WORDS:
         for move, _f, info in reference_runs[name].snapshots:
-            if move == "subdivide":
-                assert {"edge", "at", "into"} <= set(info)
-            elif move == "fold":
-                assert {"edges", "into"} <= set(info)
+            # a fold absorbs the subdivisions that prepare it
+            assert move != "subdivide", name
+            if move == "fold":
+                assert {"edges", "into", "directions", "splits"} <= set(info)
+                assert sorted(map(abs, info["directions"])) == info["edges"]
+                for edge, at, into in info["splits"]:
+                    assert at >= 1 and len(into) == 2, (name, edge)
             elif move == "collapse":
                 assert "edges" in info
+
+
+def test_fold_events_replay_as_public_moves(reference_runs):
+    # each fold event, replayed as the public subdivisions it records and a
+    # plain fold, rebuilds the event's map from the one before it
+    runs = dict(reference_runs)
+    runs["cap1"] = run_word(2, CHAIN_OF_FIVE_WORD, collect_snapshots=True)
+    folds = 0
+    for name, run in runs.items():
+        before = run.start
+        for move, f, info in run.snapshots:
+            if move == "fold":
+                g = before
+                for edge, at, into in info["splits"]:
+                    g = subdivide(g, edge, at)
+                    assert sorted(g.graph.edges)[-2:] == list(into), name
+                g = bh.fold(g, *info["directions"])
+                assert oracles.maps_equal(g, f), (name, folds)
+                folds += 1
+            before = f
+    assert folds > 100
 
 
 def test_deterministic_rerun():

@@ -311,11 +311,19 @@ def test_module_entry_point(tmp_path):
 
 def test_benchmark_span_targets_resolve(monkeypatch):
     # the traced benchmark (benchmarks/spans.py) patches these names by
-    # attribute; renaming or deleting one breaks its --trace 1 pass
+    # attribute and counts moves by hook name; renaming or deleting one, or
+    # a hook name outside its schema, breaks its --trace 1 pass
     benchmarks = os.path.join(os.path.dirname(__file__), os.pardir,
                               "benchmarks")
     monkeypatch.syspath_prepend(os.path.abspath(benchmarks))
+    import checker
     import spans
     targets = [(owner, attr) for owner, attr, _name in spans.WRAPPED]
     for owner, attr in targets + [(cli, "bestvina_handel")]:
         assert callable(getattr(owner, attr, None)), (owner, attr)
+    with spans.Tracer() as tracer:
+        assert run_cli(EX1)[0] == 0
+    moves = {key.rsplit(".", 1)[1] for key in tracer.counts
+             if key.startswith("bh.moves.")}
+    assert "fold" in moves and moves <= set(checker.MOVES)
+    assert tracer.calls["graphs.transition_matrix"] > 0

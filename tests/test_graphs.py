@@ -1,13 +1,16 @@
 """Embedded-graph construction, validation, and path utilities."""
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from traintrack import (
     EmbeddedGraph,
+    GraphSelfMap,
     GraphStructureError,
     cyclic_tighten,
     is_cyclic_rotation,
@@ -220,3 +223,28 @@ def test_is_cyclic_rotation_accepts_all_rotations(path, k):
     if path:
         k %= len(path)
         assert is_cyclic_rotation(path, path[k:] + path[:k])
+
+
+# ---------------------------------------------------------------------------
+# transition_matrix
+# ---------------------------------------------------------------------------
+
+def test_transition_matrix_counts_crossings():
+    # seeded maps of roses with spaced-out edge ids, one empty image each:
+    # the matrix against a plain count of crossings
+    rng = random.Random(5)
+    for _ in range(30):
+        ids = sorted(rng.sample(range(1, 90, 3), 2 * rng.randint(1, 4)))
+        rho = tuple(d for x, y in zip(ids[::2], ids[1::2])
+                    for d in (x, y, -x, -y))
+        letters = ids + [-e for e in ids]
+        images = {e: tuple(rng.choice(letters)
+                           for _ in range(rng.randint(0, 40))) for e in ids}
+        images[rng.choice(ids)] = ()
+        f = GraphSelfMap(EmbeddedGraph({e: (0, 0) for e in ids}, rho),
+                         {0: 0}, images)
+        want = [[sum(abs(d) == i for d in images[j]) for j in ids]
+                for i in ids]
+        m = f.transition_matrix()
+        assert m.dtype == np.int64
+        assert m.tolist() == want
