@@ -203,10 +203,6 @@ def full_report(outcome):
     edges = infinitesimal_edges(f)
     polys = polygons(f, edges)
     orbit = orbit_permutation(f, polys)
-    genus = f.graph.genus
-    punct = puncture_index(genus, polys)
-    interior = sum((p.index for p in polys), Fraction(0))
-    if punct + interior != Fraction(2 - 2 * genus):
-        raise InternalInvariantError("index sum drifted from 2 - 2g")
+    punct = puncture_index(f.graph.genus, polys)
     return SingularityReport("PseudoAnosov", outcome.growth, tuple(polys),
                              punct, orbit)

@@ -3,7 +3,9 @@
 Moves are pure functions: each takes a :class:`GraphSelfMap` and returns a
 new one (or the input object itself when nothing applies).  Each move that
 changes the graph is a homotopy equivalence given by a letter substitution,
-and one path, ``_rebuild``, pushes the map through it.  After every move
+and one path, ``_rebuild``, pushes the map through it.  The valence-two move
+is BH92's valence-two homotopy: it collapses one of the two edges at the
+vertex, so its substitution is that of a collapse.  After every move
 the boundary word must still be preserved and the genus unchanged; these
 checks are cheap and always on.  The main loop tightens the input once, then
 runs rounds.  A round simplifies (collapsing invariant forests, removing
@@ -21,7 +23,7 @@ letter substitution, so the map is rebuilt and checked once per pass.  A
 subdivision never cancels a letter, so nothing is lost by not building the
 maps in between.  When a subdivision splits the turn's last occurrence, the
 new valence-two vertex x is kept and folding goes on along x's orbit until
-merging through x cancels.
+removing x cancels.
 
 Termination rests on three statements of Bestvina and Handel (BH92: Train
 tracks and automorphisms of free groups, Annals 135, 1992, section 1 and
@@ -87,15 +89,6 @@ def _noop_hook(name, f, **info):
     return None
 
 
-def _check_move(move, old, new):
-    # every move must fix the puncture loop and the surface
-    if new.graph.genus != old.graph.genus:
-        raise InternalInvariantError(f"{move} changed the genus")
-    if not new.preserves_boundary():
-        raise InternalInvariantError(f"{move} broke the boundary word")
-    return new
-
-
 def _subst(path, table):
     # letter substitution: ``table`` lists only the directions that change
     out = []
@@ -108,28 +101,33 @@ def _subst(path, table):
     return out
 
 
-def _rebuild(move, f, edges, rho, translate, *versions):
+def _rebuild(move, f, edges, rho, *versions):
     """The map ``f`` pushed through a move onto the graph ``(edges, rho)``.
 
-    A move is a homotopy equivalence given by ``translate``, which spells a
-    path of f's graph in the new graph's letters; ``rho`` is f's boundary
-    word, read from where the move needs it.  Each version is a vertex image
-    on the new graph and images, in f's letters, of every edge the new graph
-    keeps or adds: f's own, or f's after a homotopy.  A move that subdivides
-    first may spell images and ``rho`` in the subdivided graph's letters,
-    which its ``translate`` reads too.  Those images are translated and
-    tightened.  Of several versions the one whose map has the smallest
-    growth is kept (ties keep the earlier one), so that the move does not
-    raise it.
+    A move is a homotopy equivalence given by a letter table, which spells a
+    path of f's graph in the new graph's letters (see :func:`_subst`);
+    ``rho`` is f's boundary word, read from where the move needs it.  Each
+    version is a table, a vertex image on the new graph and images, in f's
+    letters, of every edge the new graph keeps or adds.  The first table
+    spells ``rho``.  A move that subdivides first may spell images and
+    ``rho`` in the subdivided graph's letters, which its table reads too.
+    Those images are translated and tightened.  Of several versions the one
+    whose map has the smallest growth is kept (ties keep the earlier one),
+    so that the move does not raise it.
     """
-    graph = EmbeddedGraph(edges, translate(rho))
+    graph = EmbeddedGraph(edges, _subst(rho, versions[0][0]))
     maps = [GraphSelfMap(graph, vertex_image,
-                         {e: tighten(translate(images[e])) for e in edges})
-            for vertex_image, images in versions]
+                         {e: tighten(_subst(images[e], table)) for e in edges})
+            for table, vertex_image, images in versions]
     if len(maps) > 1:
         lams = [spectral_radius(h.transition_matrix()) for h in maps]
         maps = [h for h, lam in zip(maps, lams) if lam <= min(lams) + 1e-12]
-    return _check_move(move, f, maps[0])
+    # every move must fix the puncture loop and the surface
+    if graph.genus != f.graph.genus:
+        raise InternalInvariantError(f"{move} changed the genus")
+    if not maps[0].preserves_boundary():
+        raise InternalInvariantError(f"{move} broke the boundary word")
+    return maps[0]
 
 
 def _merge_vertices(move, vertex_image, rep, dropped=None):
@@ -148,11 +146,10 @@ def _merge_vertices(move, vertex_image, rep, dropped=None):
 
 def pull_tight(f):
     """Tighten every edge image; returns ``f`` itself when already tight."""
-    images = {e: tighten(p) for e, p in f.edge_image.items()}
-    if images == f.edge_image:
+    if all(tighten(p) == p for p in f.edge_image.values()):
         return f
-    new = GraphSelfMap(f.graph, dict(f.vertex_image), images)
-    return _check_move("pull_tight", f, new)
+    return _rebuild("pull_tight", f, f.graph.edges, f.graph.rho,
+                    ({}, f.vertex_image, f.edge_image))
 
 
 def _contract(graph, edges):
@@ -197,8 +194,8 @@ def _collapse_edges(f, forest):
              for e, (u, v) in g.edges.items() if e not in forest}
     table = {d: () for e in forest for d in (e, -e)}
     vertex_image = _merge_vertices("collapse", f.vertex_image, rep)
-    return _rebuild("collapse", f, edges, g.rho, lambda p: _subst(p, table),
-                    (vertex_image, f.edge_image))
+    return _rebuild("collapse", f, edges, g.rho,
+                    (table, vertex_image, f.edge_image))
 
 
 def remove_valence_one(f):
@@ -217,19 +214,19 @@ def remove_valence_one(f):
     vertex_image = _merge_vertices("valence_one", f.vertex_image,
                                    {v: g.head(germ)}, v)
     return _rebuild("valence_one", f, edges, g.rho,
-                    lambda p: _subst(p, table), (vertex_image, f.edge_image))
+                    (table, vertex_image, f.edge_image))
 
 
 def remove_valence_two(f):
-    """Merge the two edges at the lowest-id valence-two vertex.
+    """Collapse one of the two edges at the lowest-id valence-two vertex.
 
-    Vertices mapping onto the doomed vertex are first slid off it across one
-    of the two incident edges, then the straight path through the vertex
-    becomes a single fresh edge.  Sliding is a homotopy of the map, so it can
-    change the growth rate; both slide directions are tried and the one with
-    the smaller resulting rate is kept, which keeps the rate non-increasing
-    across the move.  Returns ``f`` itself when no valence-two vertex
-    exists.
+    This is BH92's valence-two homotopy.  The path through the vertex
+    becomes a single fresh edge, and the vertex goes with whichever of its
+    two edges collapses.  Each collapse is a homotopy equivalence, but the
+    two differ wherever a vertex maps onto the removed one, so they can give
+    different growth rates; then both are built and the one with the
+    smaller rate is kept, which keeps the rate non-increasing across the
+    move.  Returns ``f`` itself when no valence-two vertex exists.
     """
     candidates = [v for v in f.graph.vertices if f.graph.valence(v) == 2]
     return _merge_through(f, min(candidates)) if candidates else f
@@ -245,54 +242,26 @@ def _merge_through(f, v):
     x, y = g.head(a), g.head(b)
     if x == v or y == v:
         raise InternalInvariantError("valence-two edge loops back unexpectedly")
-
+    # the fresh edge m runs from x to y along (-a, b).  Collapsing |b| moves
+    # v to y and leaves |a| as m; collapsing |a| moves v to x and leaves |b|
     m = max(g.edges) + 1
-    abs_old = (abs(a), abs(b))
-
-    def merged(path):
-        out = []
-        i = 0
-        while i < len(path):
-            pair = tuple(path[i:i + 2])
-            if pair == (-a, b):
-                out.append(m)
-                i += 2
-            elif pair == (-b, a):
-                out.append(-m)
-                i += 2
-            else:
-                if abs(path[i]) in abs_old:
-                    raise InternalInvariantError(
-                        f"stray half-edge while merging through vertex {v}")
-                out.append(path[i])
-                i += 1
-        return out
-
-    edges = {e: uv for e, uv in g.edges.items() if e not in abs_old}
+    edges = {e: uv for e, uv in g.edges.items() if e not in (abs(a), abs(b))}
     edges[m] = (x, y)
+    images = {**f.edge_image, m: f.image(-a) + f.image(b)}
+    versions = [({b: (), -b: (), -a: (m,), a: (-m,)},
+                 _merge_vertices("valence_two", f.vertex_image, {v: y}, v),
+                 images)]
+    if v in f.vertex_image.values():
+        # the collapsed edge matters; ties keep the collapse of |b|, whose
+        # direction b follows a in the rotation at v
+        versions.append(({a: (), -a: (), b: (m,), -b: (-m,)},
+                         _merge_vertices("valence_two", f.vertex_image,
+                                         {v: x}, v),
+                         images))
+    # rho passes v only as (-a, b) and (-b, a), which both tables spell as
+    # m and -m; rotated to start at -a, rho starts with m
     i0 = g.rho.index(-a)
-    movers = {z for z in g.vertices if f.vertex_image[z] == v}
-
-    def slid(through, target):
-        # slide every vertex mapping to v across ``through`` (a direction
-        # based at v), so its image becomes ``target``
-
-        def image(d):
-            pre = (-through,) if g.tail(d) in movers else ()
-            post = (through,) if g.head(d) in movers else ()
-            p = f.image(d)
-            return tighten(pre + p + post) if pre or post else p
-
-        images = {e: image(e) for e in edges if e != m}
-        images[m] = tighten(image(-a) + image(b))
-        return _merge_vertices("valence_two", f.vertex_image,
-                               {v: target}, v), images
-
-    versions = [slid(b, y)]
-    if movers:
-        # the slide direction matters; ties keep the rotation-successor side
-        versions.append(slid(a, x))
-    return _rebuild("valence_two", f, edges, g.rho[i0:] + g.rho[:i0], merged,
+    return _rebuild("valence_two", f, edges, g.rho[i0:] + g.rho[:i0],
                     *versions)
 
 
@@ -392,8 +361,7 @@ def subdivide(f, e, k):
     prep = _Subdivision(f)
     prep.split(e, k)
     return _rebuild("subdivide", f, prep.edges, f.graph.rho,
-                    lambda q: _subst(q, prep.table),
-                    (prep.vertex_image, prep.images()))
+                    (prep.table, prep.vertex_image, prep.images()))
 
 
 def fold(f, d1, d2):
@@ -452,8 +420,9 @@ def _fold(prep, d1, d2):
     edges[fused] = (rep.get(v, v), w)
     images = prep.images()
     images[fused] = p1
-    new = _rebuild("fold", f, edges, rotated[2:], lambda p: _subst(p, table),
-                   (_merge_vertices("fold", prep.vertex_image, rep), images))
+    new = _rebuild("fold", f, edges, rotated[2:],
+                   (table, _merge_vertices("fold", prep.vertex_image, rep),
+                    images))
     # the fold replaces letters one for one and two images by one, so any
     # shortfall below the substituted length is cancellation
     longer = [(d, len(q) - 1) for d, q in table.items() if len(q) > 1]
@@ -624,8 +593,8 @@ def _fold_pass(f, o1, o2, x, hook):
     letters the pass cancels.  ``x`` is None while an edge image takes the
     turn; once a subdivision splits its last occurrence, x is the new vertex
     and the turn x's own, and no fold takes a segment ending at x.  A pair
-    that fills a valence-two vertex has a degenerate turn: the pass merges
-    the two edges through the vertex instead of folding.
+    that fills a valence-two vertex has a degenerate turn: the pass removes
+    the vertex, as :func:`remove_valence_two` does, instead of folding.
 
     Otherwise the pass is one partial fold.  The pair's edges are split at
     the end of their common image prefix, and, while x is a far end, first
@@ -645,8 +614,8 @@ def _fold_pass(f, o1, o2, x, hook):
     v = f.graph.tail(d1)
     if f.graph.valence(v) == 2:
         # no single corner separates the pair, so folding is meaningless;
-        # merging through v cancels their common image prefix.  It comes
-        # before any other valence move, whose slides could undo that
+        # removing v cancels their common image prefix.  It comes before
+        # any other valence move, whose collapses could undo that
         through = reverse_path(f.image(d1)) + f.image(d2)
         f = _merge_through(f, v)
         hook("valence_two", f)

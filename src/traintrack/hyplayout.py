@@ -90,21 +90,6 @@ class PackingRadii:
     vertex: dict
 
 
-def _corner_angle(r0, r1, r2):
-    """Angle at the radius-``r0`` vertex of the triangle of tangent circles.
-
-    The triangle has geodesic side lengths ``r0+r1``, ``r0+r2`` and ``r1+r2``;
-    the hyperbolic law of cosines gives the angle enclosed by the two sides
-    meeting at the ``r0`` vertex.
-    """
-    b = r0 + r1
-    c = r0 + r2
-    a = r1 + r2
-    x = (math.cosh(b) * math.cosh(c) - math.cosh(a)) / (
-        math.sinh(b) * math.sinh(c))
-    return math.acos(min(1.0, max(-1.0, x)))
-
-
 def _corner_angles(radii):
     """Corner angles of triangles of tangent circles, with their derivatives.
 
@@ -251,11 +236,9 @@ def develop(tri, radii):
     """
     corners = tri.corner_vertex
     m = len(corners)
-    apex_angles = [
-        _corner_angle(radii.apex, radii.vertex[corners[i]],
-                      radii.vertex[corners[(i + 1) % m]])
-        for i in range(m)
-    ]
+    r = [radii.vertex[v] for v in corners]
+    fan = np.array([(radii.apex, r[i], r[(i + 1) % m]) for i in range(m)])
+    apex_angles = _corner_angles(fan)[0][:, 0].tolist()
     closure = abs(sum(apex_angles) - _TWO_PI)
     if closure > 1e-8:
         raise PackingDidNotConverge(

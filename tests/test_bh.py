@@ -382,6 +382,46 @@ def test_subdivide_preserves_dynamics():
     assert len(h.graph.edges) == len(f.graph.edges)
     assert spectral_radius(h.transition_matrix()) == pytest.approx(
         lam, abs=1e-8)
+    # removing it gives f back exactly, for every split point.  A second
+    # split whose vertex maps onto the first split's vertex z makes the
+    # removal of z build both collapse sides; removing the second vertex
+    # after z must give f back too
+    second = 0
+    for e, k in _split_points(f):
+        g = subdivide(f, e, k)
+        assert _same_map_up_to_edge_names(f, remove_valence_two(g))
+        z = max(g.graph.vertices)
+        for e2, k2 in _split_points(g):
+            if g.graph.head(g.edge_image[e2][k2 - 1]) != z:
+                continue
+            h = remove_valence_two(remove_valence_two(subdivide(g, e2, k2)))
+            assert _same_map_up_to_edge_names(f, h), (e, k, e2, k2)
+            second += 1
+    assert second > 0
+
+
+def _split_points(f):
+    return [(e, k) for e in sorted(f.graph.edges)
+            for k in range(1, len(f.edge_image[e]))]
+
+
+def _same_map_up_to_edge_names(f, h):
+    """Whether ``h`` is ``f`` with its edges renamed, the renaming read off
+    by aligning the two boundary words."""
+    rho, other = f.graph.rho, h.graph.rho
+    if len(rho) != len(other):
+        return False
+    for k in range(len(other)):
+        rename = dict(zip(rho, other[k:] + other[:k]))
+        if any(rename[-d] != -r for d, r in rename.items()):
+            continue
+        vertex = {f.graph.tail(d): h.graph.tail(r) for d, r in rename.items()}
+        if (all(h.image(rename[e]) == tuple(rename[d] for d in p)
+                for e, p in f.edge_image.items())
+                and all(h.vertex_image[vertex[u]] == vertex[w]
+                        for u, w in f.vertex_image.items())):
+            return True
+    return False
 
 
 def test_pull_tight_reduces_images():

@@ -287,11 +287,17 @@ def test_max_steps_is_not_an_option(capsys):
 
 
 def test_trace_goes_to_stderr():
-    code, out, err = run_cli(EX5 + ["--trace"])
-    assert code == 0
-    assert "verdict: Reducible" in out
-    assert err.count("\n") >= 1
-    assert "fold" in err or "subdivide" in err or "pull_tight" in err
+    # one numbered stderr line per entry of the report's moves, in order
+    for argv, verdict in ((EX5, "Reducible"), (EX1, "PseudoAnosov")):
+        code, out, err = run_cli(argv + ["--trace"])
+        assert code == 0
+        assert f"verdict: {verdict}" in out
+        _, report, _ = run_cli(argv + ["--format", "json"])
+        moves = json.loads(report)["moves"]
+        assert moves
+        traced = [re.fullmatch(r"\[ *(\d+)\] (\w+)( .*)?", line).group(1, 2)
+                  for line in err.splitlines()]
+        assert traced == [(str(i), name) for i, name in enumerate(moves, 1)]
 
 
 def test_module_entry_point(tmp_path):
