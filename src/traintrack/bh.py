@@ -2,10 +2,11 @@
 
 Moves are pure functions: each takes a :class:`GraphSelfMap` and returns a
 new one (or the input object itself when nothing applies).  Each move that
-changes the graph is a homotopy equivalence given by a letter substitution,
-and one path, ``_rebuild``, pushes the map through it.  The valence-two move
-is BH92's valence-two homotopy: it collapses one of the two edges at the
-vertex, so its substitution is that of a collapse.  After every move
+changes the graph is a homotopy equivalence given by a letter table, and
+one path, ``_rebuild``, pushes the old images through that table onto the
+new graph.  The valence-two move is BH92's valence-two homotopy: it
+collapses one of the two edges at the vertex, and the other collapse
+follows from the first by a slide along the fresh edge.  After every move
 the boundary word must still be preserved and the genus unchanged; these
 checks are cheap and always on.  The main loop tightens the input once, then
 runs rounds.  A round simplifies (collapsing invariant forests, removing
@@ -101,33 +102,30 @@ def _subst(path, table):
     return out
 
 
-def _rebuild(move, f, edges, rho, *versions):
+def _rebuild(move, f, edges, rho, table, vertex_image, images):
     """The map ``f`` pushed through a move onto the graph ``(edges, rho)``.
 
     A move is a homotopy equivalence given by a letter table, which spells a
     path of f's graph in the new graph's letters (see :func:`_subst`);
-    ``rho`` is f's boundary word, read from where the move needs it.  Each
-    version is a table, a vertex image on the new graph and images, in f's
-    letters, of every edge the new graph keeps or adds.  The first table
-    spells ``rho``.  A move that subdivides first may spell images and
-    ``rho`` in the subdivided graph's letters, which its table reads too.
-    Those images are translated and tightened.  Of several versions the one
-    whose map has the smallest growth is kept (ties keep the earlier one),
-    so that the move does not raise it.
+    ``rho`` is f's boundary word, read from where the move needs it, and
+    ``table`` spells it too.  ``vertex_image`` is the vertex map on the new
+    graph and ``images`` gives, in f's letters, the tight image of every
+    edge the new graph keeps or adds.  A move that subdivides first may
+    spell images and ``rho`` in the subdivided graph's letters, which its
+    table reads too.  An image that holds a letter of the table is
+    translated and tightened; any other is kept as it is.
     """
-    graph = EmbeddedGraph(edges, _subst(rho, versions[0][0]))
-    maps = [GraphSelfMap(graph, vertex_image,
-                         {e: tighten(_subst(images[e], table)) for e in edges})
-            for table, vertex_image, images in versions]
-    if len(maps) > 1:
-        lams = [spectral_radius(h.transition_matrix()) for h in maps]
-        maps = [h for h, lam in zip(maps, lams) if lam <= min(lams) + 1e-12]
+    graph = EmbeddedGraph(edges, _subst(rho, table))
+    keys = table.keys()
+    new = GraphSelfMap(graph, vertex_image, {
+        e: p if keys.isdisjoint(p := images[e]) else tighten(_subst(p, table))
+        for e in edges})
     # every move must fix the puncture loop and the surface
     if graph.genus != f.graph.genus:
         raise InternalInvariantError(f"{move} changed the genus")
-    if not maps[0].preserves_boundary():
+    if not new.preserves_boundary():
         raise InternalInvariantError(f"{move} broke the boundary word")
-    return maps[0]
+    return new
 
 
 def _merge_vertices(move, vertex_image, rep, dropped=None):
@@ -146,10 +144,10 @@ def _merge_vertices(move, vertex_image, rep, dropped=None):
 
 def pull_tight(f):
     """Tighten every edge image; returns ``f`` itself when already tight."""
-    if all(tighten(p) == p for p in f.edge_image.values()):
-        return f
-    return _rebuild("pull_tight", f, f.graph.edges, f.graph.rho,
-                    ({}, f.vertex_image, f.edge_image))
+    images = {e: tighten(p) for e, p in f.edge_image.items()}
+    return f if images == f.edge_image else _rebuild(
+        "pull_tight", f, f.graph.edges, f.graph.rho, {}, f.vertex_image,
+        images)
 
 
 def _contract(graph, edges):
@@ -194,8 +192,8 @@ def _collapse_edges(f, forest):
              for e, (u, v) in g.edges.items() if e not in forest}
     table = {d: () for e in forest for d in (e, -e)}
     vertex_image = _merge_vertices("collapse", f.vertex_image, rep)
-    return _rebuild("collapse", f, edges, g.rho,
-                    (table, vertex_image, f.edge_image))
+    return _rebuild("collapse", f, edges, g.rho, table, vertex_image,
+                    f.edge_image)
 
 
 def remove_valence_one(f):
@@ -213,8 +211,8 @@ def remove_valence_one(f):
     table = {u: (), -u: ()}
     vertex_image = _merge_vertices("valence_one", f.vertex_image,
                                    {v: g.head(germ)}, v)
-    return _rebuild("valence_one", f, edges, g.rho,
-                    (table, vertex_image, f.edge_image))
+    return _rebuild("valence_one", f, edges, g.rho, table, vertex_image,
+                    f.edge_image)
 
 
 def remove_valence_two(f):
@@ -223,17 +221,17 @@ def remove_valence_two(f):
     This is BH92's valence-two homotopy.  The path through the vertex
     becomes a single fresh edge, and the vertex goes with whichever of its
     two edges collapses.  Each collapse is a homotopy equivalence, but the
-    two differ wherever a vertex maps onto the removed one, so they can give
-    different growth rates; then both are built and the one with the
-    smaller rate is kept, which keeps the rate non-increasing across the
-    move.  Returns ``f`` itself when no valence-two vertex exists.
+    two differ wherever another vertex maps onto the removed one, so they
+    can give different growth rates; the smaller rate is kept, which keeps
+    it non-increasing across the move, and only the kept side is built.
+    Returns ``f`` itself when no valence-two vertex exists.
     """
     candidates = [v for v in f.graph.vertices if f.graph.valence(v) == 2]
     return _merge_through(f, min(candidates)) if candidates else f
 
 
 def _merge_through(f, v):
-    # remove_valence_two at the valence-two vertex v
+    """remove_valence_two at ``v``: collapse |b|, or slide to collapse |a|."""
     g = f.graph
     a, b = g.rotation_order(v)
     if abs(a) == abs(b):
@@ -247,22 +245,36 @@ def _merge_through(f, v):
     m = max(g.edges) + 1
     edges = {e: uv for e, uv in g.edges.items() if e not in (abs(a), abs(b))}
     edges[m] = (x, y)
-    images = {**f.edge_image, m: f.image(-a) + f.image(b)}
-    versions = [({b: (), -b: (), -a: (m,), a: (-m,)},
-                 _merge_vertices("valence_two", f.vertex_image, {v: y}, v),
-                 images)]
-    if v in f.vertex_image.values():
-        # the collapsed edge matters; ties keep the collapse of |b|, whose
-        # direction b follows a in the rotation at v
-        versions.append(({a: (), -a: (), b: (m,), -b: (-m,)},
-                         _merge_vertices("valence_two", f.vertex_image,
-                                         {v: x}, v),
-                         images))
-    # rho passes v only as (-a, b) and (-b, a), which both tables spell as
-    # m and -m; rotated to start at -a, rho starts with m
+    # rho passes v only as (-a, b) and (-b, a), which both collapses spell
+    # as m and -m; rotated to start at -a, rho starts with m
     i0 = g.rho.index(-a)
-    return _rebuild("valence_two", f, edges, g.rho[i0:] + g.rho[:i0],
-                    *versions)
+    rho = g.rho[i0:] + g.rho[:i0]
+    new = _rebuild("valence_two", f, edges, rho,
+                   {b: (), -b: (), -a: (m,), a: (-m,)},
+                   _merge_vertices("valence_two", f.vertex_image, {v: y}, v),
+                   {**f.edge_image, m: tighten(f.image(-a) + f.image(b))})
+    # the two collapses are homotopic relative to every vertex but v, whose
+    # track is m, and a tight path is unique in its homotopy class: so the
+    # |a| side slides each z that maps to v back to x, along m
+    slide = {z for z, w in f.vertex_image.items() if w == v and z != v}
+    if not slide:
+        return new
+    images = {e: tighten((m,) * (t in slide) + new.edge_image[e]
+                         + (-m,) * (h in slide))
+              for e, (t, h) in edges.items() if t in slide or h in slide}
+    # only row m, the last, of the transition matrix changes; ties keep the
+    # |b| side, whose direction b follows a in the rotation at v
+    matrix = new.transition_matrix()
+    lam = spectral_radius(matrix)
+    order = sorted(edges)
+    for e, p in images.items():
+        matrix[-1, order.index(e)] = p.count(m) + p.count(-m)
+    if lam <= spectral_radius(matrix) + 1e-12:
+        return new
+    return _rebuild("valence_two", f, edges, rho,
+                    {a: (), -a: (), b: (m,), -b: (-m,)},
+                    {**new.vertex_image, **dict.fromkeys(slide, x)},
+                    {**new.edge_image, **images})
 
 
 class _Subdivision:
@@ -360,8 +372,8 @@ def subdivide(f, e, k):
             f"subdivision point {k} out of range for image of length {n}")
     prep = _Subdivision(f)
     prep.split(e, k)
-    return _rebuild("subdivide", f, prep.edges, f.graph.rho,
-                    (prep.table, prep.vertex_image, prep.images()))
+    return _rebuild("subdivide", f, prep.edges, f.graph.rho, prep.table,
+                    prep.vertex_image, prep.images())
 
 
 def fold(f, d1, d2):
@@ -420,9 +432,8 @@ def _fold(prep, d1, d2):
     edges[fused] = (rep.get(v, v), w)
     images = prep.images()
     images[fused] = p1
-    new = _rebuild("fold", f, edges, rotated[2:],
-                   (table, _merge_vertices("fold", prep.vertex_image, rep),
-                    images))
+    new = _rebuild("fold", f, edges, rotated[2:], table,
+                   _merge_vertices("fold", prep.vertex_image, rep), images)
     # the fold replaces letters one for one and two images by one, so any
     # shortfall below the substituted length is cancellation
     longer = [(d, len(q) - 1) for d, q in table.items() if len(q) > 1]
@@ -435,16 +446,16 @@ def gates(f):
     """Partition directions by eventual collision under the direction map.
 
     Two directions at a vertex belong to one gate iff some iterate of the
-    direction map sends them to the same direction; on ``n`` directions,
-    ``n`` iterations decide this.  Returns direction -> gate (a frozenset of
-    directions, one shared object per gate).
+    direction map sends them to the same direction.  On ``n`` directions
+    the ``n``-th iterate lands on cycles, where the map is a bijection, so
+    any later iterate decides this too, and ``n.bit_length()`` squarings
+    reach one.  Returns direction -> gate (one frozenset object per gate).
     """
     g = f.graph
     dirs = [d for e in sorted(g.edges) for d in (e, -e)]
-    deriv = {d: f.derivative(d) for d in dirs}
-    power = dict(deriv)
-    for _ in range(len(dirs) - 1):
-        power = {d: deriv[power[d]] for d in dirs}
+    power = {d: f.derivative(d) for d in dirs}
+    for _ in range(len(dirs).bit_length()):
+        power = {d: power[power[d]] for d in dirs}
     groups = {}
     for d in dirs:
         groups.setdefault((g.tail(d), power[d]), []).append(d)

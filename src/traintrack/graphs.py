@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
+from operator import neg
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import GraphStructureError, MapCompatibilityError
 
 def reverse_path(path):
     """Reverse an edge path: negate every step and flip their order."""
-    return tuple(-d for d in reversed(path))
+    return tuple(map(neg, reversed(path)))
 
 
 def tighten(path):
@@ -291,9 +292,17 @@ class GraphSelfMap:
         algorithm keeps it; it doubles as a cheap integrity check between
         moves.
         """
+        # cancel where two images meet; cyclic_tighten finishes the rest
+        out = []
+        for d in self.graph.rho:
+            p = self.image(d)
+            k, n = 0, min(len(out), len(p))
+            while k < n and out[-1 - k] == -p[k]:
+                k += 1
+            del out[len(out) - k:]
+            out.extend(p[k:])
         want = cyclic_tighten(self.graph.rho)
-        got = cyclic_tighten(self.apply(self.graph.rho))
-        return is_cyclic_rotation(got, want)
+        return is_cyclic_rotation(cyclic_tighten(out), want)
 
     def transition_matrix(self):
         """Unsigned crossing counts, rows/columns in sorted edge-id order.

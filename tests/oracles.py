@@ -13,6 +13,8 @@ back into the code under test, so agreement is meaningful evidence:
 * raw (untightened) edge-path substitution, for immersion checks, the
   period of a map on all short cyclically reduced circuits, and the short
   non-peripheral circuits a map fixes up to rotation and reversal;
+* BH92's valence-two homotopy as a plain letter table, for either of the
+  two edges it may collapse;
 * direct cusp count of the puncture region along the boundary word;
 * geometric intersection of curve words (linked pairs) and Penner's
   construction: faces, prongs and dilatation of T_A T_B^-1;
@@ -247,18 +249,57 @@ def has_cancellation(path) -> bool:
     return any(a == -b for a, b in zip(path, path[1:]))
 
 
-# ---------------------------------------------------------------------------
-# Periods of conjugacy classes
-# ---------------------------------------------------------------------------
-
-def _cyclic_reduce(path) -> tuple:
-    """Free reduction by a stack scan, then cancellation across the seam."""
+def free_reduce(path) -> tuple:
+    """Cancel backtracks ``(d, -d)`` by a stack scan."""
     out = []
     for d in path:
         if out and out[-1] == -d:
             out.pop()
         else:
             out.append(d)
+    return tuple(out)
+
+
+def valence_two_side(f, v, collapse):
+    """``f`` with the valence-two vertex ``v`` removed by collapsing one edge.
+
+    With rotation ``(a, b)`` at v the path (-a, b) becomes a fresh edge m,
+    one more than the largest id, from x = head(a) to y = head(b).
+    ``collapse`` names the edge that shrinks to a point: ``"b"`` moves v to
+    y and spells a as -m, ``"a"`` moves v to x and spells b as m.  Every
+    image is spelled letter by letter and freely reduced, the vertices that
+    mapped to v map where v went, and the boundary word, spelled from -a
+    on, starts with m.  Returns ``(edges, rho, vertex_image, images)``.
+    """
+    g = f.graph
+    a, b = g.rotation_order(v)
+    x, y = g.head(a), g.head(b)
+    m = max(g.edges) + 1
+    if collapse == "b":
+        table, to = {b: (), -b: (), a: (-m,), -a: (m,)}, y
+    else:
+        table, to = {a: (), -a: (), b: (m,), -b: (-m,)}, x
+
+    def spell(path):
+        return tuple(c for d in path for c in table.get(d, (d,)))
+
+    edges = {e: uv for e, uv in g.edges.items() if e not in (abs(a), abs(b))}
+    edges[m] = (x, y)
+    images = {e: free_reduce(spell(f.image(e))) for e in edges if e != m}
+    images[m] = free_reduce(spell(f.image(-a) + f.image(b)))
+    i = g.rho.index(-a)
+    vertex_image = {z: to if w == v else w
+                    for z, w in f.vertex_image.items() if z != v}
+    return edges, spell(g.rho[i:] + g.rho[:i]), vertex_image, images
+
+
+# ---------------------------------------------------------------------------
+# Periods of conjugacy classes
+# ---------------------------------------------------------------------------
+
+def _cyclic_reduce(path) -> tuple:
+    """Free reduction by a stack scan, then cancellation across the seam."""
+    out = free_reduce(path)
     i, j = 0, len(out)
     while j - i >= 2 and out[i] == -out[j - 1]:
         i, j = i + 1, j - 1

@@ -424,6 +424,90 @@ def _same_map_up_to_edge_names(f, h):
     return False
 
 
+def _seeded_snapshots(count):
+    """The hook snapshots of ``count`` seeded genus-2 and genus-3 words."""
+    rng = random.Random(11)
+    maps = []
+    for _ in range(count):
+        genus = rng.randint(2, 3)
+        names = sorted(standard_generators(genus))
+        word = [(rng.choice(names), rng.choice((1, -1)))
+                for _ in range(rng.randint(3, 8))]
+        run = run_word(genus, word, collect_snapshots=True)
+        maps += [f for _move, f, _info in run.snapshots]
+    return maps
+
+
+def _valence_two_side(f, v, collapse):
+    edges, rho, vertex_image, images = oracles.valence_two_side(f, v,
+                                                                collapse)
+    return GraphSelfMap(EmbeddedGraph(edges, rho), vertex_image, images)
+
+
+def test_valence_two_sides_differ_by_a_slide(monkeypatch):
+    # the two collapses at v are homotopic relative to every vertex but v,
+    # so the |a| side that the move reads off the |b| side must be the
+    # table-built one exactly.  Seeded snapshots and twice subdivided maps
+    # give valence-two vertices that another vertex maps onto
+    maps = _seeded_snapshots(40)
+    f = compose_word(2, [("d0", 1), ("c0", 1), ("d1", 1)])
+    for e, k in _split_points(f):
+        g = subdivide(f, e, k)
+        z = max(g.graph.vertices)
+        maps += [subdivide(g, e2, k2) for e2, k2 in _split_points(g)
+                 if g.graph.head(g.edge_image[e2][k2 - 1]) == z]
+    kept_sides = []
+    for f in maps:
+        two = [v for v in f.graph.vertices if f.graph.valence(v) == 2]
+        for v in two:
+            if not any(w == v != z for z, w in f.vertex_image.items()):
+                continue
+            side_b, side_a = (_valence_two_side(f, v, c) for c in "ba")
+            lam_b, lam_a = (spectral_radius(h.transition_matrix())
+                            for h in (side_b, side_a))
+            # the smaller growth is kept, and ties keep the |b| side
+            kept = "b" if lam_b <= lam_a + 1e-12 else "a"
+            want = side_b if kept == "b" else side_a
+            assert oracles.maps_equal(bh._merge_through(f, v), want)
+            if v == min(two):
+                assert oracles.maps_equal(remove_valence_two(f), want)
+            kept_sides.append(kept)
+            # make the |a| side win, so the move builds it from the slide
+            seen = []
+            with monkeypatch.context() as patch:
+                patch.setattr(bh, "spectral_radius",
+                              lambda m: seen.append(m.copy()) or -len(seen))
+                derived = bh._merge_through(f, v)
+            assert oracles.maps_equal(derived, side_a)
+            assert [m.tolist() for m in seen] == [
+                h.transition_matrix().tolist() for h in (side_b, side_a)]
+    assert kept_sides.count("a") > 10 and kept_sides.count("b") > 100
+
+
+def _gates_by_iteration(f):
+    # directions at one vertex share a gate iff their images under the n-th
+    # power of the direction map agree, n the number of directions
+    g = f.graph
+    dirs = [d for e in sorted(g.edges) for d in (e, -e)]
+    power = {d: d for d in dirs}
+    for _ in range(len(dirs)):
+        power = {d: f.derivative(power[d]) for d in dirs}
+    key = {d: (g.tail(d), power[d]) for d in dirs}
+    return {d: frozenset(c for c in dirs if key[c] == key[d]) for d in dirs}
+
+
+def test_gates_match_plain_iteration(reference_runs):
+    maps = [f for run in reference_runs.values()
+            for _move, f, _info in run.snapshots]
+    maps += _seeded_snapshots(40)
+    checked = 0
+    for f in maps:
+        if all(f.edge_image.values()):
+            assert bh.gates(f) == _gates_by_iteration(f)
+            checked += 1
+    assert checked > 400
+
+
 def test_pull_tight_reduces_images():
     rose = standard_rose(1)
     f = GraphSelfMap(rose, {0: 0}, {1: (1, 2, -2), 2: (2,)})

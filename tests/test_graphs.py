@@ -12,9 +12,11 @@ from traintrack import (
     EmbeddedGraph,
     GraphSelfMap,
     GraphStructureError,
+    compose_word,
     cyclic_tighten,
     is_cyclic_rotation,
     reverse_path,
+    standard_generators,
     standard_rose,
     tighten,
 )
@@ -223,6 +225,66 @@ def test_is_cyclic_rotation_accepts_all_rotations(path, k):
     if path:
         k %= len(path)
         assert is_cyclic_rotation(path, path[k:] + path[:k])
+
+
+# ---------------------------------------------------------------------------
+# preserves_boundary
+# ---------------------------------------------------------------------------
+
+def _padded(f, rng):
+    """``f`` with backtracks ``(d, -d)`` put into its images at random."""
+    g = f.graph
+    images = {}
+    for e, p in f.edge_image.items():
+        p = list(p)
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randint(0, len(p))
+            at = g.tail(p[i]) if i < len(p) else f.vertex_image[g.head(e)]
+            d = rng.choice(g.directions(at))
+            p[i:i] = [d, -d]
+        images[e] = tuple(p)
+    return GraphSelfMap(g, f.vertex_image, images)
+
+
+def test_preserves_boundary_matches_its_definition(reference_runs):
+    # the moves' snapshots and twist maps keep the boundary word, random
+    # rose maps mostly do not; padding makes every image untight
+    rng = random.Random(3)
+    maps = [f for run in reference_runs.values()
+            for _move, f, _info in run.snapshots]
+    for _ in range(60):
+        genus = rng.randint(1, 3)
+        rose = standard_rose(genus)
+        letters = [d for e in rose.edges for d in (e, -e)]
+        maps.append(GraphSelfMap(rose, {0: 0}, {
+            e: tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+            for e in rose.edges}))
+        names = sorted(standard_generators(genus))
+        maps.append(compose_word(genus, [
+            (rng.choice(names), rng.choice((1, -1)))
+            for _ in range(rng.randint(1, 6))]))
+    verdicts = []
+    for f in maps:
+        f = _padded(f, rng)
+        rho = f.graph.rho
+        want = is_cyclic_rotation(
+            cyclic_tighten(tighten(oracles.raw_apply(f, rho))),
+            cyclic_tighten(rho))
+        assert f.preserves_boundary() == want
+        verdicts.append(want)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 30
+
+
+def test_map_that_breaks_the_boundary_word():
+    # on the genus-2 rose, rho starts with the commutator (1, 2, -1, -2).
+    # Edge 1 -> (1, 2) keeps it, since [12, 2] = [1, 2]; edge 1 -> (2, 1)
+    # turns it into [21, 2], which is no rotation of it
+    rose = standard_rose(2)
+    images = {e: (e,) for e in rose.edges}
+    assert GraphSelfMap(rose, {0: 0}, {**images, 1: (1, 2)}
+                        ).preserves_boundary()
+    assert not GraphSelfMap(rose, {0: 0}, {**images, 1: (2, 1)}
+                            ).preserves_boundary()
 
 
 # ---------------------------------------------------------------------------
