@@ -102,6 +102,25 @@ def _subst(path, table):
     return out
 
 
+def _subst_tight(path, table):
+    # tighten(_subst(path, table)) in one stack scan
+    out = []
+    for d in path:
+        rep = table.get(d)
+        if rep is None:
+            if out and out[-1] == -d:
+                out.pop()
+            else:
+                out.append(d)
+            continue
+        for c in rep:
+            if out and out[-1] == -c:
+                out.pop()
+            else:
+                out.append(c)
+    return tuple(out)
+
+
 def _rebuild(move, f, edges, rho, table, vertex_image, images):
     """The map ``f`` pushed through a move onto the graph ``(edges, rho)``.
 
@@ -113,12 +132,13 @@ def _rebuild(move, f, edges, rho, table, vertex_image, images):
     edge the new graph keeps or adds.  A move that subdivides first may
     spell images and ``rho`` in the subdivided graph's letters, which its
     table reads too.  An image that holds a letter of the table is
-    translated and tightened; any other is kept as it is.
+    translated and tightened in one pass (:func:`_subst_tight`); any other
+    is kept as it is.
     """
     graph = EmbeddedGraph(edges, _subst(rho, table))
     keys = table.keys()
     new = GraphSelfMap(graph, vertex_image, {
-        e: p if keys.isdisjoint(p := images[e]) else tighten(_subst(p, table))
+        e: p if keys.isdisjoint(p := images[e]) else _subst_tight(p, table)
         for e in edges})
     # every move must fix the puncture loop and the surface
     if graph.genus != f.graph.genus:

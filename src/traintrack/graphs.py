@@ -17,7 +17,6 @@ so ``rho`` carries exactly the embedding data and nothing more.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain
 from operator import neg
 
@@ -103,19 +102,18 @@ class EmbeddedGraph:
         for e, (u, v) in self.edges.items():
             tail[e], tail[-e] = u, v
         self._tail = tail
-        counts = Counter(self.rho)
-        if set(counts) != tail.keys() or any(c != 1 for c in counts.values()):
+        rho = self.rho
+        # as many letters as directions, and all of them: each exactly once
+        if len(rho) != len(tail) or tail.keys() != set(rho):
             raise GraphStructureError(
                 "boundary word must cross every oriented edge exactly once")
-        n = len(self.rho)
-        for i, d in enumerate(self.rho):
-            if tail[-d] != tail[self.rho[(i + 1) % n]]:
-                raise GraphStructureError("boundary word is not a closed walk")
         # Rotation system: consecutive boundary steps (d, d') turn the corner
         # between the directions -d and d', so d' succeeds -d at that vertex.
         succ = {}
-        for i, d in enumerate(self.rho):
-            succ[-d] = self.rho[(i + 1) % n]
+        for d, d2 in zip(rho, rho[1:] + rho[:1]):
+            if tail[-d] != tail[d2]:
+                raise GraphStructureError("boundary word is not a closed walk")
+            succ[-d] = d2
         self._succ = succ
         dirs = {}
         for d in succ:
@@ -221,24 +219,27 @@ class GraphSelfMap:
     Construction checks that images are genuine paths with the right
     endpoints.  It deliberately does *not* require the boundary word to be
     preserved — see :meth:`preserves_boundary` — because maps that reverse the
-    surface orientation are still useful self-maps of the graph.
+    surface orientation are still useful self-maps of the graph.  Instances
+    are immutable: moves build new maps, and nothing writes into a map's
+    images after construction, so the transition matrix is computed once.
     """
 
-    __slots__ = ("graph", "vertex_image", "edge_image")
+    __slots__ = ("graph", "vertex_image", "edge_image", "_matrix")
 
     def __init__(self, graph, vertex_image, edge_image):
         self.graph = graph
         self.vertex_image = dict(vertex_image)
         self.edge_image = {e: tuple(p) for e, p in dict(edge_image).items()}
-        verts = set(graph.vertices)
-        if set(self.vertex_image) != verts:
+        self._matrix = None
+        verts = graph._dirs.keys()
+        if self.vertex_image.keys() != verts:
             raise MapCompatibilityError(
                 "vertex_image must cover exactly the vertices")
         for v, w in self.vertex_image.items():
             if w not in verts:
                 raise MapCompatibilityError(
                     f"vertex {v} maps to unknown vertex {w}")
-        if set(self.edge_image) != set(graph.edges):
+        if self.edge_image.keys() != graph.edges.keys():
             raise MapCompatibilityError(
                 "edge_image must cover exactly the edges")
         tail = graph._tail
@@ -251,15 +252,18 @@ class GraphSelfMap:
                         f"edge {e} has a trivial image but its endpoints "
                         "map to distinct vertices")
                 continue
+            if not tail.keys() >= set(p):
+                d = next(d for d in p if d not in tail)
+                raise MapCompatibilityError(
+                    f"image of edge {e} uses unknown edge {abs(d)}")
+            # walk the image, carrying the vertex each step must leave from
+            at = tail[p[0]]
             for d in p:
-                if d not in tail:
-                    raise MapCompatibilityError(
-                        f"image of edge {e} uses unknown edge {abs(d)}")
-            for a, b in zip(p, p[1:]):
-                if tail[-a] != tail[b]:
+                if tail[d] != at:
                     raise MapCompatibilityError(
                         f"image of edge {e} is not a path")
-            if tail[p[0]] != want_from or tail[-p[-1]] != want_to:
+                at = tail[-d]
+            if tail[p[0]] != want_from or at != want_to:
                 raise MapCompatibilityError(
                     f"image of edge {e} has the wrong endpoints")
 
@@ -292,15 +296,25 @@ class GraphSelfMap:
         algorithm keeps it; it doubles as a cheap integrity check between
         moves.
         """
-        # cancel where two images meet; cyclic_tighten finishes the rest
+        # cancel where two images meet; cyclic_tighten finishes the rest.  A
+        # reversed step reads its stored image q from the end: it pushes
+        # -q[-1], -q[-2], ..., and -q[-1 - k] cancels out[-1 - k]
+        images = self.edge_image
         out = []
         for d in self.graph.rho:
-            p = self.image(d)
-            k, n = 0, min(len(out), len(p))
-            while k < n and out[-1 - k] == -p[k]:
-                k += 1
-            del out[len(out) - k:]
-            out.extend(p[k:])
+            q = images[abs(d)]
+            k, n = 0, min(len(out), len(q))
+            if d > 0:
+                while k < n and out[-1 - k] == -q[k]:
+                    k += 1
+                del out[len(out) - k:]
+                out.extend(q[k:])
+            else:
+                while k < n and out[-1 - k] == q[-1 - k]:
+                    k += 1
+                del out[len(out) - k:]
+                if k < len(q):
+                    out.extend(map(neg, q[len(q) - k - 1::-1]))
         want = cyclic_tighten(self.graph.rho)
         return is_cyclic_rotation(cyclic_tighten(out), want)
 
@@ -308,21 +322,24 @@ class GraphSelfMap:
         """Unsigned crossing counts, rows/columns in sorted edge-id order.
 
         Entry ``[i, j]`` counts how often the image of edge ``j`` crosses
-        edge ``i``, in either direction.
+        edge ``i``, in either direction.  It is computed once per map and
+        returned as a copy, which the caller may write into.
         """
-        order = sorted(self.graph.edges)
-        n = len(order)
-        images = [self.edge_image[e] for e in order]
-        lengths = [len(p) for p in images]
-        letters = np.fromiter(chain.from_iterable(images), np.int64,
-                              sum(lengths))
-        # one bin per entry, row-major: a letter d in column j's image lands
-        # in bin i * n + j, where edge |d| is the i-th smallest
-        start = np.zeros(order[-1] + 1, np.int64)
-        start[order] = range(0, n * n, n)
-        cells = start[np.abs(letters)]
-        cells += np.repeat(np.arange(n), lengths)
-        return np.bincount(cells, minlength=n * n).reshape(n, n)
+        if self._matrix is None:
+            order = sorted(self.graph.edges)
+            n = len(order)
+            images = [self.edge_image[e] for e in order]
+            lengths = [len(p) for p in images]
+            letters = np.fromiter(chain.from_iterable(images), np.int64,
+                                  sum(lengths))
+            # one bin per entry, row-major: a letter d in column j's image
+            # lands in bin i * n + j, where edge |d| is the i-th smallest
+            start = np.zeros(order[-1] + 1, np.int64)
+            start[order] = range(0, n * n, n)
+            cells = start[np.abs(letters)]
+            cells += np.repeat(np.arange(n), lengths)
+            self._matrix = np.bincount(cells, minlength=n * n).reshape(n, n)
+        return self._matrix.copy()
 
     def __repr__(self):
         total = sum(len(p) for p in self.edge_image.values())

@@ -75,7 +75,9 @@ def spectral_radius(m) -> float:
 
     The maximum over the strongly connected blocks: a 1x1 block gives its
     entry, a permutation block exactly 1.0, any other block the largest
-    eigenvalue modulus from one eigen-solve.  A zero matrix gives exactly 0.0.
+    eigenvalue modulus from one eigen-solve.  An irreducible matrix is its
+    own single block, so it takes one eigen-solve of the whole matrix.  A
+    zero matrix gives exactly 0.0.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -84,10 +86,12 @@ def spectral_radius(m) -> float:
         return 0.0
     if (m < 0).any():
         raise ValueError("spectral_radius needs a nonnegative matrix")
+    r = _reach(m)
+    blocks = [m] if r.all() else (
+        m[np.ix_(c, c)] for c in _components(r, range(len(m))))
     best = 0.0
-    for c in _components(_reach(m), range(len(m))):
-        block = m[np.ix_(c, c)]
-        if len(c) == 1 or is_permutation_matrix(block):
+    for block in blocks:
+        if len(block) == 1 or is_permutation_matrix(block):
             radius = float(block.max())  # the entry, or exactly 1.0
         else:
             radius = float(np.abs(np.linalg.eigvals(block)).max())

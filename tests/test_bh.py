@@ -29,7 +29,7 @@ from traintrack import (
     subdivide,
     tighten,
 )
-from traintrack import bh
+from traintrack import bh, growth
 
 import oracles
 from conftest import REFERENCE_WORDS, run_word
@@ -331,6 +331,37 @@ def test_moves_reported_with_details(reference_runs):
                     assert at >= 1 and len(into) == 2, (name, edge)
             elif move == "collapse":
                 assert "edges" in info
+
+
+def _blockwise_radius(m):
+    # the largest radius over the strongly connected blocks, one eigen-solve
+    # per block that is neither 1x1 nor a permutation
+    m = np.asarray(m, dtype=float)
+    if not m.any():
+        return 0.0
+    best = 0.0
+    for c in growth._components(growth._reach(m), range(len(m))):
+        block = m[np.ix_(c, c)]
+        if len(c) == 1 or is_permutation_matrix(block):
+            radius = float(block.max())
+        else:
+            radius = float(np.abs(np.linalg.eigvals(block)).max())
+        best = max(best, radius)
+    return best
+
+
+def test_spectral_radius_matches_the_blockwise_solve(reference_runs):
+    # an irreducible matrix takes one eigen-solve of the whole matrix; the
+    # answer must be exactly the blockwise one on every hook snapshot
+    runs = dict(reference_runs)
+    runs["cap1"] = run_word(2, CHAIN_OF_FIVE_WORD, collect_snapshots=True)
+    seen = set()
+    for name, run in runs.items():
+        for move, f, _info in run.snapshots:
+            m = f.transition_matrix()
+            assert spectral_radius(m) == _blockwise_radius(m), (name, move)
+            seen.add(is_irreducible(m))
+    assert seen == {True, False}
 
 
 def test_fold_events_replay_as_public_moves(reference_runs):

@@ -12,6 +12,7 @@ from traintrack import (
     EmbeddedGraph,
     GraphSelfMap,
     GraphStructureError,
+    MapCompatibilityError,
     compose_word,
     cyclic_tighten,
     is_cyclic_rotation,
@@ -169,6 +170,55 @@ def test_rejects_genus_zero():
         EmbeddedGraph({1: (0, 0)}, (1, -1))
 
 
+@pytest.mark.parametrize("rho, message", [
+    ((1, 1, 2, -2), "exactly once"),      # right length, a letter repeated
+    ((1, -1), "exactly once"),            # too short
+    ((1, 2, -1, -2, 1), "exactly once"),  # every letter, one twice
+    ((1, -2, 2, -1), "closed walk"),
+])
+def test_boundary_word_rejections_name_the_failure(rho, message):
+    with pytest.raises(GraphStructureError, match=message):
+        EmbeddedGraph({1: (0, 0), 2: (0, 1)}, rho)
+
+
+# theta graph: 1 and 3 run from 0 to 1, 2 from 1 to 0
+THETA_IMAGES = {1: (1,), 2: (2,), 3: (3,)}
+
+
+@pytest.mark.parametrize("vertex_image, images, message", [
+    ({0: 0}, {}, "vertex_image must cover exactly the vertices"),
+    ({0: 0, 1: 1, 2: 0}, {}, "vertex_image must cover exactly the vertices"),
+    ({0: 0, 1: 5}, {}, "vertex 1 maps to unknown vertex 5"),
+    ({}, {1: ()}, "edge 1 has a trivial image but its endpoints map to "
+                  "distinct vertices"),
+    ({}, {2: (2, -4)}, "image of edge 2 uses unknown edge 4"),
+    ({}, {1: (1, 3)}, "image of edge 1 is not a path"),
+    # the break comes first, but an unknown letter is reported before it
+    ({}, {1: (1, 3, 9)}, "image of edge 1 uses unknown edge 9"),
+    # the first step also leaves the wrong vertex; the break is reported
+    ({}, {3: (-1, 1, 1)}, "image of edge 3 is not a path"),
+    ({}, {1: (1, 2)}, "image of edge 1 has the wrong endpoints"),
+    ({}, {1: (-3,)}, "image of edge 1 has the wrong endpoints"),
+])
+def test_map_rejections_name_the_failure(vertex_image, images, message):
+    with pytest.raises(MapCompatibilityError, match=f"^{message}$"):
+        GraphSelfMap(theta_graph(), vertex_image or {0: 0, 1: 1},
+                     {**THETA_IMAGES, **images})
+
+
+def test_map_rejections_on_roses_and_coverage():
+    rose = standard_rose(2)
+    images = {e: (e,) for e in rose.edges}
+    with pytest.raises(MapCompatibilityError,
+                       match="^image of edge 1 uses unknown edge 7$"):
+        GraphSelfMap(rose, {0: 0}, {**images, 1: (1, -7, 2)})
+    for g, images in [(rose, {e: images[e] for e in (1, 2, 3)}),
+                      (theta_graph(), {**THETA_IMAGES, 4: (1,)})]:
+        with pytest.raises(MapCompatibilityError,
+                           match="^edge_image must cover exactly the edges$"):
+            GraphSelfMap(g, dict.fromkeys(g.vertices, 0), images)
+
+
 # ---------------------------------------------------------------------------
 # Path utilities
 # ---------------------------------------------------------------------------
@@ -310,3 +360,14 @@ def test_transition_matrix_counts_crossings():
         m = f.transition_matrix()
         assert m.dtype == np.int64
         assert m.tolist() == want
+
+
+def test_transition_matrix_is_a_copy(reference_runs):
+    # writing into the returned array leaves the map's matrix as it was
+    for run in reference_runs.values():
+        f = run.final
+        m = f.transition_matrix()
+        want = m.tolist()
+        m[-1] = 99
+        m[0, 0] = -1
+        assert f.transition_matrix().tolist() == want
