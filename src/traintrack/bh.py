@@ -54,7 +54,8 @@ from .errors import (
     InternalInvariantError,
     IterationLimitExceeded,
 )
-from .graphs import EmbeddedGraph, GraphSelfMap, reverse_path, tighten
+from .graphs import (EmbeddedGraph, GraphSelfMap, reverse_path, substitute,
+                     tighten)
 from .growth import (
     is_irreducible,
     is_permutation_matrix,
@@ -102,25 +103,6 @@ def _subst(path, table):
     return out
 
 
-def _subst_tight(path, table):
-    # tighten(_subst(path, table)) in one stack scan
-    out = []
-    for d in path:
-        rep = table.get(d)
-        if rep is None:
-            if out and out[-1] == -d:
-                out.pop()
-            else:
-                out.append(d)
-            continue
-        for c in rep:
-            if out and out[-1] == -c:
-                out.pop()
-            else:
-                out.append(c)
-    return tuple(out)
-
-
 def _rebuild(move, f, edges, rho, table, vertex_image, images):
     """The map ``f`` pushed through a move onto the graph ``(edges, rho)``.
 
@@ -132,13 +114,13 @@ def _rebuild(move, f, edges, rho, table, vertex_image, images):
     edge the new graph keeps or adds.  A move that subdivides first may
     spell images and ``rho`` in the subdivided graph's letters, which its
     table reads too.  An image that holds a letter of the table is
-    translated and tightened in one pass (:func:`_subst_tight`); any other
-    is kept as it is.
+    translated and tightened in one pass (:func:`~.graphs.substitute`); any
+    other is kept as it is.
     """
     graph = EmbeddedGraph(edges, _subst(rho, table))
     keys = table.keys()
     new = GraphSelfMap(graph, vertex_image, {
-        e: p if keys.isdisjoint(p := images[e]) else _subst_tight(p, table)
+        e: p if keys.isdisjoint(p := images[e]) else substitute(p, table)
         for e in edges})
     # every move must fix the puncture loop and the surface
     if graph.genus != f.graph.genus:
@@ -197,17 +179,15 @@ def _contract(graph, edges):
     return {v: min(members) for members in groups.values() for v in members}
 
 
-def _collapse_edges(f, forest):
-    """Collapse a forest of edges whose images stay inside the forest."""
+def _collapse_edges(f, forest, rep):
+    """Collapse a forest of edges whose images stay inside the forest;
+    ``rep`` is its contraction, as :func:`_contract` gives it."""
     g = f.graph
     for e in forest:
         for d in f.edge_image[e]:
             if abs(d) not in forest:
                 raise InternalInvariantError(
                     "collapse target is not invariant under the map")
-    rep = _contract(g, forest)
-    if rep is None:
-        raise InternalInvariantError("collapse target contains a cycle")
     edges = {e: (rep[u], rep[v])
              for e, (u, v) in g.edges.items() if e not in forest}
     table = {d: () for e in forest for d in (e, -e)}
@@ -306,7 +286,9 @@ class _Subdivision:
     image in the new letters (``pieces``).  ``splits`` lists every split as
     ``(edge, at, into)``, the arguments and new edge ids of
     :func:`subdivide`.  A subdivided tight path is still tight, so a move
-    that ends the preparation builds the map once, through ``table``.
+    that ends the preparation builds the map once, through ``table``.  A
+    split's new vertex has just the inner ends ``(-e1, e2)`` of its halves,
+    which is where a fold pass reads x's turn from.
     """
 
     def __init__(self, f):
@@ -325,11 +307,6 @@ class _Subdivision:
 
     def head(self, d):
         return self.tail(-d)
-
-    def directions(self, v):
-        """All directions based at ``v``, sorted."""
-        return tuple(sorted(d for e in self.edges for d in (e, -e)
-                            if self.tail(d) == v))
 
     def image(self, d):
         e = abs(d)
@@ -546,10 +523,11 @@ def _simplify(f, hook):
             if not sinks:
                 raise InternalInvariantError(
                     "reducible matrix without a proper sink component")
-        forest = next(
-            (s for s in sinks if _contract(f.graph, s) is not None), None)
+        # the first sink that contracts, and its contraction ``rep``
+        forest = next((s for s in sinks
+                       if (rep := _contract(f.graph, s)) is not None), None)
         if forest is not None:
-            f = _collapse_edges(f, forest)
+            f = _collapse_edges(f, forest, rep)
             hook("collapse", f, edges=sorted(forest))
             continue
         new = remove_valence_one(f)
@@ -622,8 +600,10 @@ def _fold_pass(f, o1, o2, x, hook):
 
     Returns the new map, the renamed turn and ``x``, and the number of
     letters the pass cancels.  ``x`` is None while an edge image takes the
-    turn; once a subdivision splits its last occurrence, x is the new vertex
-    and the turn x's own, and no fold takes a segment ending at x.  A pair
+    turn.  The subdivision that splits its last occurrence, into halves e1
+    and e2, makes x: x is its new vertex and the turn becomes x's own,
+    ``(-e1, e2)``, the inner ends of the halves.  Renames in later splits
+    keep each direction's sign.  No fold takes a segment ending at x.  A pair
     that fills a valence-two vertex has a degenerate turn: the pass removes
     the vertex, as :func:`remove_valence_two` does, instead of folding.
 
@@ -652,30 +632,25 @@ def _fold_pass(f, o1, o2, x, hook):
         hook("valence_two", f)
         return f, None, None, None, len(through) - len(tighten(through))
     prep = _Subdivision(f)
-    cut = None  # the vertex of the split that took the turn's last occurrence
 
     def split(d, length):
         # subdivide |d| so that d keeps an image of ``length``, and rename
-        # the directions the pass follows.  A split keeps every occurrence
-        # of the turn but the one it cuts, so only such a cut can take the
-        # last one
-        nonlocal d1, d2, o1, o2, cut
+        # the directions the pass follows; a rename keeps a direction's
+        # sign.  A split keeps every occurrence of the turn but the one it
+        # cuts, so only such a cut can take the last one, and then its new
+        # vertex is x and the turn is x's own
+        nonlocal d1, d2, o1, o2, x
         e = abs(d)
         p = prep.image(e)
         k = length if d > 0 else len(p) - length
-        took = (x is None and cut is None
-                and (p[k - 1], p[k]) in ((-o1, o2), (-o2, o1)))
+        took = x is None and (p[k - 1], p[k]) in ((-o1, o2), (-o2, o1))
         e1, e2, z = prep.split(e, k)
         rename = {e: e1, -e: -e2}
         d1, d2, o1, o2 = (rename.get(t, t) for t in (d1, d2, o1, o2))
         if took and not prep.takes(o1, o2):
-            cut = z
+            x, o1, o2 = z, -e1, e2
 
     for _ in range(len(f.graph.edges) + 8):
-        if cut is not None:
-            # x is the turn's point from now on
-            x, cut = cut, None
-            o1, o2 = prep.directions(x)
         p1, p2 = prep.image(d1), prep.image(d2)
         if p1 == p2 and x not in (prep.head(d1), prep.head(d2)):
             break

@@ -123,7 +123,7 @@ def _twist_sectors(graph, curve):
                 raise InternalInvariantError(
                     "twisting sectors overlap on a simple curve")
             sector_of[d] = i
-    return visits, sector_of
+    return sector_of
 
 
 def dehn_twist(graph, curve, sign=1):
@@ -137,9 +137,8 @@ def dehn_twist(graph, curve, sign=1):
     if sign not in (1, -1):
         raise ValueError(f"twist sign must be +1 or -1, got {sign!r}")
     curve.validate(graph)
-    visits, sector_of = _twist_sectors(graph, curve)
+    sector_of = _twist_sectors(graph, curve)
     p = curve.path
-    n = len(p)
     suffix = {}
     for germ, i in sector_of.items():
         gamma = p[i:] + p[:i]

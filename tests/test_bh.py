@@ -1,6 +1,7 @@
 """The track-finding algorithm: outcomes, moves, and invariants."""
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
@@ -212,11 +213,16 @@ def test_random_words_terminate_with_consistent_verdicts():
 def test_inverse_and_square_keep_the_invariants(reference_runs, name):
     # phi and its inverse share verdict, dilatation and singularity data,
     # since the stable and unstable foliations swap; phi squared has the
-    # square of the dilatation and the same data
+    # square of the dilatation and the same data, and a conjugate h phi h^-1
+    # has all of phi's (h is a seeded three-letter word)
     genus, word = REFERENCE_WORDS[name]
     first = reference_runs[name].report
+    rng = random.Random(1)
+    names = sorted(standard_generators(genus))
+    h = tuple((rng.choice(names), rng.choice((1, -1))) for _ in range(3))
     for other, power in ((run_word(genus, _inverse(word)).report, 1),
-                         (run_word(genus, word + word).report, 2)):
+                         (run_word(genus, word + word).report, 2),
+                         (run_word(genus, h + word + _inverse(h)).report, 1)):
         assert other.verdict == first.verdict, power
         if first.growth is None:
             assert other.growth is None
@@ -383,6 +389,54 @@ def test_fold_events_replay_as_public_moves(reference_runs):
                 folds += 1
             before = f
     assert folds > 100
+
+
+def _hook_stream_words():
+    """ex1-ex5, cap1 and 120 seeded genus-2 and genus-3 words."""
+    words = list(REFERENCE_WORDS.values()) + [(2, CHAIN_OF_FIVE_WORD)]
+    rng = random.Random(15)
+    for _ in range(120):
+        genus = rng.randint(2, 3)
+        names = sorted(standard_generators(genus))
+        words.append((genus, tuple((rng.choice(names), rng.choice((1, -1)))
+                                   for _ in range(rng.randint(4, 12)))))
+    return words
+
+
+# SHA-256 of every hook snapshot and final report of _hook_stream_words()
+HOOK_STREAM_SHA256 = (
+    "603ac7384f929ee27d62a3adcafc6d84191f46cadf121aad3d03b9e9d5ecd4c8")
+
+
+def test_hook_stream_is_pinned(monkeypatch):
+    # every move's name, details, graph, vertex map and images, then each
+    # final report, hashed: a refactor of the moves must keep them all.
+    # The words must reach the x phase (a split that takes the turn's last
+    # occurrence hands the turn to the split's vertex) and collapse forests
+    takes = []
+    original = bh._Subdivision.takes
+    monkeypatch.setattr(bh._Subdivision, "takes", lambda prep, a, b: (
+        takes.append(original(prep, a, b)) or takes[-1]))
+    digest = hashlib.sha256()
+    moves = []
+    for genus, word in _hook_stream_words():
+        run = run_word(genus, word, collect_snapshots=True)
+        for move, f, info in run.snapshots:
+            moves.append(move)
+            digest.update(repr((
+                move, sorted(info.items()), sorted(f.graph.edges.items()),
+                f.graph.rho, sorted(f.vertex_image.items()),
+                sorted(f.edge_image.items()))).encode())
+        rep = run.report
+        digest.update(repr((
+            rep.verdict,
+            None if rep.growth is None else f"{rep.growth:.9f}",
+            None if rep.polygons is None else [(p.vertex, p.k)
+                                               for p in rep.polygons],
+            rep.orbit, rep.puncture_index)).encode())
+    assert takes.count(False) > 10
+    assert moves.count("collapse") > 10
+    assert digest.hexdigest() == HOOK_STREAM_SHA256
 
 
 def test_deterministic_rerun():

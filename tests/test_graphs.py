@@ -13,6 +13,7 @@ from traintrack import (
     GraphSelfMap,
     GraphStructureError,
     MapCompatibilityError,
+    compose,
     compose_word,
     cyclic_tighten,
     is_cyclic_rotation,
@@ -21,6 +22,7 @@ from traintrack import (
     standard_rose,
     tighten,
 )
+from traintrack.graphs import substitute
 
 import oracles
 
@@ -275,6 +277,45 @@ def test_is_cyclic_rotation_accepts_all_rotations(path, k):
     if path:
         k %= len(path)
         assert is_cyclic_rotation(path, path[k:] + path[:k])
+
+
+def test_substitute_examples():
+    # an unreplaced letter cancels the end of a replacement, and the start
+    # of a replacement cancels an unreplaced letter
+    assert substitute((1, 2), {1: (3, -2)}) == (3,)
+    assert substitute((-2, 1), {1: (2, 3)}) == (3,)
+    assert substitute((1, 2, -2, 3), {}) == (1, 3)
+    assert substitute((1, 2), {1: (), 2: (-3,)}) == (-3,)
+
+
+# tables need not agree on d and -d: substitute reads each letter alone
+tables = st.dictionaries(letters, paths, max_size=6)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(paths, tables)
+def test_substitute_is_the_reduced_substitution(path, table):
+    plain = tuple(c for d in path for c in table.get(d, (d,)))
+    assert substitute(path, table) == oracles.free_reduce(plain)
+
+
+def test_compose_substitutes_the_outer_images():
+    # g after f, image by image, on seeded twist maps; padding f's images
+    # with backtracks gives untight inner paths too
+    rng = random.Random(3)
+    for genus in (1, 2, 3):
+        names = sorted(standard_generators(genus))
+        for _ in range(6):
+            f, g = (compose_word(genus, [
+                (rng.choice(names), rng.choice((1, -1)))
+                for _ in range(rng.randint(1, 5))]) for _ in range(2))
+            for inner in (f, _padded(f, rng)):
+                h = compose(g, inner)
+                assert h.vertex_image == {v: g.vertex_image[w] for v, w
+                                          in inner.vertex_image.items()}
+                for e, p in inner.edge_image.items():
+                    assert h.edge_image[e] == oracles.free_reduce(
+                        oracles.raw_apply(g, p)), (genus, e)
 
 
 # ---------------------------------------------------------------------------
