@@ -326,10 +326,10 @@ class _Subdivision:
                 return True
         return False
 
-    def split(self, e, k):
-        """Split edge ``e`` at position ``k`` of its image, as
-        :func:`subdivide` does; returns the new edges and vertex."""
-        p = self.image(e)
+    def split(self, e, k, p):
+        """Split edge ``e`` at position ``k`` of its image ``p``, which is
+        ``self.image(e)``, as :func:`subdivide` does; returns the new edges
+        and vertex."""
         e1, e2 = max(self.edges) + 1, max(self.edges) + 2
         z = max(self.vertex_image) + 1
         self.vertex_image[z] = self.head(p[k - 1])
@@ -368,7 +368,7 @@ def subdivide(f, e, k):
         raise ValueError(
             f"subdivision point {k} out of range for image of length {n}")
     prep = _Subdivision(f)
-    prep.split(e, k)
+    prep.split(e, k, f.edge_image[e])
     return _rebuild("subdivide", f, prep.edges, f.graph.rho, prep.table,
                     prep.vertex_image, prep.images())
 
@@ -644,7 +644,7 @@ def _fold_pass(f, o1, o2, x, hook):
         p = prep.image(e)
         k = length if d > 0 else len(p) - length
         took = x is None and (p[k - 1], p[k]) in ((-o1, o2), (-o2, o1))
-        e1, e2, z = prep.split(e, k)
+        e1, e2, z = prep.split(e, k, p)
         rename = {e: e1, -e: -e2}
         d1, d2, o1, o2 = (rename.get(t, t) for t in (d1, d2, o1, o2))
         if took and not prep.takes(o1, o2):

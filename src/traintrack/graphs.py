@@ -273,17 +273,20 @@ class GraphSelfMap:
                         f"edge {e} has a trivial image but its endpoints "
                         "map to distinct vertices")
                 continue
-            if not tail.keys() >= set(p):
-                d = next(d for d in p if d not in tail)
+            # walk the image, carrying the vertex each step must leave from.
+            # An unknown letter stops the walk as a break does; the message
+            # names the image's first unknown letter if it has one
+            try:
+                at = tail[p[0]]
+                for d in p:
+                    if tail[d] != at:
+                        raise KeyError(d)
+                    at = tail[-d]
+            except KeyError:
+                bad = [abs(d) for d in p if d not in tail]
                 raise MapCompatibilityError(
-                    f"image of edge {e} uses unknown edge {abs(d)}")
-            # walk the image, carrying the vertex each step must leave from
-            at = tail[p[0]]
-            for d in p:
-                if tail[d] != at:
-                    raise MapCompatibilityError(
-                        f"image of edge {e} is not a path")
-                at = tail[-d]
+                    f"image of edge {e} uses unknown edge {bad[0]}" if bad
+                    else f"image of edge {e} is not a path") from None
             if tail[p[0]] != want_from or at != want_to:
                 raise MapCompatibilityError(
                     f"image of edge {e} has the wrong endpoints")

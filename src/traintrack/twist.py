@@ -12,6 +12,7 @@ curve and every sign.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import CurveNotRealizable, GraphStructureError, InternalInvariantError
@@ -198,23 +199,37 @@ def standard_generators(genus):
     return curves
 
 
+# typed keys, so that a genus of 2.0 fails as it would uncached instead of
+# finding genus 2's entry
+@lru_cache(maxsize=None, typed=True)
+def _rose_and_curves(genus):
+    return standard_rose(genus), standard_generators(genus)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _generator_twist(genus, name, sign):
+    graph, curves = _rose_and_curves(genus)
+    return dehn_twist(graph, curves[name], sign)
+
+
 def compose_word(genus, word):
     """The composite twist map of a word in the standard generators.
 
     ``word`` is a sequence of ``(name, sign)`` pairs, leftmost letter
     outermost: the rightmost twist acts first.  An empty word gives the
     identity map of the rose.  Genus must be at least 1.
+
+    Each generator's twist map is built by :func:`dehn_twist`, with its
+    boundary check, once per genus and process, and shared by every later
+    word: maps are immutable.  The map returned is always freshly composed.
     """
-    graph = standard_rose(genus)
-    curves = standard_generators(genus)
+    graph, curves = _rose_and_curves(genus)
     f = identity_map(graph)
     for name, sign in word:
-        try:
-            curve = curves[name]
-        except KeyError:
+        if name not in curves:
             known = ", ".join(sorted(curves))
             raise ValueError(
                 f"unknown generator {name!r} at genus {genus} "
-                f"(have: {known})") from None
-        f = compose(f, dehn_twist(graph, curve, sign))
+                f"(have: {known})")
+        f = compose(f, _generator_twist(genus, name, sign))
     return f

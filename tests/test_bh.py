@@ -76,6 +76,32 @@ def test_growth_matches_exact_oracle(reference_runs):
         assert outcome.growth == pytest.approx(want, abs=1e-9), name
 
 
+def _growth_checked_on_a_curve(genus, word):
+    f = compose_word(genus, word)
+    outcome = bestvina_handel(f)
+    if isinstance(outcome, TrainTrack):
+        assert outcome.growth == pytest.approx(
+            oracles.curve_growth(f), rel=1e-3), word
+    return outcome
+
+
+def test_growth_matches_curve_growth_of_the_input():
+    """λ read off the input rose map alone, by iterating it on a loop, with
+    no train track, gate or matrix: a wrong gate partition or transition
+    matrix would leave a final map whose λ is too large."""
+    for name in ("ex1", "ex2", "ex3", "ex4"):
+        outcome = _growth_checked_on_a_curve(*REFERENCE_WORDS[name])
+        assert isinstance(outcome, TrainTrack), name
+    rng = random.Random(16)
+    names = sorted(standard_generators(2))
+    sampled = 0
+    while sampled < 8:
+        word = [(rng.choice(names), rng.choice((1, -1)))
+                for _ in range(rng.randint(3, 8))]
+        outcome = _growth_checked_on_a_curve(2, word)
+        sampled += isinstance(outcome, TrainTrack)
+
+
 def test_reducible_outcome_has_invariant_subgraph(reference_runs):
     outcome = reference_runs["ex5"].outcome
     assert isinstance(outcome, Reducible)

@@ -201,6 +201,9 @@ THETA_IMAGES = {1: (1,), 2: (2,), 3: (3,)}
     ({}, {3: (-1, 1, 1)}, "image of edge 3 is not a path"),
     ({}, {1: (1, 2)}, "image of edge 1 has the wrong endpoints"),
     ({}, {1: (-3,)}, "image of edge 1 has the wrong endpoints"),
+    # an unknown first letter, where the walk starts, is reported as such
+    ({}, {1: (9, 1)}, "image of edge 1 uses unknown edge 9"),
+    ({}, {1: (-9,)}, "image of edge 1 uses unknown edge 9"),
 ])
 def test_map_rejections_name_the_failure(vertex_image, images, message):
     with pytest.raises(MapCompatibilityError, match=f"^{message}$"):

@@ -24,6 +24,7 @@ from traintrack import (
 )
 
 import oracles
+from conftest import REFERENCE_WORDS, run_word
 
 
 @pytest.fixture(scope="module")
@@ -190,8 +191,62 @@ def test_composition_is_associative(rose2, gens2):
 
 
 def test_unknown_generator_name():
-    with pytest.raises(ValueError):
+    have2 = r"\(have: a0, a1, c0, c1, d0, d1\)"
+    with pytest.raises(ValueError,
+                       match=f"^unknown generator 'b0' at genus 2 {have2}$"):
         compose_word(2, [("b0", 1)])
+    # after a valid prefix, which is composed first
+    with pytest.raises(ValueError,
+                       match=f"^unknown generator 'b0' at genus 2 {have2}$"):
+        compose_word(2, [("a0", 1), ("b0", 1)])
+    # no chain curve fits on one handle
+    with pytest.raises(ValueError, match=r"^unknown generator 'c0' at genus 1 "
+                                         r"\(have: a0, d0\)$"):
+        compose_word(1, [("c0", 1)])
+
+
+def _uncached_word(genus, word):
+    """``compose_word`` from freshly built twists, with no shared state."""
+    rose, curves = standard_rose(genus), standard_generators(genus)
+    f = identity_map(rose)
+    for name, sign in word:
+        f = compose(f, dehn_twist(rose, curves[name], sign))
+    return f
+
+
+def test_shared_generator_twists_match_fresh_builds():
+    # the whole pipeline first, so that every later word finds its
+    # generator twists already built
+    for genus, word in REFERENCE_WORDS.values():
+        run_word(genus, word)
+    rng = random.Random(16)
+    for genus in range(1, 6):
+        rose, curves = standard_rose(genus), standard_generators(genus)
+        names = sorted(curves)
+        for name in names:
+            for sign in (1, -1):
+                assert oracles.maps_equal(
+                    compose_word(genus, [(name, sign)]),
+                    dehn_twist(rose, curves[name], sign)), (genus, name, sign)
+        for _ in range(10):
+            word = [(rng.choice(names), rng.choice((1, -1)))
+                    for _ in range(rng.randint(1, 12))]
+            assert oracles.maps_equal(compose_word(genus, word),
+                                      _uncached_word(genus, word)), word
+
+
+def test_composed_maps_are_fresh():
+    word = [("c0", 1), ("a1", -1)]
+    f = compose_word(2, word)
+    want = _uncached_word(2, word)
+    assert oracles.maps_equal(f, want)
+    f.edge_image.clear()
+    f.edge_image[1] = (2, 2, 2)
+    one = compose_word(2, word[:1])
+    one.edge_image[1] = ()
+    assert oracles.maps_equal(compose_word(2, word), want)
+    assert oracles.maps_equal(compose_word(2, word[:1]),
+                              _uncached_word(2, word[:1]))
 
 
 def test_composite_preserves_boundary_and_homology_structure():
