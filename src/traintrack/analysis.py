@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bh import GrowthOne, Reducible, TrainTrack, _first_illegal_turn, gate_map, gates
+from .bh import GrowthOne, Reducible, TrainTrack, gate_map, gates
 from .errors import InternalInvariantError
 from .growth import is_irreducible
 
@@ -28,31 +28,22 @@ def infinitesimal_edges(f):
 
     ``f`` must be a train track map (no illegal taken turns).  Returns a set
     of frozensets ``{gate1, gate2}``; both gates of a pair sit at one vertex.
+    Every pair must join two gates: a taken turn inside one gate is an
+    illegal turn, and a later pair inside one gate is an edge that the gate
+    map collapses.
     """
     gate_of = gates(f)
-    if _first_illegal_turn(f, gate_of) is not None:
-        raise InternalInvariantError(
-            "infinitesimal edges need a train track map")
-    taken = set()
-    for e in sorted(f.graph.edges):
-        p = f.edge_image[e]
-        for a, b in zip(p, p[1:]):
-            taken.add(frozenset((gate_of[-a], gate_of[b])))
     induced = gate_map(f, gate_of)
-    edges = set(taken)
-    frontier = taken
-    while frontier:
-        step = set()
-        for pair in frontier:
-            g1, g2 = tuple(pair)
-            image = frozenset((induced[g1], induced[g2]))
-            if len(image) != 2:
-                raise InternalInvariantError(
-                    "gate map collapses an infinitesimal edge")
-            if image not in edges:
-                step.add(image)
-        edges |= step
-        frontier = step
+    images = {frozenset((gate_of[-a], gate_of[b]))
+              for p in f.edge_image.values() for a, b in zip(p, p[1:])}
+    message = "infinitesimal edges need a train track map"
+    edges = set()
+    while frontier := images - edges:
+        if any(len(pair) != 2 for pair in frontier):
+            raise InternalInvariantError(message)
+        message = "gate map collapses an infinitesimal edge"
+        edges |= frontier
+        images = {frozenset(induced[g] for g in pair) for pair in frontier}
     return edges
 
 
@@ -80,58 +71,45 @@ class InfinitesimalPolygon:
 def polygons(f, edges):
     """The polygons the infinitesimal edges form, in deterministic order.
 
-    Builds, per vertex, the graph on gates with the given edges; its simple
-    cycles (length >= 3) are the polygons.  Gates of degree three or more,
-    or two-cycles, cannot arise from a train track and raise
-    :class:`InternalInvariantError`.  Polygons come back sorted by vertex and
-    smallest member gate; their list position is the polygon's label.
+    The edges make a simple graph on gates, so a component whose gates all
+    have degree two is a cycle of at least three gates: a polygon.  Gates of
+    degree three or more, or an edge across two vertices, cannot arise from
+    a train track and raise :class:`InternalInvariantError`.  Polygons come
+    back sorted by vertex and smallest member gate; their list position is
+    the polygon's label.
     """
 
     def vertex_of(gate):
         return f.graph.tail(next(iter(gate)))
 
-    by_vertex = {}
+    adjacency = {}
     for pair in edges:
         g1, g2 = tuple(pair)
-        v = vertex_of(g1)
-        if vertex_of(g2) != v:
+        if vertex_of(g1) != vertex_of(g2):
             raise InternalInvariantError(
                 "infinitesimal edge spans two vertices")
-        by_vertex.setdefault(v, []).append((g1, g2))
+        adjacency.setdefault(g1, set()).add(g2)
+        adjacency.setdefault(g2, set()).add(g1)
+    # a polygon lies at one vertex, so the sweep meets its smallest gate
+    # first; an open chain ends in a gate of degree one
     found = []
-    for v in sorted(by_vertex):
-        adjacency = {}
-        for g1, g2 in by_vertex[v]:
-            adjacency.setdefault(g1, set()).add(g2)
-            adjacency.setdefault(g2, set()).add(g1)
-        for gate, nbrs in adjacency.items():
-            if len(nbrs) > 2:
-                raise InternalInvariantError(
-                    f"gate at vertex {v} carries {len(nbrs)} infinitesimal edges")
-        seen = set()
-        for start in sorted(adjacency, key=_gate_key):
-            if start in seen:
-                continue
-            component = {start}
-            queue = [start]
-            while queue:
-                for nxt in adjacency[queue.pop()]:
-                    if nxt not in component:
-                        component.add(nxt)
-                        queue.append(nxt)
-            seen |= component
-            if any(len(adjacency[gate]) != 2 for gate in component):
-                continue  # an open chain, not a polygon
-            if len(component) < 3:
-                raise InternalInvariantError(
-                    f"two-gate cycle at vertex {v} in the infinitesimal graph")
-            anchor = min(component, key=_gate_key)
-            second = min(adjacency[anchor], key=_gate_key)
-            cycle = [anchor, second]
-            while len(cycle) < len(component):
-                (nxt,) = adjacency[cycle[-1]] - {cycle[-2]}
-                cycle.append(nxt)
-            found.append(InfinitesimalPolygon(v, tuple(cycle)))
+    seen = set()
+    for start in sorted(adjacency, key=lambda g: (vertex_of(g), _gate_key(g))):
+        nbrs = adjacency[start]
+        if len(nbrs) > 2:
+            raise InternalInvariantError(
+                f"gate at vertex {vertex_of(start)} carries {len(nbrs)} "
+                "infinitesimal edges")
+        if len(nbrs) < 2 or start in seen:
+            continue
+        cycle = [start, min(nbrs, key=_gate_key)]
+        while cycle[-1] != start and len(adjacency[cycle[-1]]) == 2:
+            (nxt,) = adjacency[cycle[-1]] - {cycle[-2]}
+            cycle.append(nxt)
+        seen.update(cycle)
+        if cycle[-1] == start:
+            found.append(InfinitesimalPolygon(vertex_of(start),
+                                              tuple(cycle[:-1])))
     return found
 
 

@@ -707,11 +707,8 @@ def bestvina_handel(f, hook=None):
         if is_permutation_matrix(m):
             return GrowthOne(f)
         if sinks:
-            # the lowest sink is the witness; simplification has collapsed
-            # every invariant forest, so it is essential
-            if _contract(f.graph, sinks[0]) is not None:
-                raise InternalInvariantError(
-                    "invariant forest survived simplification")
+            # the lowest sink is the witness; _simplify returns only once no
+            # sink contracts, so it is no forest and is essential
             return Reducible(f, frozenset(sinks[0]))
         gate_of = gates(f)
         turn = _first_illegal_turn(f, gate_of)

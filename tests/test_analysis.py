@@ -7,7 +7,10 @@ import pytest
 
 from traintrack import (
     GraphSelfMap,
+    InfinitesimalPolygon,
+    InternalInvariantError,
     SingularityReport,
+    TrainTrack,
     bestvina_handel,
     compose_word,
     full_report,
@@ -234,6 +237,94 @@ def test_hexagon_word_regression(reference_runs):
     # invariant foliations are orientable
     h1 = oracles.h1_spectral_radius(reference_runs["ex2"].start)
     assert h1 == pytest.approx(rep.growth, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Error paths, on crafted inputs.  The public functions check what they are
+# given; no word reaches these branches through the pipeline.  Two checks
+# cannot fire at all.  infinitesimal_edges' "gate map collapses an
+# infinitesimal edge": both gates of a pair sit at one vertex, and two gates
+# there whose images share a gate would collide under an iterate of the
+# direction map, so they would be one gate.  puncture_index's fractional
+# prong count: each index 1 - k/2 is a multiple of 1/2, so 2 (1 - index)
+# is an integer.
+# ---------------------------------------------------------------------------
+
+def _gates_at(f, vertex):
+    gate_of = gates(f)
+    return sorted({gate_of[d] for d in gate_of if f.graph.tail(d) == vertex},
+                  key=sorted)
+
+
+def test_infinitesimal_edges_reject_illegal_turns():
+    genus, word = REFERENCE_WORDS["ex1"]
+    f = compose_word(genus, list(word))
+    assert not is_train_track(f)
+    with pytest.raises(InternalInvariantError,
+                       match="infinitesimal edges need a train track map"):
+        infinitesimal_edges(f)
+
+
+def test_gate_map_rejects_a_torn_gate():
+    f = torus_track()
+    # 1 and -1 map to 2 and -2, which lie in different gates
+    torn = {1: frozenset({1, -1}), -1: frozenset({1, -1}),
+            2: frozenset({2}), -2: frozenset({-2})}
+    with pytest.raises(InternalInvariantError,
+                       match="direction map tears a gate apart"):
+        gate_map(f, torn)
+
+
+def test_polygons_reject_an_edge_across_two_vertices(reference_runs):
+    f = reference_runs["ex4"].final
+    pair = frozenset((_gates_at(f, 4)[0], _gates_at(f, 5)[0]))
+    with pytest.raises(InternalInvariantError,
+                       match="infinitesimal edge spans two vertices"):
+        polygons(f, {pair})
+
+
+def test_polygons_reject_a_gate_of_degree_three(reference_runs):
+    f = reference_runs["ex4"].final
+    hub, *others = _gates_at(f, 4)[:4]
+    edges = {frozenset((hub, g)) for g in others}
+    with pytest.raises(InternalInvariantError,
+                       match="gate at vertex 4 carries 3 infinitesimal edges"):
+        polygons(f, edges)
+
+
+def test_orbit_permutation_rejects_bad_polygon_lists(reference_runs):
+    f = reference_runs["ex3"].final
+    polys = polygons(f, infinitesimal_edges(f))
+    assert orbit_permutation(f, polys) == (1, 0, 3, 2)
+    # polygon 1, the image of polygon 0, is dropped
+    with pytest.raises(InternalInvariantError,
+                       match="polygon image is not again a polygon"):
+        orbit_permutation(f, [polys[0]] + polys[2:])
+    # polygon 1 listed as a hexagon running twice round its three gates
+    doubled = InfinitesimalPolygon(polys[1].vertex, polys[1].cycle * 2)
+    with pytest.raises(InternalInvariantError,
+                       match="polygon image changed its number of sides"):
+        orbit_permutation(f, [polys[0], doubled])
+    with pytest.raises(InternalInvariantError,
+                       match="polygon orbit map is not a bijection"):
+        orbit_permutation(f, polys[:2] + polys[:1])
+
+
+def test_puncture_index_rejects_too_many_prongs(reference_runs):
+    polys = reference_runs["ex3"].report.polygons
+    assert puncture_index(1, polys[:1]) == Fraction(1, 2)
+    with pytest.raises(InternalInvariantError,
+                       match="puncture prong count 0 is not a positive"):
+        puncture_index(1, polys[:2])
+
+
+def test_full_report_rejects_a_train_track_without_growth(reference_runs):
+    f = reference_runs["ex3"].final
+    with pytest.raises(InternalInvariantError,
+                       match="train track outcome without irreducible growth"):
+        full_report(TrainTrack(f, 1.0))
+    with pytest.raises(TypeError, match="not an algorithm outcome"):
+        full_report(f)
 
 
 def _generator_words(genus):
