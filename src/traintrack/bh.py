@@ -145,11 +145,16 @@ def _merge_vertices(move, vertex_image, rep, dropped=None):
 
 
 def pull_tight(f):
-    """Tighten every edge image; returns ``f`` itself when already tight."""
+    """Tighten every edge image; returns ``f`` itself when already tight.
+
+    Whether it is tight is :attr:`~.graphs.GraphSelfMap.tight`, which f's
+    construction recorded, so a tight map's images are not read again.
+    """
+    if f.tight:
+        return f
     images = {e: tighten(p) for e, p in f.edge_image.items()}
-    return f if images == f.edge_image else _rebuild(
-        "pull_tight", f, f.graph.edges, f.graph.rho, {}, f.vertex_image,
-        images)
+    return _rebuild("pull_tight", f, f.graph.edges, f.graph.rho, {},
+                    f.vertex_image, images)
 
 
 def _contract(graph, edges):

@@ -68,7 +68,11 @@ def substitute(path, table):
 
 def cyclic_tighten(path):
     """Tighten a closed path as a cyclic word (cancel across the seam too)."""
-    p = tighten(path)
+    return _trim_seam(tighten(path))
+
+
+def _trim_seam(p):
+    """A tight closed path with the cancellations across its seam trimmed."""
     k = 0
     while 2 * k + 1 < len(p) and p[k] == -p[-1 - k]:
         k += 1
@@ -238,14 +242,16 @@ class GraphSelfMap:
     ``edge_image[e]`` is the image path of the forward orientation; the
     reverse orientation maps to the reversed path.  Images need not be tight.
     Construction checks that images are genuine paths with the right
-    endpoints.  It deliberately does *not* require the boundary word to be
-    preserved — see :meth:`preserves_boundary` — because maps that reverse the
-    surface orientation are still useful self-maps of the graph.  Instances
+    endpoints, and the same walk records whether any image backtracks:
+    :attr:`tight` is true when none does.  It deliberately does *not*
+    require the boundary word to be preserved — see
+    :meth:`preserves_boundary` — because maps that reverse the surface
+    orientation are still useful self-maps of the graph.  Instances
     are immutable: moves build new maps, and nothing writes into a map's
     images after construction, so the transition matrix is computed once.
     """
 
-    __slots__ = ("graph", "vertex_image", "edge_image", "_matrix")
+    __slots__ = ("graph", "vertex_image", "edge_image", "_matrix", "_tight")
 
     def __init__(self, graph, vertex_image, edge_image):
         self.graph = graph
@@ -264,6 +270,7 @@ class GraphSelfMap:
             raise MapCompatibilityError(
                 "edge_image must cover exactly the edges")
         tail = graph._tail
+        tight = True
         for e, p in self.edge_image.items():
             want_from = self.vertex_image[tail[e]]
             want_to = self.vertex_image[tail[-e]]
@@ -273,15 +280,19 @@ class GraphSelfMap:
                         f"edge {e} has a trivial image but its endpoints "
                         "map to distinct vertices")
                 continue
-            # walk the image, carrying the vertex each step must leave from.
-            # An unknown letter stops the walk as a break does; the message
-            # names the image's first unknown letter if it has one
+            # walk the image, carrying the vertex each step must leave from
+            # and the step that would backtrack.  An unknown letter stops the
+            # walk as a break does; the message names the image's first
+            # unknown letter if it has one
             try:
-                at = tail[p[0]]
+                at, back = tail[p[0]], 0
                 for d in p:
                     if tail[d] != at:
                         raise KeyError(d)
-                    at = tail[-d]
+                    if d == back:
+                        tight = False
+                    back = -d
+                    at = tail[back]
             except KeyError:
                 bad = [abs(d) for d in p if d not in tail]
                 raise MapCompatibilityError(
@@ -290,6 +301,13 @@ class GraphSelfMap:
             if tail[p[0]] != want_from or at != want_to:
                 raise MapCompatibilityError(
                     f"image of edge {e} has the wrong endpoints")
+        self._tight = tight
+
+    @property
+    def tight(self):
+        """Whether every edge image is tight (no step ``d`` followed by
+        ``-d``), as the construction's walk found it."""
+        return self._tight
 
     def image(self, d):
         """Image path of an oriented edge."""
@@ -312,9 +330,12 @@ class GraphSelfMap:
         from Dehn twists satisfies this, and every move of the train track
         algorithm keeps it; it doubles as a cheap integrity check between
         moves.
+
+        The scan cancels only where two images meet.  When the map is
+        :attr:`tight` that leaves the image of ``rho`` tight, so only its
+        cyclic seam is trimmed; otherwise ``cyclic_tighten`` finishes it.
         """
-        # cancel where two images meet; cyclic_tighten finishes the rest.  A
-        # reversed step reads its stored image q from the end: it pushes
+        # a reversed step reads its stored image q from the end: it pushes
         # -q[-1], -q[-2], ..., and -q[-1 - k] cancels out[-1 - k]
         images = self.edge_image
         out = []
@@ -333,7 +354,8 @@ class GraphSelfMap:
                 if k < len(q):
                     out.extend(map(neg, q[len(q) - k - 1::-1]))
         want = cyclic_tighten(self.graph.rho)
-        return is_cyclic_rotation(cyclic_tighten(out), want)
+        got = _trim_seam(out) if self._tight else cyclic_tighten(out)
+        return is_cyclic_rotation(got, want)
 
     def transition_matrix(self):
         """Unsigned crossing counts, rows/columns in sorted edge-id order.
@@ -370,13 +392,38 @@ def identity_map(graph):
 
 
 def compose(g, f):
-    """The composite ``g ∘ f`` (f first); both maps must share one graph."""
+    """The composite ``g ∘ f`` (f first); both maps must share one graph.
+
+    Each image of f is spelled by g's images of its letters, its *pieces*,
+    and tightened.  When g is :attr:`~GraphSelfMap.tight` each piece is a
+    tight path, so letters cancel only where two pieces meet; otherwise the
+    pieces are tightened first.  Free reduction is confluent, so either way
+    the image is the tight form of the plain substitution.
+    """
     if g.graph != f.graph:
         raise MapCompatibilityError("compose needs maps on the same graph")
     vertex_image = {v: g.vertex_image[w] for v, w in f.vertex_image.items()}
     # only the directions f's images use: a twist's images use few, and
     # each reversed image of g is a copy
     used = set(chain.from_iterable(f.edge_image.values()))
-    table = {d: g.image(d) for d in used}
-    edge_image = {e: substitute(p, table) for e, p in f.edge_image.items()}
+    if g.tight:
+        pieces = {d: g.image(d) for d in used}
+    else:
+        pieces = {d: tighten(g.image(d)) for d in used}
+    edge_image = {}
+    for e, p in f.edge_image.items():
+        if len(p) == 1:
+            edge_image[e] = pieces[p[0]]
+            continue
+        # splice the pieces, cancelling where two meet, as in the seam
+        # scan of preserves_boundary
+        out = []
+        for d in p:
+            q = pieces[d]
+            k, n = 0, min(len(out), len(q))
+            while k < n and out[-1 - k] == -q[k]:
+                k += 1
+            del out[len(out) - k:]
+            out.extend(q[k:])
+        edge_image[e] = tuple(out)
     return GraphSelfMap(f.graph, vertex_image, edge_image)

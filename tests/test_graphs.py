@@ -17,6 +17,7 @@ from traintrack import (
     compose_word,
     cyclic_tighten,
     is_cyclic_rotation,
+    pull_tight,
     reverse_path,
     standard_generators,
     standard_rose,
@@ -304,7 +305,8 @@ def test_substitute_is_the_reduced_substitution(path, table):
 
 def test_compose_substitutes_the_outer_images():
     # g after f, image by image, on seeded twist maps; padding f's images
-    # with backtracks gives untight inner paths too
+    # with backtracks gives untight inner paths too, and padding g's gives
+    # untight pieces, which compose tightens before it splices them
     rng = random.Random(3)
     for genus in (1, 2, 3):
         names = sorted(standard_generators(genus))
@@ -312,13 +314,14 @@ def test_compose_substitutes_the_outer_images():
             f, g = (compose_word(genus, [
                 (rng.choice(names), rng.choice((1, -1)))
                 for _ in range(rng.randint(1, 5))]) for _ in range(2))
-            for inner in (f, _padded(f, rng)):
-                h = compose(g, inner)
-                assert h.vertex_image == {v: g.vertex_image[w] for v, w
+            for outer, inner in product((g, _padded(g, rng)),
+                                        (f, _padded(f, rng))):
+                h = compose(outer, inner)
+                assert h.vertex_image == {v: outer.vertex_image[w] for v, w
                                           in inner.vertex_image.items()}
                 for e, p in inner.edge_image.items():
                     assert h.edge_image[e] == oracles.free_reduce(
-                        oracles.raw_apply(g, p)), (genus, e)
+                        oracles.raw_apply(outer, p)), (genus, e)
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +343,25 @@ def _padded(f, rng):
     return GraphSelfMap(g, f.vertex_image, images)
 
 
+def _conjugation():
+    """Conjugation by edge 1 on the genus-2 rose: a tight map whose image
+    of the boundary word cancels only across its cyclic seam."""
+    rose = standard_rose(2)
+    return GraphSelfMap(rose, {0: 0}, {
+        e: (1,) if e == 1 else (1, e, -1) for e in rose.edges})
+
+
 def test_preserves_boundary_matches_its_definition(reference_runs):
-    # the moves' snapshots and twist maps keep the boundary word, random
-    # rose maps mostly do not; padding makes every image untight
+    # the moves' snapshots, twist maps and a conjugation keep the boundary
+    # word, random rose maps mostly do not.  Each map runs as it is and
+    # padded, so a tight map's seam trim and an untight map's full
+    # cyclic tightening both meet the definition
     rng = random.Random(3)
     maps = [f for run in reference_runs.values()
             for _move, f, _info in run.snapshots]
+    conjugation = _conjugation()
+    assert conjugation.tight and conjugation.preserves_boundary()
+    maps.append(conjugation)
     for _ in range(60):
         genus = rng.randint(1, 3)
         rose = standard_rose(genus)
@@ -358,15 +374,50 @@ def test_preserves_boundary_matches_its_definition(reference_runs):
             (rng.choice(names), rng.choice((1, -1)))
             for _ in range(rng.randint(1, 6))]))
     verdicts = []
+    for base in maps:
+        for f in (base, _padded(base, rng)):
+            rho = f.graph.rho
+            want = is_cyclic_rotation(
+                cyclic_tighten(tighten(oracles.raw_apply(f, rho))),
+                cyclic_tighten(rho))
+            assert f.preserves_boundary() == want
+            verdicts.append(want)
+    assert verdicts.count(True) > 200 and verdicts.count(False) > 60
+
+
+def test_tight_means_no_image_backtracks(reference_runs):
+    # the flag the construction's walk records, against a scan of every
+    # image: the moves' snapshots, seeded twist words, rose maps with empty
+    # and random images, and padded copies of all of them.  pull_tight
+    # returns a map itself exactly when the map is tight
+    rng = random.Random(5)
+    maps = [f for run in reference_runs.values()
+            for _move, f, _info in run.snapshots]
+    for _ in range(30):
+        genus = rng.randint(1, 3)
+        names = sorted(standard_generators(genus))
+        maps.append(compose_word(genus, [
+            (rng.choice(names), rng.choice((1, -1)))
+            for _ in range(rng.randint(1, 6))]))
+        rose = standard_rose(genus)
+        letters = [d for e in rose.edges for d in (e, -e)]
+        maps.append(GraphSelfMap(rose, {0: 0}, {
+            e: tuple(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+            for e in rose.edges}))
+    rose = standard_rose(2)
+    maps.append(GraphSelfMap(rose, {0: 0}, {e: () for e in rose.edges}))
+    maps.append(GraphSelfMap(rose, {0: 0}, {1: (), 2: (1, -1), 3: (3,),
+                                            4: (-4, 4, 4)}))
+    maps += [_padded(f, rng) for f in maps]
+    pulled = []
     for f in maps:
-        f = _padded(f, rng)
-        rho = f.graph.rho
-        want = is_cyclic_rotation(
-            cyclic_tighten(tighten(oracles.raw_apply(f, rho))),
-            cyclic_tighten(rho))
-        assert f.preserves_boundary() == want
-        verdicts.append(want)
-    assert verdicts.count(True) > 100 and verdicts.count(False) > 30
+        assert f.tight == (not any(map(oracles.has_cancellation,
+                                       f.edge_image.values())))
+        if f.preserves_boundary():
+            assert (pull_tight(f) is f) == f.tight
+            pulled.append(f.tight)
+    assert pulled.count(True) > 100 and pulled.count(False) > 100
+    assert [f.tight for f in maps].count(False) > 100
 
 
 def test_map_that_breaks_the_boundary_word():
