@@ -26,22 +26,22 @@ def _gate_key(gate):
 def infinitesimal_edges(f):
     """Gate pairs joined by a taken turn, closed under the gate map.
 
-    ``f`` must be a train track map (no illegal taken turns).  Returns a set
-    of frozensets ``{gate1, gate2}``; both gates of a pair sit at one vertex.
-    Every pair must join two gates: a taken turn inside one gate is an
-    illegal turn, and a later pair inside one gate is an edge that the gate
-    map collapses.
+    ``f`` must be a train track map: a taken turn inside one gate is an
+    illegal turn, and raises.  Returns a set of frozensets ``{gate1,
+    gate2}``; both gates of a pair sit at one vertex.  The closure needs no
+    such check: distinct gates at one vertex map to distinct gates, since a
+    gate is the class of directions that some iterate of the direction map
+    identifies (BH92, section 1).
     """
     gate_of = gates(f)
     induced = gate_map(f, gate_of)
     images = {frozenset((gate_of[-a], gate_of[b]))
               for p in f.edge_image.values() for a, b in zip(p, p[1:])}
-    message = "infinitesimal edges need a train track map"
+    if any(len(pair) != 2 for pair in images):
+        raise InternalInvariantError(
+            "infinitesimal edges need a train track map")
     edges = set()
     while frontier := images - edges:
-        if any(len(pair) != 2 for pair in frontier):
-            raise InternalInvariantError(message)
-        message = "gate map collapses an infinitesimal edge"
         edges |= frontier
         images = {frozenset(induced[g] for g in pair) for pair in frontier}
     return edges

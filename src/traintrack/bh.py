@@ -236,15 +236,17 @@ def remove_valence_two(f):
 
 
 def _merge_through(f, v):
-    """remove_valence_two at ``v``: collapse |b|, or slide to collapse |a|."""
+    """remove_valence_two at ``v``: collapse |b|, or slide to collapse |a|.
+
+    The edges |a| and |b| are distinct and neither is a loop, so x and y
+    differ from v.  A loop at ``v`` would take both its germs, so ``v``
+    would meet no other edge and, a spine being connected, the loop would
+    be the whole graph: V = E = 1 gives an odd 2g, which
+    :class:`EmbeddedGraph` rejects.
+    """
     g = f.graph
     a, b = g.rotation_order(v)
-    if abs(a) == abs(b):
-        # both germs of one loop: the component would be a lone circle
-        raise InternalInvariantError("valence-two loop cannot exist at genus >= 1")
     x, y = g.head(a), g.head(b)
-    if x == v or y == v:
-        raise InternalInvariantError("valence-two edge loops back unexpectedly")
     # the fresh edge m runs from x to y along (-a, b).  Collapsing |b| moves
     # v to y and leaves |a| as m; collapsing |a| moves v to x and leaves |b|
     m = max(g.edges) + 1

@@ -70,36 +70,26 @@ def standard_rose(genus):
     return EmbeddedGraph(edges, rho)
 
 
-def _visits(graph, curve):
-    """One entry per pass of the curve through a vertex.
-
-    Each visit is ``(vertex, rev_in, out)``: the direction pointing back along
-    the arrival edge and the direction of departure.  Both are *chord germs* —
-    slots in the vertex rotation occupied by the curve itself.
-    """
-    p = curve.path
-    n = len(p)
-    visits = []
-    for i, step in enumerate(p):
-        rev_in = -p[(i - 1) % n]
-        visits.append((graph.tail(step), rev_in, step))
-    return visits
-
-
 def _twist_sectors(graph, curve):
     """The germ -> visit-index assignment for the twisting sectors.
+
+    The curve makes one visit per pass through a vertex, ``(vertex, rev_in,
+    out)``: the direction pointing back along the arrival edge and the
+    direction of departure.  Both are *chord germs*, slots in the vertex
+    rotation taken by the curve itself; they differ, because
+    :meth:`CurveOnGraph.validate` has rejected a word that backtracks.
 
     Raises :class:`CurveNotRealizable` when the visits cannot be disjoint
     arcs: a germ serving two visits, two chords interleaving at a vertex, or a
     chord germ landing inside another visit's sector all mean the curve word
-    is not embeddable as a simple closed curve on this spine.
+    is not embeddable as a simple closed curve on this spine.  Once these
+    checks pass the sectors are disjoint: a sector holds no chord germ, so
+    it is the whole gap in the rotation after its visit's ``rev_in``, and
+    the visits' ``rev_in`` germs are distinct.
     """
-    visits = _visits(graph, curve)
-    chord_germs = []
-    for v, rev_in, out in visits:
-        if rev_in == out:
-            raise InternalInvariantError("degenerate visit on a tight curve")
-        chord_germs.extend((rev_in, out))
+    p = curve.path
+    visits = [(graph.tail(out), -p[i - 1], out) for i, out in enumerate(p)]
+    chord_germs = [d for _v, rev_in, out in visits for d in (rev_in, out)]
     if len(set(chord_germs)) != len(chord_germs):
         raise CurveNotRealizable("two curve strands share a direction")
     for (v, a1, b1), (w, a2, b2) in combinations(visits, 2):
@@ -120,9 +110,6 @@ def _twist_sectors(graph, curve):
                 raise CurveNotRealizable(
                     "curve strands nest inside a twisting sector "
                     f"at vertex {v}")
-            if d in sector_of:
-                raise InternalInvariantError(
-                    "twisting sectors overlap on a simple curve")
             sector_of[d] = i
     return sector_of
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from traintrack import bestvina_handel, compose_word, full_report
+from traintrack import bestvina_handel, compose_word, full_report, gate_map
 
 import acceptance_log
 
@@ -42,6 +42,15 @@ def run_word(genus, word, collect_snapshots=False):
         snapshots=snapshots,
         wall=wall,
     )
+
+
+def gate_map_keeps_gates_apart(f):
+    """Whether the gate map sends distinct gates at one vertex to distinct
+    gates, which ``infinitesimal_edges`` relies on."""
+    at = {}
+    for gate, image in gate_map(f).items():
+        at.setdefault(f.graph.tail(next(iter(gate))), []).append(image)
+    return all(len(set(images)) == len(images) for images in at.values())
 
 
 @pytest.fixture(scope="session")

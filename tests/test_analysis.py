@@ -316,6 +316,11 @@ def test_puncture_index_rejects_too_many_prongs(reference_runs):
     with pytest.raises(InternalInvariantError,
                        match="puncture prong count 0 is not a positive"):
         puncture_index(1, polys[:2])
+    # a genus that is no integer gives a fractional prong count
+    with pytest.raises(InternalInvariantError, match="^puncture prong count "
+                       "3602879701896397/562949953421312 is not a positive "
+                       "integer$"):
+        puncture_index(2.1, [])
 
 
 def test_full_report_rejects_a_train_track_without_growth(reference_runs):

@@ -10,6 +10,7 @@ import pytest
 from traintrack import (
     EmbeddedGraph,
     GraphSelfMap,
+    GraphStructureError,
     GrowthOne,
     InternalInvariantError,
     IterationLimitExceeded,
@@ -33,7 +34,7 @@ from traintrack import (
 from traintrack import bh, growth
 
 import oracles
-from conftest import REFERENCE_WORDS, run_word
+from conftest import REFERENCE_WORDS, gate_map_keeps_gates_apart, run_word
 
 MOVE_NAMES = {"pull_tight", "collapse", "valence_one", "valence_two",
               "subdivide", "fold"}
@@ -511,6 +512,16 @@ def test_subdivide_preserves_dynamics():
     assert second > 0
 
 
+def test_subdivide_rejects_bad_arguments():
+    f = identity_map(standard_rose(2))
+    with pytest.raises(ValueError, match="^unknown edge 9$"):
+        subdivide(f, 9, 1)
+    for k in (0, 1):
+        with pytest.raises(ValueError, match=f"^subdivision point {k} out "
+                           "of range for image of length 1$"):
+            subdivide(f, 1, k)
+
+
 def _split_points(f):
     return [(e, k) for e in sorted(f.graph.edges)
             for k in range(1, len(f.edge_image[e]))]
@@ -619,6 +630,20 @@ def test_gates_match_plain_iteration(reference_runs):
     assert checked > 400
 
 
+def test_gate_map_keeps_the_gates_at_a_vertex_apart(reference_runs):
+    # infinitesimal_edges closes the taken pairs under the gate map without
+    # checking that each image pair still joins two gates; this is why
+    runs = dict(reference_runs)
+    runs["cap1"] = run_word(2, CHAIN_OF_FIVE_WORD, collect_snapshots=True)
+    checked = 0
+    for name, run in runs.items():
+        for move, f, _info in run.snapshots:
+            if all(f.edge_image.values()):
+                assert gate_map_keeps_gates_apart(f), (name, move)
+                checked += 1
+    assert checked > 150
+
+
 def test_pull_tight_reduces_images():
     rose = standard_rose(1)
     f = GraphSelfMap(rose, {0: 0}, {1: (1, 2, -2), 2: (2,)})
@@ -673,3 +698,24 @@ def test_fold_rejects_parallel_pair():
     f = GraphSelfMap(g, {0: 0, 1: 1}, {1: (1,), 2: (1,), 3: (3,)})
     with pytest.raises(InternalInvariantError, match="parallel fold"):
         bh.fold(f, 1, 2)
+
+
+def test_fold_names_the_broken_precondition():
+    # 1 and 3 share the image (1,), but no corner of the rose joins them
+    f = GraphSelfMap(standard_rose(2), {0: 0},
+                     {1: (1,), 2: (2,), 3: (1,), 4: (4,)})
+    for d1, d2, message in [
+            (1, -1, "fold needs two distinct edges"),
+            (1, 2, "fold needs equal nonempty images"),
+            (1, 3, "fold needs directions adjacent through exactly one "
+                   "corner")]:
+        with pytest.raises(InternalInvariantError, match=f"^{message}$"):
+            bh.fold(f, d1, d2)
+    with pytest.raises(GraphStructureError,
+                       match="^unknown edge in direction 9$"):
+        bh.fold(f, 9, 1)
+    g = EmbeddedGraph({1: (0, 1), 2: (0, 1), 3: (0, 1)}, (1, -2, 3, -1, 2, -3))
+    f = GraphSelfMap(g, {0: 0, 1: 1}, {1: (1,), 2: (2,), 3: (3,)})
+    with pytest.raises(InternalInvariantError,
+                       match="^fold needs directions at one vertex$"):
+        bh.fold(f, 1, -2)

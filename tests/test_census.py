@@ -32,7 +32,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import run_word
+from conftest import gate_map_keeps_gates_apart, run_word
 
 GENUS = 2
 LETTERS = tuple((name, sign) for name in ("a0", "a1", "c0", "c1", "d0", "d1")
@@ -113,6 +113,16 @@ def test_census_growth_one_runs_have_a_period(census):
             if run.report.verdict == "GrowthOne":
                 assert oracles.circuit_period(run.final, 4, 12) is not None, \
                     _text(run.word)
+
+
+def test_census_gate_maps_keep_the_gates_at_a_vertex_apart(census):
+    checked = 0
+    for runs in census.values():
+        for run in runs:
+            if all(run.final.edge_image.values()):
+                assert gate_map_keeps_gates_apart(run.final), _text(run.word)
+                checked += 1
+    assert checked > 1000
 
 
 @pytest.mark.xfail(strict=True,

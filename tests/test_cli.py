@@ -14,6 +14,8 @@ from collections import Counter
 import pytest
 
 from traintrack import (
+    InternalInvariantError,
+    PackingDidNotConverge,
     analysis,
     bh,
     circle_pack,
@@ -227,6 +229,24 @@ def test_exit_code_iteration_limit(monkeypatch, capsys):
     monkeypatch.setattr(bh, "MAX_ROUNDS", 0)
     assert cli.main(EX1) == 3
     capsys.readouterr()
+
+
+def test_exit_codes_of_packing_and_internal_errors(monkeypatch, tmp_path,
+                                                  capsys):
+    # README's table: 4 when the packing fails, 5 for an internal invariant
+    def fail(exc):
+        def raiser(*args, **kwargs):
+            raise exc
+        return raiser
+
+    monkeypatch.setattr(cli, "circle_pack",
+                        fail(PackingDidNotConverge("no packing")))
+    assert cli.main(EX1 + ["--svg", str(tmp_path / "x.svg")]) == 4
+    assert capsys.readouterr().err == "error: no packing\n"
+    monkeypatch.setattr(cli, "bestvina_handel",
+                        fail(InternalInvariantError("broken")))
+    assert cli.main(EX1) == 5
+    assert capsys.readouterr().err == "internal error: broken\n"
 
 
 def test_exit_code_unwritable_svg(tmp_path, capsys):

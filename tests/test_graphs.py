@@ -12,7 +12,9 @@ from traintrack import (
     EmbeddedGraph,
     GraphSelfMap,
     GraphStructureError,
+    InternalInvariantError,
     MapCompatibilityError,
+    bestvina_handel,
     compose,
     compose_word,
     cyclic_tighten,
@@ -94,6 +96,8 @@ def test_theta_graph_valid():
     assert g.valence(0) == 3 and g.valence(1) == 3
     assert oracles.face_count(g) == 1
     assert oracles.genus_via_euler(g) == 1
+    assert g == theta_graph() and g != standard_rose(1)
+    assert g.__eq__(THETA) is NotImplemented and g != THETA
 
 
 def test_theta_rotation_orders():
@@ -108,10 +112,16 @@ def test_unknown_ids_raise():
     g = theta_graph()
     with pytest.raises(GraphStructureError):
         g.tail(7)
+    with pytest.raises(GraphStructureError,
+                       match="^unknown edge in direction -7$"):
+        g.head(7)
     with pytest.raises(GraphStructureError):
         g.directions(9)
-    with pytest.raises(GraphStructureError):
+    with pytest.raises(GraphStructureError, match="^unknown direction 0$"):
         g.successor(0)
+    with pytest.raises(GraphStructureError,
+                       match="^directions 1 and -1 sit at different vertices$"):
+        g.arc(1, -1)
 
 
 def test_arc_walks_the_rotation(reference_runs):
@@ -171,6 +181,11 @@ def test_rejects_genus_zero():
     # single loop, sphere-like boundary word (two faces after embedding)
     with pytest.raises(GraphStructureError):
         EmbeddedGraph({1: (0, 0)}, (1, -1))
+    # a single edge between two vertices: one face, but genus 0
+    with pytest.raises(GraphStructureError, match=r"^boundary word does not "
+                       r"give a once-punctured surface of genus >= 1 "
+                       r"\(V=2, E=1\)$"):
+        EmbeddedGraph({1: (0, 1)}, (1, -1))
 
 
 @pytest.mark.parametrize("rho, message", [
@@ -223,6 +238,10 @@ def test_map_rejections_on_roses_and_coverage():
         with pytest.raises(MapCompatibilityError,
                            match="^edge_image must cover exactly the edges$"):
             GraphSelfMap(g, dict.fromkeys(g.vertices, 0), images)
+    f = GraphSelfMap(rose, {0: 0}, {1: (), 2: (2,), 3: (3,), 4: (4,)})
+    with pytest.raises(MapCompatibilityError,
+                       match="^direction -1 has a trivial image, no derivative$"):
+        f.derivative(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +341,9 @@ def test_compose_substitutes_the_outer_images():
                 for e, p in inner.edge_image.items():
                     assert h.edge_image[e] == oracles.free_reduce(
                         oracles.raw_apply(outer, p)), (genus, e)
+    with pytest.raises(MapCompatibilityError,
+                       match="^compose needs maps on the same graph$"):
+        compose(compose_word(1, []), compose_word(2, []))
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +450,11 @@ def test_map_that_breaks_the_boundary_word():
     images = {e: (e,) for e in rose.edges}
     assert GraphSelfMap(rose, {0: 0}, {**images, 1: (1, 2)}
                         ).preserves_boundary()
-    assert not GraphSelfMap(rose, {0: 0}, {**images, 1: (2, 1)}
-                            ).preserves_boundary()
+    broken = GraphSelfMap(rose, {0: 0}, {**images, 1: (2, 1)})
+    assert not broken.preserves_boundary()
+    with pytest.raises(InternalInvariantError, match="^input map does not "
+                       "preserve the boundary word$"):
+        bestvina_handel(broken)
 
 
 # ---------------------------------------------------------------------------

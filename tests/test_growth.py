@@ -27,6 +27,12 @@ def test_simple_values():
     # defective reducible: two growth-1 blocks coupled by an off-diagonal 1
     assert spectral_radius(np.array([[1, 1], [0, 1]])) == pytest.approx(
         1.0, abs=1e-9)
+    with pytest.raises(ValueError,
+                       match="^spectral_radius needs a square matrix$"):
+        spectral_radius(np.ones((2, 3)))
+    with pytest.raises(ValueError,
+                       match="^spectral_radius needs a nonnegative matrix$"):
+        spectral_radius(np.array([[0, -1], [1, 0]]))
 
 
 def test_zero_matrix():
@@ -84,6 +90,7 @@ def test_is_permutation_matrix():
     assert not is_permutation_matrix(np.array([[1, 1], [0, 1]]))
     assert not is_permutation_matrix(np.array([[2, 0], [0, 1]]))
     assert not is_permutation_matrix(np.zeros((2, 2), dtype=int))
+    assert not is_permutation_matrix(np.array([[1, 0, 0], [0, 1, 0]]))
 
 
 def test_is_irreducible():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from traintrack import (
+    EmbeddedGraph,
     GraphStructureError,
     PackingDidNotConverge,
     PackingRadii,
@@ -175,6 +176,14 @@ def test_packing_wide_final_graphs():
 def test_packing_rejects_genus_one():
     with pytest.raises(GraphStructureError):
         circle_pack(cone_triangulation(standard_rose(1)))
+    # genus 2 fits, but the genus-2 rose with edge 1 split at the valence-two
+    # vertex 1 gives that vertex only two corners
+    split = EmbeddedGraph({1: (0, 1), 5: (1, 0), 2: (0, 0), 3: (0, 0),
+                           4: (0, 0)}, (1, 5, 2, -5, -1, -2, 3, 4, -3, -4))
+    with pytest.raises(GraphStructureError, match="^vertex 1 has angle "
+                       "deficit: fewer than three polygon corners descend "
+                       "to it$"):
+        circle_pack(cone_triangulation(split))
 
 
 def test_packing_sweep_cap(monkeypatch):
@@ -200,6 +209,10 @@ def test_symmetric_rose_development():
     lengths = [oracles.disk_distance(p, q)
                for p, q in zip(points, points[1:] + points[:1])]
     assert max(lengths) - min(lengths) <= 1e-7
+    # radii that are no packing leave a gap where the fan should close
+    with pytest.raises(PackingDidNotConverge,
+                       match="^developed fan misses closing up by 1.003e"):
+        develop(tri, PackingRadii(1.0, {0: 1.0}))
 
 
 def test_development_side_pairing(reference_runs):

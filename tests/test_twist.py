@@ -10,6 +10,7 @@ import pytest
 from traintrack import (
     CurveNotRealizable,
     CurveOnGraph,
+    EmbeddedGraph,
     GraphStructureError,
     GrowthOne,
     Reducible,
@@ -21,6 +22,7 @@ from traintrack import (
     identity_map,
     standard_generators,
     standard_rose,
+    twist,
 )
 
 import oracles
@@ -140,11 +142,63 @@ def test_unrealizable_curves(rose2):
         dehn_twist(rose2, CurveOnGraph((1, -1)))      # not cyclically tight
     with pytest.raises(CurveNotRealizable):
         dehn_twist(rose2, CurveOnGraph((9,)))         # unknown edge
+    with pytest.raises(CurveNotRealizable,
+                       match="^a curve needs at least one edge$"):
+        dehn_twist(rose2, CurveOnGraph(()))
+    # edge 1 runs between the two vertices of a theta graph
+    theta = EmbeddedGraph({1: (0, 1), 2: (1, 0), 3: (0, 1)},
+                          (1, 2, 3, -1, -2, -3))
+    with pytest.raises(CurveNotRealizable,
+                       match="^curve word is not a closed walk$"):
+        dehn_twist(theta, CurveOnGraph((1,)))
+    # the commutator uses edges 1 and 2 both ways: it leaves along 2 and
+    # later arrives along -2, so the direction 2 serves two strands
+    with pytest.raises(CurveNotRealizable,
+                       match="^two curve strands share a direction$"):
+        dehn_twist(rose2, CurveOnGraph((1, 2, -1, -2)))
+    with pytest.raises(ValueError,
+                       match=r"^twist sign must be \+1 or -1, got 2$"):
+        dehn_twist(rose2, CurveOnGraph((1,)), sign=2)
     with pytest.raises(CurveNotRealizable, match="curve strands cross"):
         dehn_twist(rose2, CurveOnGraph((1, 4)))
     with pytest.raises(CurveNotRealizable,
                        match="nest inside a twisting sector"):
         dehn_twist(rose2, CurveOnGraph((1, 2)))
+
+
+def test_random_closed_walks_twist_or_are_rejected(reference_runs):
+    # seeded closed walks on the genus 1-3 roses and the final graphs of
+    # ex1, ex3 and ex4.  Every rejection is CurveNotRealizable, and the
+    # twisting sectors of every accepted curve are pairwise disjoint and
+    # hold no chord germ, which _twist_sectors relies on without a check
+    graphs = [standard_rose(genus) for genus in (1, 2, 3)]
+    graphs += [reference_runs[name].final.graph
+               for name in ("ex1", "ex3", "ex4")]
+    rng = random.Random(5)
+    accepted = rejected = 0
+    for _ in range(30000):
+        graph = rng.choice(graphs)
+        start = at = rng.choice(graph.vertices)
+        walk = []
+        for _ in range(rng.randint(1, 6)):
+            walk.append(rng.choice(graph.directions(at)))
+            at = graph.head(walk[-1])
+        if at != start:
+            continue
+        curve = CurveOnGraph(walk)
+        try:
+            dehn_twist(graph, curve, rng.choice((1, -1)))
+        except CurveNotRealizable:
+            rejected += 1
+            continue
+        accepted += 1
+        chords = {d for i, out in enumerate(walk) for d in (-walk[i - 1], out)}
+        arcs = [graph.arc(-walk[i - 1], out) for i, out in enumerate(walk)]
+        assert all(chords.isdisjoint(arc) for arc in arcs), walk
+        sector_of = twist._twist_sectors(graph, curve)
+        assert sector_of == {d: i for i, arc in enumerate(arcs) for d in arc}
+        assert len(sector_of) == sum(map(len, arcs)), walk
+    assert accepted > 3000 and rejected > 10000
 
 
 # ---------------------------------------------------------------------------
