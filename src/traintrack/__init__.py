@@ -38,7 +38,6 @@ from .bh import (
     Reducible,
     TrainTrack,
     bestvina_handel,
-    fold,
     gate_map,
     gates,
     is_train_track,
@@ -95,7 +94,6 @@ __all__ = [
     "dehn_twist",
     "develop",
     "emit_svg",
-    "fold",
     "full_report",
     "gate_map",
     "gates",

@@ -19,8 +19,9 @@ low-valence vertices) and stops at one of three outcomes:
 
 Otherwise it folds along the derivative orbit of the first illegal turn
 until letters cancel.  Each fold pass is one partial fold (BH92, section
-1): the subdivisions that prepare it and the fold itself compose into one
-letter substitution, so the map is rebuilt and checked once per pass.  A
+1): the subdivisions that prepare it rewrite an unbuilt copy of the map in
+the subdivided graph's own letters, and the fold's letter table builds the
+map from that copy, so the map is rebuilt and checked once per pass.  A
 subdivision never cancels a letter, so nothing is lost by not building the
 maps in between.  When a subdivision splits the turn's last occurrence, the
 new valence-two vertex x is kept and folding goes on along x's orbit until
@@ -107,15 +108,14 @@ def _rebuild(move, f, edges, rho, table, vertex_image, images):
     """The map ``f`` pushed through a move onto the graph ``(edges, rho)``.
 
     A move is a homotopy equivalence given by a letter table, which spells a
-    path of f's graph in the new graph's letters (see :func:`_subst`);
-    ``rho`` is f's boundary word, read from where the move needs it, and
-    ``table`` spells it too.  ``vertex_image`` is the vertex map on the new
-    graph and ``images`` gives, in f's letters, the tight image of every
-    edge the new graph keeps or adds.  A move that subdivides first may
-    spell images and ``rho`` in the subdivided graph's letters, which its
-    table reads too.  An image that holds a letter of the table is
-    translated and tightened in one pass (:func:`~.graphs.substitute`); any
-    other is kept as it is.
+    path of the graph the move starts from in the new graph's letters (see
+    :func:`_subst`).  That start graph is f's, or a fold's
+    :class:`_Subdivision` of it, and each call reads one letter space, the
+    start graph's: ``rho`` is its boundary word, read from where the move
+    needs it, and ``images`` the tight image of every edge the new graph
+    keeps or adds.  ``vertex_image`` is the vertex map on the new graph.
+    An image that holds a letter of the table is translated and tightened
+    in one pass (:func:`~.graphs.substitute`); any other is kept as it is.
     """
     graph = EmbeddedGraph(edges, _subst(rho, table))
     keys = table.keys()
@@ -287,23 +287,22 @@ def _merge_through(f, v):
 class _Subdivision:
     """The graph of ``f`` with edges subdivided, and the map on it, unbuilt.
 
-    The splits compose into ``table``, a letter substitution from f's
-    directions to paths of the subdivided graph.  An edge of f that is not
-    split keeps f's image, translated when read; each new edge has its own
-    image in the new letters (``pieces``).  ``splits`` lists every split as
-    ``(edge, at, into)``, the arguments and new edge ids of
-    :func:`subdivide`.  A subdivided tight path is still tight, so a move
-    that ends the preparation builds the map once, through ``table``.  A
-    split's new vertex has just the inner ends ``(-e1, e2)`` of its halves,
-    which is where a fold pass reads x's turn from.
+    ``edges``, ``rho``, ``vertex_image`` and ``edge_image`` spell the
+    subdivided graph and its map in that graph's own letters: a split
+    rewrites ``rho`` and, in place, only the images that cross the split
+    edge.  ``splits`` lists every split as ``(edge, at, into)``, the
+    arguments and new edge ids of :func:`subdivide`.  A subdivided tight
+    path is still tight, so a move that ends the preparation builds the map
+    once.  A split's new vertex has just the inner ends ``(-e1, e2)`` of its
+    halves, which is where a fold pass reads x's turn from.
     """
 
     def __init__(self, f):
         self.f = f
         self.edges = dict(f.graph.edges)
+        self.rho = f.graph.rho
         self.vertex_image = dict(f.vertex_image)
-        self.table = {}
-        self.pieces = {}
+        self.edge_image = dict(f.edge_image)
         self.splits = []
 
     def tail(self, d):
@@ -316,19 +315,13 @@ class _Subdivision:
         return self.tail(-d)
 
     def image(self, d):
-        e = abs(d)
-        p = self.pieces.get(e)
-        if p is None:
-            p = self.f.edge_image[e]
-            if self.table:
-                p = tuple(_subst(p, self.table))
+        p = self.edge_image[abs(d)]
         return p if d > 0 else reverse_path(p)
 
     def takes(self, a, b):
         """Whether some edge image takes the turn ``(a, b)``."""
         pairs = ((-a, b), (-b, a))
-        for e in self.edges:
-            p = self.image(e)
+        for p in self.edge_image.values():
             if any(pair in pairs for pair in zip(p, p[1:])):
                 return True
         return False
@@ -343,22 +336,16 @@ class _Subdivision:
         t, h = self.edges.pop(e)
         self.edges[e1], self.edges[e2] = (t, z), (z, h)
         step = {e: (e1, e2), -e: (-e2, -e1)}
-        if self.pieces.pop(e, None) is None:
-            self.table.update(step)
-        else:
-            self.table = {d: tuple(_subst(q, step))
-                          for d, q in self.table.items()}
-        self.pieces = {c: tuple(_subst(q, step))
-                       for c, q in self.pieces.items()}
-        self.pieces[e1] = tuple(_subst(p[:k], step))
-        self.pieces[e2] = tuple(_subst(p[k:], step))
+        self.rho = tuple(_subst(self.rho, step))
+        images = self.edge_image
+        del images[e]
+        for c, q in images.items():
+            if e in q or -e in q:
+                images[c] = tuple(_subst(q, step))
+        images[e1] = tuple(_subst(p[:k], step))
+        images[e2] = tuple(_subst(p[k:], step))
         self.splits.append((e, k, (e1, e2)))
         return e1, e2, z
-
-    def images(self):
-        """Every edge's image, in f's letters or the new ones."""
-        return {e: self.pieces[e] if e in self.pieces else self.f.edge_image[e]
-                for e in self.edges}
 
 
 def subdivide(f, e, k):
@@ -376,29 +363,21 @@ def subdivide(f, e, k):
             f"subdivision point {k} out of range for image of length {n}")
     prep = _Subdivision(f)
     prep.split(e, k, f.edge_image[e])
-    return _rebuild("subdivide", f, prep.edges, f.graph.rho, prep.table,
-                    prep.vertex_image, prep.images())
-
-
-def fold(f, d1, d2):
-    """Identify two rotation-adjacent directions with identical image paths.
-
-    The two edges merge into a fresh edge and their far endpoints merge into
-    one vertex.  Preconditions (violations raise
-    :class:`InternalInvariantError`, since the main loop is responsible for
-    preparing them): ``d1``/``d2`` live at one vertex on distinct edges, have
-    equal nonempty image paths, are adjacent in the rotation through exactly
-    one of their two corners, and their far endpoints differ.
-    """
-    return _fold(_Subdivision(f), d1, d2)[0]
+    return _rebuild("subdivide", f, prep.edges, prep.rho, {},
+                    prep.vertex_image, prep.edge_image)
 
 
 def _fold(prep, d1, d2):
-    """:func:`fold` on the subdivided graph of ``prep`` (a partial fold).
+    """Fold two directions of the subdivided graph of ``prep`` (a partial
+    fold); returns the map and the number of letters tightening cancelled.
 
-    Returns the map and the number of letters that tightening cancelled.
+    The two edges merge into a fresh edge and their far endpoints into one
+    vertex.  The fold pass prepares ``d1`` and ``d2``, so each broken
+    precondition raises :class:`InternalInvariantError`: they live at one
+    vertex on distinct edges, have equal nonempty images, are adjacent in
+    the rotation through exactly one of their two corners, and their far
+    endpoints differ.
     """
-    f = prep.f
     if abs(d1) == abs(d2):
         raise InternalInvariantError("fold needs two distinct edges")
     v = prep.tail(d1)
@@ -407,7 +386,7 @@ def _fold(prep, d1, d2):
     p1, p2 = prep.image(d1), prep.image(d2)
     if not p1 or p1 != p2:
         raise InternalInvariantError("fold needs equal nonempty images")
-    rho = tuple(_subst(f.graph.rho, prep.table))
+    rho = prep.rho
     # d' succeeds d in the rotation when rho steps along -d, then d'
     succ = {-a: b for a, b in zip(rho, rho[1:] + rho[:1])}
     adj12 = succ[d1] == d2
@@ -422,9 +401,6 @@ def _fold(prep, d1, d2):
     w = min(w1, w2)
     rep = {w1: w, w2: w}
     fused = max(prep.edges) + 1
-    step = {d1: (fused,), d2: (fused,), -d1: (-fused,), -d2: (-fused,)}
-    table = {d: tuple(_subst(q, step)) for d, q in prep.table.items()}
-    table.update(step)
     # the corner being sewn shut shows up in rho as (-first, second); rotate
     # rho so the pair sits at the front and drop it, every other occurrence
     # of the two edges becomes the fused edge
@@ -434,16 +410,12 @@ def _fold(prep, d1, d2):
              for e, (t, h) in prep.edges.items()
              if e not in (abs(d1), abs(d2))}
     edges[fused] = (rep.get(v, v), w)
-    images = prep.images()
-    images[fused] = p1
-    new = _rebuild("fold", f, edges, rotated[2:], table,
-                   _merge_vertices("fold", prep.vertex_image, rep), images)
-    # the fold replaces letters one for one and two images by one, so any
-    # shortfall below the substituted length is cancellation
-    longer = [(d, len(q) - 1) for d, q in table.items() if len(q) > 1]
-    grown = sum(len(p) + sum(n * p.count(d) for d, n in longer)
-                for p in map(images.get, edges))
-    return new, grown - sum(map(len, new.edge_image.values()))
+    images = {**prep.edge_image, fused: p1}
+    new = _rebuild("fold", prep.f, edges, rotated[2:], {
+        d1: (fused,), d2: (fused,), -d1: (-fused,), -d2: (-fused,)},
+        _merge_vertices("fold", prep.vertex_image, rep), images)
+    # the fold replaces letters one for one, so any shortfall is cancellation
+    return new, sum(len(images[e]) - len(new.edge_image[e]) for e in edges)
 
 
 def gates(f):
@@ -619,7 +591,7 @@ def _fold_pass(f, o1, o2, x, hook):
     at the last half letter that x keeps.  These splits are bookkeeping on a
     :class:`_Subdivision`, not moves, and the fold builds the map once.  Two
     edges with equal images never share their far endpoint too, since the
-    loop they bound would map to a point; :func:`fold` checks this.
+    loop they bound would map to a point; :func:`_fold` checks this.
     """
     t1, t2 = o1, o2
     guard = 2 * len(f.graph.edges) + 2

@@ -13,9 +13,9 @@ import numpy as np
 
 
 def is_permutation_matrix(m) -> bool:
-    """True iff ``m`` is square 0/1 with a single 1 per row and column."""
+    """True iff ``m`` is 0/1 with a single 1 per row and column (so square)."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+    if m.ndim != 2 or m.size == 0:
         return False
     return bool(((m == 0) | (m == 1)).all()
                 and (m.sum(axis=0) == 1).all()

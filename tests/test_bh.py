@@ -399,7 +399,8 @@ def test_spectral_radius_matches_the_blockwise_solve(reference_runs):
 
 def test_fold_events_replay_as_public_moves(reference_runs):
     # each fold event, replayed as the public subdivisions it records and a
-    # plain fold, rebuilds the event's map from the one before it
+    # fold of the map they give, rebuilds the event's map from the one
+    # before it
     runs = dict(reference_runs)
     runs["cap1"] = run_word(2, CHAIN_OF_FIVE_WORD, collect_snapshots=True)
     folds = 0
@@ -411,7 +412,7 @@ def test_fold_events_replay_as_public_moves(reference_runs):
                 for edge, at, into in info["splits"]:
                     g = subdivide(g, edge, at)
                     assert sorted(g.graph.edges)[-2:] == list(into), name
-                g = bh.fold(g, *info["directions"])
+                g = bh._fold(bh._Subdivision(g), *info["directions"])[0]
                 assert oracles.maps_equal(g, f), (name, folds)
                 folds += 1
             before = f
@@ -520,6 +521,39 @@ def test_subdivide_rejects_bad_arguments():
         with pytest.raises(ValueError, match=f"^subdivision point {k} out "
                            "of range for image of length 1$"):
             subdivide(f, 1, k)
+
+
+def test_subdivision_matches_chained_subdivide(reference_runs):
+    # a _Subdivision spells the subdivided map in its own letters; after
+    # several seeded splits, built once, it is the map that the same splits
+    # give as chained public subdivisions.  Each split keeps ``length``
+    # letters for a direction d of either sign, as a fold pass does, and
+    # the splits reach fresh halves and edges that other images cross only
+    # reversed
+    rng = random.Random(20)
+    fresh = reversed_only = 0
+    for name in REFERENCE_WORDS:
+        for _move, f, _info in reference_runs[name].snapshots:
+            prep, g = bh._Subdivision(f), f
+            for _ in range(4):
+                dirs = [d for e in sorted(prep.edges) for d in (e, -e)
+                        if len(prep.edge_image[e]) > 1]
+                if not dirs:
+                    break
+                d = rng.choice(dirs)
+                e = abs(d)
+                p = prep.image(e)
+                length = rng.randrange(1, len(p))
+                k = length if d > 0 else len(p) - length
+                fresh += e not in f.graph.edges
+                reversed_only += any(-e in q and e not in q
+                                     for q in prep.edge_image.values())
+                prep.split(e, k, p)
+                g = subdivide(g, e, k)
+            built = bh._rebuild("subdivide", f, prep.edges, prep.rho, {},
+                                prep.vertex_image, prep.edge_image)
+            assert oracles.maps_equal(built, g), name
+    assert fresh > 0 and reversed_only > 0
 
 
 def _split_points(f):
@@ -697,7 +731,7 @@ def test_fold_rejects_parallel_pair():
     g = EmbeddedGraph({1: (0, 1), 2: (0, 1), 3: (0, 1)}, (1, -2, 3, -1, 2, -3))
     f = GraphSelfMap(g, {0: 0, 1: 1}, {1: (1,), 2: (1,), 3: (3,)})
     with pytest.raises(InternalInvariantError, match="parallel fold"):
-        bh.fold(f, 1, 2)
+        bh._fold(bh._Subdivision(f), 1, 2)
 
 
 def test_fold_names_the_broken_precondition():
@@ -710,12 +744,12 @@ def test_fold_names_the_broken_precondition():
             (1, 3, "fold needs directions adjacent through exactly one "
                    "corner")]:
         with pytest.raises(InternalInvariantError, match=f"^{message}$"):
-            bh.fold(f, d1, d2)
+            bh._fold(bh._Subdivision(f), d1, d2)
     with pytest.raises(GraphStructureError,
                        match="^unknown edge in direction 9$"):
-        bh.fold(f, 9, 1)
+        bh._fold(bh._Subdivision(f), 9, 1)
     g = EmbeddedGraph({1: (0, 1), 2: (0, 1), 3: (0, 1)}, (1, -2, 3, -1, 2, -3))
     f = GraphSelfMap(g, {0: 0, 1: 1}, {1: (1,), 2: (2,), 3: (3,)})
     with pytest.raises(InternalInvariantError,
                        match="^fold needs directions at one vertex$"):
-        bh.fold(f, 1, -2)
+        bh._fold(bh._Subdivision(f), 1, -2)
