@@ -2,10 +2,11 @@
 
 The composite of Dehn twists is rarely efficient as given: iterating it
 makes edge images backtrack, so the transition matrix overstates the true
-stretching.  The algorithm below repeatedly simplifies the map — pulling
-images tight, collapsing invariant trees, removing low-valence vertices,
-subdividing and folding at illegal turns — strictly decreasing the growth
-rate until one of three stable outcomes appears:
+stretching.  The algorithm below repeatedly simplifies the map —
+collapsing invariant trees, removing low-valence vertices, subdividing and
+folding at illegal turns, each move pulling tight the images it builds —
+strictly decreasing the growth rate until one of three stable outcomes
+appears:
 
   * TrainTrack  — the map is efficient; its growth is the dilatation of a
                   pseudo-Anosov mapping class;

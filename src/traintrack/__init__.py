@@ -41,7 +41,6 @@ from .bh import (
     gate_map,
     gates,
     is_train_track,
-    pull_tight,
     remove_valence_one,
     remove_valence_two,
     subdivide,
@@ -105,10 +104,10 @@ __all__ = [
     "is_train_track",
     "orbit_permutation",
     "polygons",
-    "pull_tight",
     "puncture_index",
     "remove_valence_one",
     "remove_valence_two",
+    "reverse_path",
     "spectral_radius",
     "standard_generators",
     "standard_rose",

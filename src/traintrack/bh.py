@@ -8,9 +8,10 @@ new graph.  The valence-two move is BH92's valence-two homotopy: it
 collapses one of the two edges at the vertex, and the other collapse
 follows from the first by a slide along the fresh edge.  After every move
 the boundary word must still be preserved and the genus unchanged; these
-checks are cheap and always on.  The main loop tightens the input once, then
-runs rounds.  A round simplifies (collapsing invariant forests, removing
-low-valence vertices) and stops at one of three outcomes:
+checks are cheap and always on.  Images are tight by construction, so
+BH92's pull-tight move never applies.  The main loop runs rounds.  A round
+simplifies (collapsing invariant forests, removing low-valence vertices)
+and stops at one of three outcomes:
 
 * :class:`TrainTrack` — every turn taken by an edge image is legal and the
   transition matrix is irreducible with growth > 1,
@@ -54,6 +55,7 @@ from .errors import (
     GraphStructureError,
     InternalInvariantError,
     IterationLimitExceeded,
+    MapCompatibilityError,
 )
 from .graphs import (EmbeddedGraph, GraphSelfMap, reverse_path, substitute,
                      tighten)
@@ -142,19 +144,6 @@ def _merge_vertices(move, vertex_image, rep, dropped=None):
             raise InternalInvariantError(
                 f"{move} merged vertices with different images")
     return merged
-
-
-def pull_tight(f):
-    """Tighten every edge image; returns ``f`` itself when already tight.
-
-    Whether it is tight is :attr:`~.graphs.GraphSelfMap.tight`, which f's
-    construction recorded, so a tight map's images are not read again.
-    """
-    if f.tight:
-        return f
-    images = {e: tighten(p) for e, p in f.edge_image.items()}
-    return _rebuild("pull_tight", f, f.graph.edges, f.graph.rho, {},
-                    f.vertex_image, images)
 
 
 def _contract(graph, edges):
@@ -489,8 +478,7 @@ def _simplify(f, hook):
     Returns the map, its transition matrix and the edge sets of the proper
     sink components (the minimal invariant subgraphs) by smallest edge id:
     empty exactly when the matrix is irreducible, and never a forest, since
-    forests are collapsed.  Images stay tight: every move tightens what it
-    builds.
+    forests are collapsed.
     """
     while True:
         _no_pretrivial_loops(f)
@@ -663,22 +651,19 @@ def _fold_pass(f, o1, o2, x, hook):
 def bestvina_handel(f, hook=None):
     """Run the train track algorithm on a boundary-preserving self-map.
 
-    A round that cancels no letter raises :class:`InternalInvariantError`.
-    By the descent argument in the module docstring no input should reach
-    :data:`MAX_ROUNDS` rounds; :class:`IterationLimitExceeded` after that
-    many stays as a safety net.
+    A map that does not preserve the boundary word raises
+    :class:`MapCompatibilityError`, and a round that cancels no letter
+    :class:`InternalInvariantError`.  By the descent argument in the module
+    docstring no input should reach :data:`MAX_ROUNDS` rounds;
+    :class:`IterationLimitExceeded` after that many stays as a safety net.
 
     ``hook(name, map, **details)`` is called after every individual move with
     the map *after* the move; pass one to trace or audit a run.
     """
     hook = hook or _noop_hook
     if not f.preserves_boundary():
-        raise InternalInvariantError(
+        raise MapCompatibilityError(
             "input map does not preserve the boundary word")
-    new = pull_tight(f)
-    if new is not f:
-        f = new
-        hook("pull_tight", f)
     for _ in range(MAX_ROUNDS):
         f, m, sinks = _simplify(f, hook)
         # permutation first: the identity matrix is also reducible, but a

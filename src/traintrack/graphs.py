@@ -240,18 +240,18 @@ class GraphSelfMap:
     edges to edge paths.
 
     ``edge_image[e]`` is the image path of the forward orientation; the
-    reverse orientation maps to the reversed path.  Images need not be tight.
-    Construction checks that images are genuine paths with the right
-    endpoints, and the same walk records whether any image backtracks:
-    :attr:`tight` is true when none does.  It deliberately does *not*
-    require the boundary word to be preserved — see
-    :meth:`preserves_boundary` — because maps that reverse the surface
+    reverse orientation maps to the reversed path.  Construction checks
+    that images are tight paths with the right endpoints: no image may
+    backtrack (take a step ``d`` and then ``-d``), so :func:`compose` and
+    :meth:`preserves_boundary` cancel letters only where two images meet.
+    It deliberately does *not* require the boundary word to be preserved —
+    see :meth:`preserves_boundary` — because maps that reverse the surface
     orientation are still useful self-maps of the graph.  Instances
     are immutable: moves build new maps, and nothing writes into a map's
     images after construction, so the transition matrix is computed once.
     """
 
-    __slots__ = ("graph", "vertex_image", "edge_image", "_matrix", "_tight")
+    __slots__ = ("graph", "vertex_image", "edge_image", "_matrix")
 
     def __init__(self, graph, vertex_image, edge_image):
         self.graph = graph
@@ -270,7 +270,6 @@ class GraphSelfMap:
             raise MapCompatibilityError(
                 "edge_image must cover exactly the edges")
         tail = graph._tail
-        tight = True
         for e, p in self.edge_image.items():
             want_from = self.vertex_image[tail[e]]
             want_to = self.vertex_image[tail[-e]]
@@ -283,14 +282,15 @@ class GraphSelfMap:
             # walk the image, carrying the vertex each step must leave from
             # and the step that would backtrack.  An unknown letter stops the
             # walk as a break does; the message names the image's first
-            # unknown letter if it has one
+            # unknown letter if it has one.  A backtrack is reported only
+            # for a path with the right endpoints
             try:
-                at, back = tail[p[0]], 0
+                at, back, backtracks = tail[p[0]], 0, False
                 for d in p:
                     if tail[d] != at:
                         raise KeyError(d)
                     if d == back:
-                        tight = False
+                        backtracks = True
                     back = -d
                     at = tail[back]
             except KeyError:
@@ -301,13 +301,8 @@ class GraphSelfMap:
             if tail[p[0]] != want_from or at != want_to:
                 raise MapCompatibilityError(
                     f"image of edge {e} has the wrong endpoints")
-        self._tight = tight
-
-    @property
-    def tight(self):
-        """Whether every edge image is tight (no step ``d`` followed by
-        ``-d``), as the construction's walk found it."""
-        return self._tight
+            if backtracks:
+                raise MapCompatibilityError(f"image of edge {e} backtracks")
 
     def image(self, d):
         """Image path of an oriented edge."""
@@ -331,9 +326,9 @@ class GraphSelfMap:
         algorithm keeps it; it doubles as a cheap integrity check between
         moves.
 
-        The scan cancels only where two images meet.  When the map is
-        :attr:`tight` that leaves the image of ``rho`` tight, so only its
-        cyclic seam is trimmed; otherwise ``cyclic_tighten`` finishes it.
+        The scan cancels only where two images meet, since each image is
+        tight; that leaves the image of ``rho`` tight, so only its cyclic
+        seam is trimmed.
         """
         # a reversed step reads its stored image q from the end: it pushes
         # -q[-1], -q[-2], ..., and -q[-1 - k] cancels out[-1 - k]
@@ -354,8 +349,7 @@ class GraphSelfMap:
                 if k < len(q):
                     out.extend(map(neg, q[len(q) - k - 1::-1]))
         want = cyclic_tighten(self.graph.rho)
-        got = _trim_seam(out) if self._tight else cyclic_tighten(out)
-        return is_cyclic_rotation(got, want)
+        return is_cyclic_rotation(_trim_seam(out), want)
 
     def transition_matrix(self):
         """Unsigned crossing counts, rows/columns in sorted edge-id order.
@@ -395,10 +389,9 @@ def compose(g, f):
     """The composite ``g ∘ f`` (f first); both maps must share one graph.
 
     Each image of f is spelled by g's images of its letters, its *pieces*,
-    and tightened.  When g is :attr:`~GraphSelfMap.tight` each piece is a
-    tight path, so letters cancel only where two pieces meet; otherwise the
-    pieces are tightened first.  Free reduction is confluent, so either way
-    the image is the tight form of the plain substitution.
+    and tightened.  Each piece is a tight path, so letters cancel only where
+    two pieces meet, and the image is the tight form of the plain
+    substitution.
     """
     if g.graph != f.graph:
         raise MapCompatibilityError("compose needs maps on the same graph")
@@ -406,10 +399,7 @@ def compose(g, f):
     # only the directions f's images use: a twist's images use few, and
     # each reversed image of g is a copy
     used = set(chain.from_iterable(f.edge_image.values()))
-    if g.tight:
-        pieces = {d: g.image(d) for d in used}
-    else:
-        pieces = {d: tighten(g.image(d)) for d in used}
+    pieces = {d: g.image(d) for d in used}
     edge_image = {}
     for e, p in f.edge_image.items():
         if len(p) == 1:

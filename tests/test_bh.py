@@ -23,7 +23,6 @@ from traintrack import (
     is_irreducible,
     is_permutation_matrix,
     is_train_track,
-    pull_tight,
     remove_valence_two,
     spectral_radius,
     standard_generators,
@@ -36,8 +35,7 @@ from traintrack import bh, growth
 import oracles
 from conftest import REFERENCE_WORDS, gate_map_keeps_gates_apart, run_word
 
-MOVE_NAMES = {"pull_tight", "collapse", "valence_one", "valence_two",
-              "subdivide", "fold"}
+MOVE_NAMES = {"collapse", "valence_one", "valence_two", "subdivide", "fold"}
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +343,7 @@ def test_hook_snapshots_keep_surface_invariants(reference_runs):
 
 
 def test_hook_snapshots_have_tight_images(reference_runs):
-    # every move returns tight images, so tightening once on entry suffices
+    # every move returns tight images, as a map's construction demands
     for name in REFERENCE_WORDS:
         for move, f, _info in reference_runs[name].snapshots:
             for e, p in f.edge_image.items():
@@ -676,20 +674,6 @@ def test_gate_map_keeps_the_gates_at_a_vertex_apart(reference_runs):
                 assert gate_map_keeps_gates_apart(f), (name, move)
                 checked += 1
     assert checked > 150
-
-
-def test_pull_tight_reduces_images():
-    rose = standard_rose(1)
-    f = GraphSelfMap(rose, {0: 0}, {1: (1, 2, -2), 2: (2,)})
-    g = pull_tight(f)
-    assert g.image(1) == (1,)
-    assert g.image(2) == (2,)
-    # the algorithm tightens its input once, on entry
-    moves = []
-    outcome = bestvina_handel(
-        f, hook=lambda name, g, **info: moves.append(name))
-    assert moves == ["pull_tight"]
-    assert isinstance(outcome, GrowthOne)
 
 
 # a genus-1 spine: the rose's two loops at vertex 0 and an edge 3 out to

@@ -12,14 +12,12 @@ from traintrack import (
     EmbeddedGraph,
     GraphSelfMap,
     GraphStructureError,
-    InternalInvariantError,
     MapCompatibilityError,
     bestvina_handel,
     compose,
     compose_word,
     cyclic_tighten,
     is_cyclic_rotation,
-    pull_tight,
     reverse_path,
     standard_generators,
     standard_rose,
@@ -213,13 +211,16 @@ THETA_IMAGES = {1: (1,), 2: (2,), 3: (3,)}
     ({}, {1: (1, 3)}, "image of edge 1 is not a path"),
     # the break comes first, but an unknown letter is reported before it
     ({}, {1: (1, 3, 9)}, "image of edge 1 uses unknown edge 9"),
-    # the first step also leaves the wrong vertex; the break is reported
+    # the first step also leaves the wrong vertex, and the image backtracks;
+    # the break is reported
     ({}, {3: (-1, 1, 1)}, "image of edge 3 is not a path"),
     ({}, {1: (1, 2)}, "image of edge 1 has the wrong endpoints"),
     ({}, {1: (-3,)}, "image of edge 1 has the wrong endpoints"),
     # an unknown first letter, where the walk starts, is reported as such
     ({}, {1: (9, 1)}, "image of edge 1 uses unknown edge 9"),
     ({}, {1: (-9,)}, "image of edge 1 uses unknown edge 9"),
+    # a path with the right endpoints, but not a tight one
+    ({}, {1: (1, 2, -2)}, "image of edge 1 backtracks"),
 ])
 def test_map_rejections_name_the_failure(vertex_image, images, message):
     with pytest.raises(MapCompatibilityError, match=f"^{message}$"):
@@ -233,6 +234,9 @@ def test_map_rejections_on_roses_and_coverage():
     with pytest.raises(MapCompatibilityError,
                        match="^image of edge 1 uses unknown edge 7$"):
         GraphSelfMap(rose, {0: 0}, {**images, 1: (1, -7, 2)})
+    with pytest.raises(MapCompatibilityError,
+                       match="^image of edge 1 backtracks$"):
+        GraphSelfMap(standard_rose(1), {0: 0}, {1: (1, 2, -2), 2: (2,)})
     for g, images in [(rose, {e: images[e] for e in (1, 2, 3)}),
                       (theta_graph(), {**THETA_IMAGES, 4: (1,)})]:
         with pytest.raises(MapCompatibilityError,
@@ -323,9 +327,7 @@ def test_substitute_is_the_reduced_substitution(path, table):
 
 
 def test_compose_substitutes_the_outer_images():
-    # g after f, image by image, on seeded twist maps; padding f's images
-    # with backtracks gives untight inner paths too, and padding g's gives
-    # untight pieces, which compose tightens before it splices them
+    # each of two seeded twist maps after each, image by image
     rng = random.Random(3)
     for genus in (1, 2, 3):
         names = sorted(standard_generators(genus))
@@ -333,8 +335,7 @@ def test_compose_substitutes_the_outer_images():
             f, g = (compose_word(genus, [
                 (rng.choice(names), rng.choice((1, -1)))
                 for _ in range(rng.randint(1, 5))]) for _ in range(2))
-            for outer, inner in product((g, _padded(g, rng)),
-                                        (f, _padded(f, rng))):
+            for outer, inner in product((g, f), repeat=2):
                 h = compose(outer, inner)
                 assert h.vertex_image == {v: outer.vertex_image[w] for v, w
                                           in inner.vertex_image.items()}
@@ -350,21 +351,6 @@ def test_compose_substitutes_the_outer_images():
 # preserves_boundary
 # ---------------------------------------------------------------------------
 
-def _padded(f, rng):
-    """``f`` with backtracks ``(d, -d)`` put into its images at random."""
-    g = f.graph
-    images = {}
-    for e, p in f.edge_image.items():
-        p = list(p)
-        for _ in range(rng.randint(0, 2)):
-            i = rng.randint(0, len(p))
-            at = g.tail(p[i]) if i < len(p) else f.vertex_image[g.head(e)]
-            d = rng.choice(g.directions(at))
-            p[i:i] = [d, -d]
-        images[e] = tuple(p)
-    return GraphSelfMap(g, f.vertex_image, images)
-
-
 def _conjugation():
     """Conjugation by edge 1 on the genus-2 rose: a tight map whose image
     of the boundary word cancels only across its cyclic seam."""
@@ -375,71 +361,86 @@ def _conjugation():
 
 def test_preserves_boundary_matches_its_definition(reference_runs):
     # the moves' snapshots, twist maps and a conjugation keep the boundary
-    # word, random rose maps mostly do not.  Each map runs as it is and
-    # padded, so a tight map's seam trim and an untight map's full
-    # cyclic tightening both meet the definition
+    # word, tight random rose maps mostly do not
     rng = random.Random(3)
     maps = [f for run in reference_runs.values()
             for _move, f, _info in run.snapshots]
     conjugation = _conjugation()
-    assert conjugation.tight and conjugation.preserves_boundary()
+    assert conjugation.preserves_boundary()
     maps.append(conjugation)
-    for _ in range(60):
+    for _ in range(90):
         genus = rng.randint(1, 3)
         rose = standard_rose(genus)
         letters = [d for e in rose.edges for d in (e, -e)]
         maps.append(GraphSelfMap(rose, {0: 0}, {
-            e: tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+            e: tighten(rng.choice(letters) for _ in range(rng.randint(0, 6)))
             for e in rose.edges}))
         names = sorted(standard_generators(genus))
         maps.append(compose_word(genus, [
             (rng.choice(names), rng.choice((1, -1)))
             for _ in range(rng.randint(1, 6))]))
     verdicts = []
-    for base in maps:
-        for f in (base, _padded(base, rng)):
-            rho = f.graph.rho
-            want = is_cyclic_rotation(
-                cyclic_tighten(tighten(oracles.raw_apply(f, rho))),
-                cyclic_tighten(rho))
-            assert f.preserves_boundary() == want
-            verdicts.append(want)
+    for f in maps:
+        rho = f.graph.rho
+        want = is_cyclic_rotation(
+            cyclic_tighten(tighten(oracles.raw_apply(f, rho))),
+            cyclic_tighten(rho))
+        assert f.preserves_boundary() == want
+        verdicts.append(want)
     assert verdicts.count(True) > 200 and verdicts.count(False) > 60
 
 
+def _padded(graph, vertex_image, images, rng):
+    """``images`` with backtracks ``(d, -d)`` put in at random."""
+    out = {}
+    for e, p in images.items():
+        p = list(p)
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randint(0, len(p))
+            at = (graph.tail(p[i]) if i < len(p)
+                  else vertex_image[graph.head(e)])
+            d = rng.choice(graph.directions(at))
+            p[i:i] = [d, -d]
+        out[e] = tuple(p)
+    return out
+
+
 def test_tight_means_no_image_backtracks(reference_runs):
-    # the flag the construction's walk records, against a scan of every
-    # image: the moves' snapshots, seeded twist words, rose maps with empty
-    # and random images, and padded copies of all of them.  pull_tight
-    # returns a map itself exactly when the map is tight
+    # construction rejects exactly the maps with an image that backtracks,
+    # as a scan of every image finds them: the moves' snapshots, seeded
+    # twist words, rose maps with empty and random images, and padded
+    # copies of all of them
     rng = random.Random(5)
-    maps = [f for run in reference_runs.values()
+    pool = [(f.graph, f.vertex_image, f.edge_image)
+            for run in reference_runs.values()
             for _move, f, _info in run.snapshots]
     for _ in range(30):
         genus = rng.randint(1, 3)
         names = sorted(standard_generators(genus))
-        maps.append(compose_word(genus, [
+        f = compose_word(genus, [
             (rng.choice(names), rng.choice((1, -1)))
-            for _ in range(rng.randint(1, 6))]))
+            for _ in range(rng.randint(1, 6))])
+        pool.append((f.graph, f.vertex_image, f.edge_image))
         rose = standard_rose(genus)
         letters = [d for e in rose.edges for d in (e, -e)]
-        maps.append(GraphSelfMap(rose, {0: 0}, {
+        pool.append((rose, {0: 0}, {
             e: tuple(rng.choice(letters) for _ in range(rng.randint(0, 4)))
             for e in rose.edges}))
     rose = standard_rose(2)
-    maps.append(GraphSelfMap(rose, {0: 0}, {e: () for e in rose.edges}))
-    maps.append(GraphSelfMap(rose, {0: 0}, {1: (), 2: (1, -1), 3: (3,),
-                                            4: (-4, 4, 4)}))
-    maps += [_padded(f, rng) for f in maps]
-    pulled = []
-    for f in maps:
-        assert f.tight == (not any(map(oracles.has_cancellation,
-                                       f.edge_image.values())))
-        if f.preserves_boundary():
-            assert (pull_tight(f) is f) == f.tight
-            pulled.append(f.tight)
-    assert pulled.count(True) > 100 and pulled.count(False) > 100
-    assert [f.tight for f in maps].count(False) > 100
+    pool.append((rose, {0: 0}, {e: () for e in rose.edges}))
+    pool.append((rose, {0: 0}, {1: (), 2: (1, -1), 3: (3,), 4: (-4, 4, 4)}))
+    pool += [(g, v, _padded(g, v, images, rng)) for g, v, images in pool]
+    rejected = 0
+    for g, vertex_image, images in pool:
+        bad = [e for e, p in images.items() if oracles.has_cancellation(p)]
+        if bad:
+            with pytest.raises(MapCompatibilityError,
+                               match=f"^image of edge {bad[0]} backtracks$"):
+                GraphSelfMap(g, vertex_image, images)
+            rejected += 1
+        else:
+            GraphSelfMap(g, vertex_image, images)
+    assert rejected > 100
 
 
 def test_map_that_breaks_the_boundary_word():
@@ -452,7 +453,7 @@ def test_map_that_breaks_the_boundary_word():
                         ).preserves_boundary()
     broken = GraphSelfMap(rose, {0: 0}, {**images, 1: (2, 1)})
     assert not broken.preserves_boundary()
-    with pytest.raises(InternalInvariantError, match="^input map does not "
+    with pytest.raises(MapCompatibilityError, match="^input map does not "
                        "preserve the boundary word$"):
         bestvina_handel(broken)
 
@@ -462,16 +463,17 @@ def test_map_that_breaks_the_boundary_word():
 # ---------------------------------------------------------------------------
 
 def test_transition_matrix_counts_crossings():
-    # seeded maps of roses with spaced-out edge ids, one empty image each:
-    # the matrix against a plain count of crossings
+    # seeded maps of roses with spaced-out edge ids, tight random images
+    # and one empty image each: the matrix against a plain count of
+    # crossings
     rng = random.Random(5)
     for _ in range(30):
         ids = sorted(rng.sample(range(1, 90, 3), 2 * rng.randint(1, 4)))
         rho = tuple(d for x, y in zip(ids[::2], ids[1::2])
                     for d in (x, y, -x, -y))
         letters = ids + [-e for e in ids]
-        images = {e: tuple(rng.choice(letters)
-                           for _ in range(rng.randint(0, 40))) for e in ids}
+        images = {e: tighten(rng.choice(letters)
+                             for _ in range(rng.randint(0, 40))) for e in ids}
         images[rng.choice(ids)] = ()
         f = GraphSelfMap(EmbeddedGraph({e: (0, 0) for e in ids}, rho),
                          {0: 0}, images)
