@@ -18,7 +18,7 @@ rose = standard_rose(2)
 curves = standard_generators(2)
 print("genus-2 generating curves (edge paths on the rose):")
 for name in sorted(curves):
-    print(f"  {name}: path {curves[name].path}")
+    print(f"  {name}: {curves[name]}")
 
 # A single twist.  Edges disjoint from the curve are fixed; edges crossing
 # it are rerouted around the curve once.

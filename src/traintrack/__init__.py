@@ -27,7 +27,6 @@ from .graphs import (
 )
 from .growth import is_irreducible, is_permutation_matrix, spectral_radius
 from .twist import (
-    CurveOnGraph,
     compose_word,
     dehn_twist,
     standard_generators,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConeTriangulation",
     "CurveNotRealizable",
-    "CurveOnGraph",
     "DiskLayout",
     "EmbeddedGraph",
     "GraphSelfMap",

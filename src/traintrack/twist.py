@@ -1,7 +1,8 @@
 """Dehn twists as graph self-maps on a standard one-vertex spine.
 
-A twist about a simple closed curve ``c`` drags everything that crosses the
-annulus around ``c`` once around the curve.  Combinatorially, on a spine that
+A curve is a plain tuple of directions, read as a cyclic word.  A twist
+about a simple closed curve ``c`` drags everything that crosses the annulus
+around ``c`` once around the curve.  Combinatorially, on a spine that
 carries ``c`` as an embedded cycle: every direction landing in the *twisting
 sector* at a curve visit gets the curve word appended to its image.  Which of
 the two sectors at a visit is the twisting one, and with which orientation the
@@ -17,40 +18,6 @@ from itertools import combinations
 
 from .errors import CurveNotRealizable, GraphStructureError, InternalInvariantError
 from .graphs import EmbeddedGraph, GraphSelfMap, compose, identity_map, reverse_path, tighten
-
-
-class CurveOnGraph:
-    """A closed curve carried by a spine, as a cyclic word of oriented edges.
-
-    The word must be a closed walk, cyclically tight, and may use each
-    oriented edge at most once; those checks run against a concrete graph in
-    :meth:`validate`, since the curve object itself stores only the word.
-    """
-
-    __slots__ = ("path", "name")
-
-    def __init__(self, path, name=None):
-        self.path = tuple(path)
-        self.name = name
-
-    def validate(self, graph):
-        p = self.path
-        if not p:
-            raise CurveNotRealizable("a curve needs at least one edge")
-        n = len(p)
-        for i, d in enumerate(p):
-            if abs(d) not in graph.edges:
-                raise CurveNotRealizable(f"curve uses unknown edge {abs(d)}")
-            if graph.head(d) != graph.tail(p[(i + 1) % n]):
-                raise CurveNotRealizable("curve word is not a closed walk")
-            if p[(i + 1) % n] == -d:
-                raise CurveNotRealizable("curve word is not cyclically tight")
-        if len(set(p)) != n:
-            raise CurveNotRealizable("curve repeats an oriented edge")
-
-    def __repr__(self):
-        label = f" {self.name!r}" if self.name else ""
-        return f"CurveOnGraph({list(self.path)}{label})"
 
 
 def standard_rose(genus):
@@ -73,22 +40,32 @@ def standard_rose(genus):
 def _twist_sectors(graph, curve):
     """The germ -> visit-index assignment for the twisting sectors.
 
-    The curve makes one visit per pass through a vertex, ``(vertex, rev_in,
-    out)``: the direction pointing back along the arrival edge and the
-    direction of departure.  Both are *chord germs*, slots in the vertex
-    rotation taken by the curve itself; they differ, because
-    :meth:`CurveOnGraph.validate` has rejected a word that backtracks.
+    ``curve`` is a tuple of directions read as a cyclic word, and this is
+    the one place that checks it.  The curve makes one visit per pass
+    through a vertex, ``(vertex, rev_in, out)``: the direction pointing back
+    along the arrival edge and the direction of departure.  Both are *chord
+    germs*, slots in the vertex rotation taken by the curve itself.
 
-    Raises :class:`CurveNotRealizable` when the visits cannot be disjoint
-    arcs: a germ serving two visits, two chords interleaving at a vertex, or a
-    chord germ landing inside another visit's sector all mean the curve word
-    is not embeddable as a simple closed curve on this spine.  Once these
-    checks pass the sectors are disjoint: a sector holds no chord germ, so
-    it is the whole gap in the rotation after its visit's ``rev_in``, and
-    the visits' ``rev_in`` germs are distinct.
+    Raises :class:`CurveNotRealizable`, checking in this order, for an empty
+    word, a letter naming no edge, a word that is not a closed walk, and
+    visits that cannot be disjoint arcs: a germ serving two visits, two
+    chords interleaving at a vertex, or a chord germ inside another visit's
+    sector.  A word that backtracks (``d`` then ``-d``) or repeats a
+    direction puts one germ into two visits, so that check rejects both.
+    Once these checks pass the sectors are disjoint: a sector holds no chord
+    germ, so it is the whole gap in the rotation after its visit's
+    ``rev_in``, and the visits' ``rev_in`` germs are distinct.
     """
-    p = curve.path
-    visits = [(graph.tail(out), -p[i - 1], out) for i, out in enumerate(p)]
+    if not curve:
+        raise CurveNotRealizable("a curve needs at least one edge")
+    for d in curve:
+        if abs(d) not in graph.edges:
+            raise CurveNotRealizable(f"curve uses unknown edge {abs(d)}")
+    if any(graph.head(curve[i - 1]) != graph.tail(out)
+           for i, out in enumerate(curve)):
+        raise CurveNotRealizable("curve word is not a closed walk")
+    visits = [(graph.tail(out), -curve[i - 1], out)
+              for i, out in enumerate(curve)]
     chord_germs = [d for _v, rev_in, out in visits for d in (rev_in, out)]
     if len(set(chord_germs)) != len(chord_germs):
         raise CurveNotRealizable("two curve strands share a direction")
@@ -117,39 +94,34 @@ def _twist_sectors(graph, curve):
 def dehn_twist(graph, curve, sign=1):
     """The twist about ``curve`` as a self-map of ``graph``.
 
-    ``sign`` +1 or -1 picks the twist or its inverse.  Every direction in a
-    twisting sector drags its edge once around the curve: the edge arriving
-    through a sector germ has a rotated copy of the curve word appended to its
-    image.  Vertices stay put.
+    ``curve`` is any sequence of directions, read as a cyclic word; a word
+    that is not a simple closed curve on ``graph`` raises
+    :class:`CurveNotRealizable`.  ``sign`` +1 or -1 picks the twist or its
+    inverse.  Every direction in a twisting sector drags its edge once
+    around the curve: the edge arriving through a sector germ has a rotated
+    copy of the curve word appended to its image.  Vertices stay put.
     """
     if sign not in (1, -1):
         raise ValueError(f"twist sign must be +1 or -1, got {sign!r}")
-    curve.validate(graph)
-    sector_of = _twist_sectors(graph, curve)
-    p = curve.path
+    p = tuple(curve)
     suffix = {}
-    for germ, i in sector_of.items():
+    for germ, i in _twist_sectors(graph, p).items():
         gamma = p[i:] + p[:i]
         suffix[germ] = gamma if sign > 0 else reverse_path(gamma)
-    images = {}
-    for e in graph.edges:
-        img = (e,)
-        tail_in = suffix.get(-e)  # arriving at head(e) through germ -e
-        if tail_in is not None:
-            img = img + tail_in
-        head_in = suffix.get(e)  # arriving at tail(e) through germ +e
-        if head_in is not None:
-            img = reverse_path(head_in) + img
-        images[e] = tighten(img)
+    # an edge arrives at its tail through germ +e and at its head through -e
+    images = {e: tighten(reverse_path(suffix.get(e, ())) + (e,)
+                         + suffix.get(-e, ()))
+              for e in graph.edges}
     f = GraphSelfMap(graph, {v: v for v in graph.vertices}, images)
     if not f.preserves_boundary():
         raise InternalInvariantError(
-            f"twist about {curve!r} does not preserve the boundary word")
+            f"twist about {list(p)} does not preserve the boundary word")
     return f
 
 
 def standard_generators(genus):
-    """Name -> curve for the standard twist generators at this genus.
+    """Name -> curve word (a tuple of directions) for the standard twist
+    generators at this genus, for example ``c0: (1, 3)`` at genus 2.
 
     ``a_i`` and ``d_i`` are the two loops of handle ``i``.  The ``c_i`` are
     chain curves crossing several handles; together with the a's and d's they
@@ -170,19 +142,17 @@ def standard_generators(genus):
         raise GraphStructureError("genus must be at least 1")
     curves = {}
     for i in range(genus):
-        x, y = 2 * i + 1, 2 * i + 2
-        curves[f"a{i}"] = CurveOnGraph((x,), name=f"a{i}")
-        curves[f"d{i}"] = CurveOnGraph((y,), name=f"d{i}")
+        curves[f"a{i}"] = (2 * i + 1,)
+        curves[f"d{i}"] = (2 * i + 2,)
     if genus == 2:
-        curves["c0"] = CurveOnGraph((1, 3), name="c0")
-        curves["c1"] = CurveOnGraph((-2, 3), name="c1")
+        curves["c0"] = (1, 3)
+        curves["c1"] = (-2, 3)
     elif genus >= 3:
         for i in range(genus - 1):
-            word = (-(2 * i + 2),
-                    2 * ((i + 1) % genus) + 1,
-                    2 * ((i + 2) % genus) + 1)
-            curves[f"c{i}"] = CurveOnGraph(word, name=f"c{i}")
-        curves[f"c{genus - 1}"] = CurveOnGraph((-2, 3), name=f"c{genus - 1}")
+            curves[f"c{i}"] = (-(2 * i + 2),
+                               2 * ((i + 1) % genus) + 1,
+                               2 * ((i + 2) % genus) + 1)
+        curves[f"c{genus - 1}"] = (-2, 3)
     return curves
 
 

@@ -332,10 +332,6 @@ def test_full_report_rejects_a_train_track_without_growth(reference_runs):
         full_report(f)
 
 
-def _generator_words(genus):
-    return {name: c.path for name, c in standard_generators(genus).items()}
-
-
 def test_intersection_oracle_on_generators():
     """The linked-pair count is symmetric and equals |omega| on every pair
     of standard generators, and it sees the two crossings of c0 with the
@@ -344,7 +340,7 @@ def test_intersection_oracle_on_generators():
         rho = oracles.commutator_word(genus)
         assert rho == standard_rose(genus).rho
         form = oracles.symplectic_form(genus)
-        words = _generator_words(genus)
+        words = standard_generators(genus)
         for a in sorted(words):
             for b in sorted(words):
                 if a == b:
@@ -377,7 +373,7 @@ def test_ex2_is_penner_chain_of_four(reference_runs):
     intersection form only; acceptance criterion 2 asserts them of the
     program."""
     genus, word = REFERENCE_WORDS["ex2"]
-    data = oracles.penner_data(genus, _generator_words(genus), word)
+    data = oracles.penner_data(genus, standard_generators(genus), word)
     assert (data["V"], data["E"], data["F"]) == (3, 6, 1)
     assert data["sides"] == 12
     assert data["prongs"] == 6
@@ -396,4 +392,4 @@ def test_penner_oracle_rejects_other_words(name, reason):
     cross, so the oracle's hypotheses do not hold for them."""
     genus, word = REFERENCE_WORDS[name]
     with pytest.raises(ValueError, match=reason):
-        oracles.penner_data(genus, _generator_words(genus), word)
+        oracles.penner_data(genus, standard_generators(genus), word)

@@ -17,7 +17,13 @@ and test each verdict against oracles that read the input map:
   one-prong (index +1/2), because filling the puncture then keeps λ;
 - (e) the polygons' (k, index) multiset and the puncture index agree across
   a class's TrainTrack runs;
-- (f) every GrowthOne run has a finite period on small circuits.
+- (f) every GrowthOne run has a finite period on small circuits;
+- (h) λ of each class whose least rotation ends PseudoAnosov agrees within
+  1e-3 relative with ``oracles.curve_growth`` of that run's input rose map,
+  which reads λ off iterates of a loop with no train track, gate or matrix.
+
+Check (g), that the verdict does not depend on the fold order, is not here
+yet.
 
 (a) and (b) fail until PseudoAnosov verdicts get BH95's reducibility test;
 they sit in one strict xfail that lists every mismatch.  (b) runs on each
@@ -113,6 +119,17 @@ def test_census_growth_one_runs_have_a_period(census):
             if run.report.verdict == "GrowthOne":
                 assert oracles.circuit_period(run.final, 4, 12) is not None, \
                     _text(run.word)
+
+
+def test_census_growth_matches_curve_growth_of_the_input(census):
+    checked = 0
+    for c, runs in census.items():
+        run = runs[0]  # the least rotation
+        if run.report.verdict == "PseudoAnosov":
+            assert run.report.growth == pytest.approx(
+                oracles.curve_growth(run.start), rel=1e-3), _text(c)
+            checked += 1
+    assert checked == 21
 
 
 def test_census_gate_maps_keep_the_gates_at_a_vertex_apart(census):

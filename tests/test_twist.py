@@ -9,7 +9,6 @@ import pytest
 
 from traintrack import (
     CurveNotRealizable,
-    CurveOnGraph,
     EmbeddedGraph,
     GraphStructureError,
     GrowthOne,
@@ -51,16 +50,16 @@ def test_generator_names_by_genus():
 
 def test_generator_words_are_pinned():
     g2 = standard_generators(2)
-    assert g2["a0"].path == (1,)
-    assert g2["a1"].path == (3,)
-    assert g2["d0"].path == (2,)
-    assert g2["d1"].path == (4,)
-    assert g2["c0"].path == (1, 3)
-    assert g2["c1"].path == (-2, 3)
+    assert g2["a0"] == (1,)
+    assert g2["a1"] == (3,)
+    assert g2["d0"] == (2,)
+    assert g2["d1"] == (4,)
+    assert g2["c0"] == (1, 3)
+    assert g2["c1"] == (-2, 3)
     g3 = standard_generators(3)
-    assert g3["c0"].path == (-2, 3, 5)
-    assert g3["c1"].path == (-4, 5, 1)
-    assert g3["c2"].path == (-2, 3)
+    assert g3["c0"] == (-2, 3, 5)
+    assert g3["c1"] == (-4, 5, 1)
+    assert g3["c2"] == (-2, 3)
 
 
 def test_genus_one_verdicts_follow_the_trace():
@@ -136,34 +135,42 @@ def test_twist_power_is_repeated_transvection(rose2, gens2):
 
 
 def test_unrealizable_curves(rose2):
-    with pytest.raises(CurveNotRealizable):
-        dehn_twist(rose2, CurveOnGraph((1, 1)))       # repeats an edge
-    with pytest.raises(CurveNotRealizable):
-        dehn_twist(rose2, CurveOnGraph((1, -1)))      # not cyclically tight
-    with pytest.raises(CurveNotRealizable):
-        dehn_twist(rose2, CurveOnGraph((9,)))         # unknown edge
+    # a repeated direction and a backtrack each put one direction into two
+    # visits
+    with pytest.raises(CurveNotRealizable,
+                       match="^two curve strands share a direction$"):
+        dehn_twist(rose2, (1, 1))
+    with pytest.raises(CurveNotRealizable,
+                       match="^two curve strands share a direction$"):
+        dehn_twist(rose2, (1, -1))
+    # every letter is checked before the walk, so an unknown edge after a
+    # known one is reported as such
+    for word in ((9,), (1, 9), (1, -9)):
+        with pytest.raises(CurveNotRealizable,
+                           match="^curve uses unknown edge 9$"):
+            dehn_twist(rose2, word)
     with pytest.raises(CurveNotRealizable,
                        match="^a curve needs at least one edge$"):
-        dehn_twist(rose2, CurveOnGraph(()))
+        dehn_twist(rose2, ())
     # edge 1 runs between the two vertices of a theta graph
     theta = EmbeddedGraph({1: (0, 1), 2: (1, 0), 3: (0, 1)},
                           (1, 2, 3, -1, -2, -3))
     with pytest.raises(CurveNotRealizable,
                        match="^curve word is not a closed walk$"):
-        dehn_twist(theta, CurveOnGraph((1,)))
+        dehn_twist(theta, (1,))
     # the commutator uses edges 1 and 2 both ways: it leaves along 2 and
     # later arrives along -2, so the direction 2 serves two strands
     with pytest.raises(CurveNotRealizable,
                        match="^two curve strands share a direction$"):
-        dehn_twist(rose2, CurveOnGraph((1, 2, -1, -2)))
+        dehn_twist(rose2, (1, 2, -1, -2))
     with pytest.raises(ValueError,
                        match=r"^twist sign must be \+1 or -1, got 2$"):
-        dehn_twist(rose2, CurveOnGraph((1,)), sign=2)
+        dehn_twist(rose2, (1,), sign=2)
     with pytest.raises(CurveNotRealizable, match="curve strands cross"):
-        dehn_twist(rose2, CurveOnGraph((1, 4)))
+        dehn_twist(rose2, (1, 4))
     with pytest.raises(CurveNotRealizable,
                        match="nest inside a twisting sector"):
-        dehn_twist(rose2, CurveOnGraph((1, 2)))
+        dehn_twist(rose2, (1, 2))
 
 
 def test_random_closed_walks_twist_or_are_rejected(reference_runs):
@@ -185,9 +192,8 @@ def test_random_closed_walks_twist_or_are_rejected(reference_runs):
             at = graph.head(walk[-1])
         if at != start:
             continue
-        curve = CurveOnGraph(walk)
         try:
-            dehn_twist(graph, curve, rng.choice((1, -1)))
+            dehn_twist(graph, walk, rng.choice((1, -1)))
         except CurveNotRealizable:
             rejected += 1
             continue
@@ -195,7 +201,7 @@ def test_random_closed_walks_twist_or_are_rejected(reference_runs):
         chords = {d for i, out in enumerate(walk) for d in (-walk[i - 1], out)}
         arcs = [graph.arc(-walk[i - 1], out) for i, out in enumerate(walk)]
         assert all(chords.isdisjoint(arc) for arc in arcs), walk
-        sector_of = twist._twist_sectors(graph, curve)
+        sector_of = twist._twist_sectors(graph, walk)
         assert sector_of == {d: i for i, arc in enumerate(arcs) for d in arc}
         assert len(sector_of) == sum(map(len, arcs)), walk
     assert accepted > 3000 and rejected > 10000
