@@ -385,25 +385,21 @@ def identity_map(graph):
                         {e: (e,) for e in graph.edges})
 
 
-def compose(g, f):
-    """The composite ``g ∘ f`` (f first); both maps must share one graph.
+def _compose_images(outer, inner):
+    """The images of ``outer ∘ inner`` (inner first) from two dicts of
+    tight images on one graph.
 
-    Each image of f is spelled by g's images of its letters, its *pieces*,
-    and tightened.  Each piece is a tight path, so letters cancel only where
-    two pieces meet, and the image is the tight form of the plain
-    substitution.
+    Each image of ``inner`` is spelled by ``outer``'s images of its letters,
+    its *pieces*.  Each piece is tight, so letters cancel only where two
+    pieces meet, and the result is the tight form of the plain substitution.
     """
-    if g.graph != f.graph:
-        raise MapCompatibilityError("compose needs maps on the same graph")
-    vertex_image = {v: g.vertex_image[w] for v, w in f.vertex_image.items()}
-    # only the directions f's images use: a twist's images use few, and
-    # each reversed image of g is a copy
-    used = set(chain.from_iterable(f.edge_image.values()))
-    pieces = {d: g.image(d) for d in used}
-    edge_image = {}
-    for e, p in f.edge_image.items():
+    # only the letters inner's images use: a twist uses few, a reversal copies
+    used = set(chain.from_iterable(inner.values()))
+    pieces = {d: outer[d] if d > 0 else reverse_path(outer[-d]) for d in used}
+    images = {}
+    for e, p in inner.items():
         if len(p) == 1:
-            edge_image[e] = pieces[p[0]]
+            images[e] = pieces[p[0]]
             continue
         # splice the pieces, cancelling where two meet, as in the seam
         # scan of preserves_boundary
@@ -415,5 +411,15 @@ def compose(g, f):
                 k += 1
             del out[len(out) - k:]
             out.extend(q[k:])
-        edge_image[e] = tuple(out)
-    return GraphSelfMap(f.graph, vertex_image, edge_image)
+        images[e] = tuple(out)
+    return images
+
+
+def compose(g, f):
+    """The composite ``g ∘ f`` (f first), validated; both maps must share
+    one graph."""
+    if g.graph != f.graph:
+        raise MapCompatibilityError("compose needs maps on the same graph")
+    vertex_image = {v: g.vertex_image[w] for v, w in f.vertex_image.items()}
+    return GraphSelfMap(f.graph, vertex_image,
+                        _compose_images(g.edge_image, f.edge_image))

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import CurveNotRealizable, GraphStructureError, InternalInvariantError
-from .graphs import EmbeddedGraph, GraphSelfMap, compose, identity_map, reverse_path, tighten
+from .graphs import EmbeddedGraph, GraphSelfMap, _compose_images, reverse_path, tighten
 
 
 def standard_rose(genus):
@@ -179,14 +179,24 @@ def compose_word(genus, word):
     Each generator's twist map is built by :func:`dehn_twist`, with its
     boundary check, once per genus and process, and shared by every later
     word: maps are immutable.  The map returned is always freshly composed.
+
+    Composites along the way are image dicts; only the word's map is
+    validated, which checks it exactly as strongly as validating each step.
+    The rose has one vertex, so path and endpoint checks hold for any word;
+    every letter comes from a twist that :func:`dehn_twist` validated; and
+    a splice cancels only inverse pairs, so by the uniqueness of reduced
+    words a map that passes the tightness check is exactly the step-by-step
+    chain's, while a splice that left a backtrack fails it.  The map then
+    still meets :func:`~traintrack.bh.bestvina_handel`'s input check.
     """
     graph, curves = _rose_and_curves(genus)
-    f = identity_map(graph)
+    images = {e: (e,) for e in graph.edges}
     for name, sign in word:
         if name not in curves:
             known = ", ".join(sorted(curves))
             raise ValueError(
                 f"unknown generator {name!r} at genus {genus} "
                 f"(have: {known})")
-        f = compose(f, _generator_twist(genus, name, sign))
-    return f
+        images = _compose_images(
+            images, _generator_twist(genus, name, sign).edge_image)
+    return GraphSelfMap(graph, {v: v for v in graph.vertices}, images)

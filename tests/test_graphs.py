@@ -326,22 +326,27 @@ def test_substitute_is_the_reduced_substitution(path, table):
     assert substitute(path, table) == oracles.free_reduce(plain)
 
 
-def test_compose_substitutes_the_outer_images():
-    # each of two seeded twist maps after each, image by image
+def test_compose_substitutes_the_outer_images(reference_runs):
+    # each of two seeded twist maps after each, and each of ex1's hook
+    # snapshots, on graphs of up to 16 vertices, after itself, image by image
     rng = random.Random(3)
+    pairs = []
     for genus in (1, 2, 3):
         names = sorted(standard_generators(genus))
         for _ in range(6):
             f, g = (compose_word(genus, [
                 (rng.choice(names), rng.choice((1, -1)))
                 for _ in range(rng.randint(1, 5))]) for _ in range(2))
-            for outer, inner in product((g, f), repeat=2):
-                h = compose(outer, inner)
-                assert h.vertex_image == {v: outer.vertex_image[w] for v, w
-                                          in inner.vertex_image.items()}
-                for e, p in inner.edge_image.items():
-                    assert h.edge_image[e] == oracles.free_reduce(
-                        oracles.raw_apply(outer, p)), (genus, e)
+            pairs.extend(product((g, f), repeat=2))
+    pairs.extend((f, f) for _move, f, _info in reference_runs["ex1"].snapshots)
+    assert max(len(inner.graph.vertices) for _outer, inner in pairs) == 16
+    for outer, inner in pairs:
+        h = compose(outer, inner)
+        assert h.vertex_image == {v: outer.vertex_image[w] for v, w
+                                  in inner.vertex_image.items()}
+        for e, p in inner.edge_image.items():
+            assert h.edge_image[e] == oracles.free_reduce(
+                oracles.raw_apply(outer, p)), (inner, e)
     with pytest.raises(MapCompatibilityError,
                        match="^compose needs maps on the same graph$"):
         compose(compose_word(1, []), compose_word(2, []))

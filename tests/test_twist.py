@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -10,15 +11,19 @@ import pytest
 from traintrack import (
     CurveNotRealizable,
     EmbeddedGraph,
+    GraphSelfMap,
     GraphStructureError,
     GrowthOne,
+    MapCompatibilityError,
     Reducible,
     TrainTrack,
     bestvina_handel,
     compose,
     compose_word,
     dehn_twist,
+    graphs,
     identity_map,
+    reverse_path,
     standard_generators,
     standard_rose,
     twist,
@@ -266,7 +271,8 @@ def test_unknown_generator_name():
 
 
 def _uncached_word(genus, word):
-    """``compose_word`` from freshly built twists, with no shared state."""
+    """``compose_word`` from freshly built twists, with no shared state,
+    validating every composite along the way."""
     rose, curves = standard_rose(genus), standard_generators(genus)
     f = identity_map(rose)
     for name, sign in word:
@@ -288,11 +294,60 @@ def test_shared_generator_twists_match_fresh_builds():
                 assert oracles.maps_equal(
                     compose_word(genus, [(name, sign)]),
                     dehn_twist(rose, curves[name], sign)), (genus, name, sign)
-        for _ in range(10):
-            word = [(rng.choice(names), rng.choice((1, -1)))
-                    for _ in range(rng.randint(1, 12))]
+        # the empty word, ten seeded words and the reference words
+        words = [[]] + [[(rng.choice(names), rng.choice((1, -1)))
+                         for _ in range(rng.randint(1, 12))]
+                        for _ in range(10)]
+        words += [list(word) for g, word in REFERENCE_WORDS.values()
+                  if g == genus]
+        for word in words:
             assert oracles.maps_equal(compose_word(genus, word),
                                       _uncached_word(genus, word)), word
+
+
+def test_a_word_validates_one_map(monkeypatch):
+    # once its generator twists are built, a word's composites along the
+    # way are image dicts, and only the word's map is constructed
+    rng = random.Random(23)
+    names = sorted(standard_generators(3))
+    word = [(rng.choice(names), rng.choice((1, -1))) for _ in range(12)]
+    want = compose_word(3, word)
+    calls = []
+    init = GraphSelfMap.__init__
+
+    def counting_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(GraphSelfMap, "__init__", counting_init)
+    assert oracles.maps_equal(compose_word(3, word), want)
+    assert len(calls) == 1
+
+
+def _concatenate_images(outer, inner):
+    """The composite's images with no cancellation where pieces meet."""
+    return {e: tuple(chain.from_iterable(
+                outer[d] if d > 0 else reverse_path(outer[-d]) for d in p))
+            for e, p in inner.items()}
+
+
+def test_a_splice_that_backtracks_is_rejected(monkeypatch):
+    # the word's map is validated once, so that one check must catch a
+    # splice that skipped its seams, whether at every step or only the last
+    genus, word = REFERENCE_WORDS["ex1"]
+    steps = []
+
+    def last_step_concatenates(outer, inner):
+        steps.append(inner)
+        kernel = (_concatenate_images if len(steps) == len(word)
+                  else graphs._compose_images)
+        return kernel(outer, inner)
+
+    for kernel in (_concatenate_images, last_step_concatenates):
+        monkeypatch.setattr(twist, "_compose_images", kernel)
+        with pytest.raises(MapCompatibilityError, match="backtracks"):
+            compose_word(genus, word)
+    assert len(steps) == len(word)
 
 
 def test_composed_maps_are_fresh():
