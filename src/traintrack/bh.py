@@ -57,8 +57,8 @@ from .errors import (
     IterationLimitExceeded,
     MapCompatibilityError,
 )
-from .graphs import (EmbeddedGraph, GraphSelfMap, reverse_path, substitute,
-                     tighten)
+from .graphs import (EmbeddedGraph, GraphSelfMap, _path_image, reverse_path,
+                     substitute, tighten)
 from .growth import (
     is_irreducible,
     is_permutation_matrix,
@@ -248,7 +248,7 @@ def _merge_through(f, v):
     new = _rebuild("valence_two", f, edges, rho,
                    {b: (), -b: (), -a: (m,), a: (-m,)},
                    _merge_vertices("valence_two", f.vertex_image, {v: y}, v),
-                   {**f.edge_image, m: tighten(f.image(-a) + f.image(b))})
+                   {**f.edge_image, m: _path_image(f.edge_image, (-a, b))})
     # the two collapses are homotopic relative to every vertex but v, whose
     # track is m, and a tight path is unique in its homotopy class: so the
     # |a| side slides each z that maps to v back to x, along m
@@ -594,10 +594,11 @@ def _fold_pass(f, o1, o2, x, hook):
         # no single corner separates the pair, so folding is meaningless;
         # removing v cancels their common image prefix.  It comes before
         # any other valence move, whose collapses could undo that
-        through = reverse_path(f.image(d1)) + f.image(d2)
+        n = len(f.edge_image[abs(d1)]) + len(f.edge_image[abs(d2)])
+        cancelled = n - len(_path_image(f.edge_image, (-d1, d2)))
         f = _merge_through(f, v)
         hook("valence_two", f)
-        return f, None, None, None, len(through) - len(tighten(through))
+        return f, None, None, None, cancelled
     prep = _Subdivision(f)
 
     def split(d, length):

@@ -91,6 +91,40 @@ def is_cyclic_rotation(p, q):
     return any(dbl[i:i + n] == p for i in range(len(q)))
 
 
+def _path_image(images, path):
+    """The tight image of an edge path under a map with tight edge images
+    ``images`` (edge id -> path): each letter's image is spliced on, read
+    from the end for a reversed letter, cancelling only at the seam where
+    two meet.  A one-letter forward path gives the stored tuple itself."""
+    if len(path) == 1 and path[0] > 0:
+        return images[path[0]]
+    # a reversed step reads its stored image q from the end: it pushes
+    # -q[-1], -q[-2], ..., and -q[-1 - k] cancels out[-1 - k].  Most seams
+    # cancel nothing (none does while composing the benchmark's twist
+    # words), so such a seam skips the scan
+    out = []
+    for d in path:
+        if d > 0:
+            q = images[d]
+            if out and q and out[-1] == -q[0]:
+                k, n = 1, min(len(out), len(q))
+                while k < n and out[-1 - k] == -q[k]:
+                    k += 1
+                del out[-k:]
+                q = q[k:]
+            out.extend(q)
+        else:
+            q = images[-d]
+            if out and q and out[-1] == q[-1]:
+                k, n = 1, min(len(out), len(q))
+                while k < n and out[-1 - k] == q[-1 - k]:
+                    k += 1
+                del out[-k:]
+                q = q[:-k]
+            out.extend(map(neg, reversed(q)))
+    return tuple(out)
+
+
 class EmbeddedGraph:
     """A finite graph together with its embedding in a once-punctured surface.
 
@@ -242,8 +276,9 @@ class GraphSelfMap:
     ``edge_image[e]`` is the image path of the forward orientation; the
     reverse orientation maps to the reversed path.  Construction checks
     that images are tight paths with the right endpoints: no image may
-    backtrack (take a step ``d`` and then ``-d``), so :func:`compose` and
-    :meth:`preserves_boundary` cancel letters only where two images meet.
+    backtrack (take a step ``d`` and then ``-d``), so :func:`_path_image`,
+    the one splice behind :func:`compose`, :meth:`preserves_boundary` and
+    the moves' path images, cancels letters only where two images meet.
     It deliberately does *not* require the boundary word to be preserved —
     see :meth:`preserves_boundary` — because maps that reverse the surface
     orientation are still useful self-maps of the graph.  Instances
@@ -326,30 +361,13 @@ class GraphSelfMap:
         algorithm keeps it; it doubles as a cheap integrity check between
         moves.
 
-        The scan cancels only where two images meet, since each image is
-        tight; that leaves the image of ``rho`` tight, so only its cyclic
-        seam is trimmed.
+        The image of ``rho`` is spliced by :func:`_path_image`, which
+        cancels only where two images meet, since each image is tight; that
+        leaves it tight, so only its cyclic seam is trimmed.
         """
-        # a reversed step reads its stored image q from the end: it pushes
-        # -q[-1], -q[-2], ..., and -q[-1 - k] cancels out[-1 - k]
-        images = self.edge_image
-        out = []
-        for d in self.graph.rho:
-            q = images[abs(d)]
-            k, n = 0, min(len(out), len(q))
-            if d > 0:
-                while k < n and out[-1 - k] == -q[k]:
-                    k += 1
-                del out[len(out) - k:]
-                out.extend(q[k:])
-            else:
-                while k < n and out[-1 - k] == q[-1 - k]:
-                    k += 1
-                del out[len(out) - k:]
-                if k < len(q):
-                    out.extend(map(neg, q[len(q) - k - 1::-1]))
-        want = cyclic_tighten(self.graph.rho)
-        return is_cyclic_rotation(_trim_seam(out), want)
+        return is_cyclic_rotation(
+            _trim_seam(_path_image(self.edge_image, self.graph.rho)),
+            cyclic_tighten(self.graph.rho))
 
     def transition_matrix(self):
         """Unsigned crossing counts, rows/columns in sorted edge-id order.
@@ -385,41 +403,11 @@ def identity_map(graph):
                         {e: (e,) for e in graph.edges})
 
 
-def _compose_images(outer, inner):
-    """The images of ``outer ∘ inner`` (inner first) from two dicts of
-    tight images on one graph.
-
-    Each image of ``inner`` is spelled by ``outer``'s images of its letters,
-    its *pieces*.  Each piece is tight, so letters cancel only where two
-    pieces meet, and the result is the tight form of the plain substitution.
-    """
-    # only the letters inner's images use: a twist uses few, a reversal copies
-    used = set(chain.from_iterable(inner.values()))
-    pieces = {d: outer[d] if d > 0 else reverse_path(outer[-d]) for d in used}
-    images = {}
-    for e, p in inner.items():
-        if len(p) == 1:
-            images[e] = pieces[p[0]]
-            continue
-        # splice the pieces, cancelling where two meet, as in the seam
-        # scan of preserves_boundary
-        out = []
-        for d in p:
-            q = pieces[d]
-            k, n = 0, min(len(out), len(q))
-            while k < n and out[-1 - k] == -q[k]:
-                k += 1
-            del out[len(out) - k:]
-            out.extend(q[k:])
-        images[e] = tuple(out)
-    return images
-
-
 def compose(g, f):
     """The composite ``g ∘ f`` (f first), validated; both maps must share
     one graph."""
     if g.graph != f.graph:
         raise MapCompatibilityError("compose needs maps on the same graph")
     vertex_image = {v: g.vertex_image[w] for v, w in f.vertex_image.items()}
-    return GraphSelfMap(f.graph, vertex_image,
-                        _compose_images(g.edge_image, f.edge_image))
+    return GraphSelfMap(f.graph, vertex_image, {
+        e: _path_image(g.edge_image, p) for e, p in f.edge_image.items()})

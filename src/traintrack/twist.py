@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import CurveNotRealizable, GraphStructureError, InternalInvariantError
-from .graphs import EmbeddedGraph, GraphSelfMap, _compose_images, reverse_path, tighten
+from .graphs import EmbeddedGraph, GraphSelfMap, _path_image, reverse_path, tighten
 
 
 def standard_rose(genus):
@@ -180,7 +180,8 @@ def compose_word(genus, word):
     boundary check, once per genus and process, and shared by every later
     word: maps are immutable.  The map returned is always freshly composed.
 
-    Composites along the way are image dicts; only the word's map is
+    Composites along the way are image dicts, each image spliced by
+    :func:`~traintrack.graphs._path_image`; only the word's map is
     validated, which checks it exactly as strongly as validating each step.
     The rose has one vertex, so path and endpoint checks hold for any word;
     every letter comes from a twist that :func:`dehn_twist` validated; and
@@ -197,6 +198,6 @@ def compose_word(genus, word):
             raise ValueError(
                 f"unknown generator {name!r} at genus {genus} "
                 f"(have: {known})")
-        images = _compose_images(
-            images, _generator_twist(genus, name, sign).edge_image)
+        images = {e: _path_image(images, p) for e, p
+                  in _generator_twist(genus, name, sign).edge_image.items()}
     return GraphSelfMap(graph, {v: v for v in graph.vertices}, images)

@@ -34,7 +34,7 @@ from traintrack import bh, growth
 import oracles
 from conftest import REFERENCE_WORDS, gate_map_keeps_gates_apart, run_word
 
-MOVE_NAMES = {"collapse", "valence_one", "valence_two", "subdivide", "fold"}
+MOVE_NAMES = {"collapse", "valence_one", "valence_two", "fold"}
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from traintrack import (
     standard_rose,
     tighten,
 )
-from traintrack.graphs import substitute
+from traintrack.graphs import _path_image, substitute
 
 import oracles
 
@@ -350,6 +350,49 @@ def test_compose_substitutes_the_outer_images(reference_runs):
     with pytest.raises(MapCompatibilityError,
                        match="^compose needs maps on the same graph$"):
         compose(compose_word(1, []), compose_word(2, []))
+
+
+def _walk(graph, rng, length):
+    """A random edge path of ``graph``; it may backtrack."""
+    at = rng.choice(graph.vertices)
+    path = []
+    for _ in range(length):
+        d = rng.choice(graph.directions(at))
+        path.append(d)
+        at = graph.head(d)
+    return tuple(path)
+
+
+def test_path_image_is_the_reduced_substitution(reference_runs):
+    # hook snapshots and seeded tight rose maps, some with empty images, on
+    # their boundary words, one- and two-letter paths, inverse pairs, and
+    # random walks alone and followed by their reverse
+    rng = random.Random(7)
+    maps = [f for run in reference_runs.values()
+            for _move, f, _info in run.snapshots]
+    for _ in range(40):
+        rose = standard_rose(rng.randint(1, 3))
+        letters = [d for e in rose.edges for d in (e, -e)]
+        maps.append(GraphSelfMap(rose, {0: 0}, {
+            e: tighten(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+            for e in rose.edges}))
+    empty = 0
+    for f in maps:
+        images = f.edge_image
+        for e, q in images.items():
+            assert _path_image(images, (e,)) is q
+            assert _path_image(images, (-e,)) == reverse_path(q)
+            assert _path_image(images, (e, -e)) == ()
+            empty += not q
+        walks = [_walk(f.graph, rng, rng.randint(2, 12)) for _ in range(4)]
+        paths = [(), f.graph.rho] + walks
+        paths += [w + reverse_path(w) for w in walks]
+        paths += [(a, b) for a in f.graph.rho for b in f.graph.directions(
+            f.graph.head(a))][:40]
+        for p in paths:
+            assert _path_image(images, p) == oracles.free_reduce(
+                oracles.raw_apply(f, p)), (f, p)
+    assert len(maps) > 100 and empty > 10
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,8 @@ def test_is_permutation_matrix():
     assert not is_permutation_matrix(np.array([[2, 0], [0, 1]]))
     assert not is_permutation_matrix(np.zeros((2, 2), dtype=int))
     assert not is_permutation_matrix(np.array([[1, 0, 0], [0, 1, 0]]))
+    assert not is_permutation_matrix(np.array([1]))
+    assert not is_permutation_matrix(np.zeros((0, 0), dtype=int))
 
 
 def test_is_irreducible():

@@ -193,6 +193,59 @@ def test_packing_sweep_cap(monkeypatch):
         circle_pack(tri)
 
 
+def _patched_solve(monkeypatch, scale):
+    """Make the packing's Newton solve return ``scale`` times its step
+    while the largest residual is at least 1e-10; returns the list of
+    ``(step, newton)`` pairs, with each step as the line search left it."""
+    solve = np.linalg.solve
+    steps = []
+
+    def scaled(jac, residual):
+        newton = solve(jac, residual)
+        if np.abs(residual).max() < 1e-10:
+            return newton
+        steps.append((scale * newton, newton))
+        return steps[-1][0]
+
+    monkeypatch.setattr(np.linalg, "solve", scaled)
+    return steps
+
+
+def test_packing_line_search_halves_a_long_step(monkeypatch):
+    # eight times the Newton step overshoots; halving it three times gives
+    # the Newton step back, and the packing is unique
+    tri = cone_triangulation(standard_rose(2))
+    want = circle_pack(tri)
+    steps = _patched_solve(monkeypatch, 8.0)
+    got = circle_pack(tri)
+    assert any(np.array_equal(step, newton) for step, newton in steps)
+    assert got.apex == pytest.approx(want.apex, abs=1e-12)
+    assert got.vertex.keys() == want.vertex.keys()
+    for v, r in want.vertex.items():
+        assert got.vertex[v] == pytest.approx(r, abs=1e-12)
+
+
+def test_packing_gives_up_on_an_uphill_step(monkeypatch):
+    # uphill steps soon stop lowering the residual: the line search halves
+    # the last step 60 times and gives up long before the cap
+    steps = _patched_solve(monkeypatch, -1.0)
+    with pytest.raises(PackingDidNotConverge, match="^angle sums still off "
+                       r"by \S+ when the Newton solve stopped$"):
+        circle_pack(cone_triangulation(standard_rose(2)))
+    assert len(steps) < hyplayout.MAX_NEWTON_STEPS
+    step, newton = steps[-1]
+    assert np.array_equal(step, -newton * 0.5 ** 60)
+
+
+def test_geodesic_through_the_center_is_a_line():
+    # two corners on one diameter: a straight segment, drawn as M ... L ...
+    p, q = (0.3, 0.0), (-0.2, 0.0)
+    geo = hyplayout._geodesic(p, q)
+    assert geo == ("line",)
+    assert (hyplayout._path(p, q, geo)
+            == "M 0.300000 0.000000 L -0.200000 0.000000")
+
+
 # ---------------------------------------------------------------------------
 # Development
 # ---------------------------------------------------------------------------

@@ -324,27 +324,28 @@ def test_a_word_validates_one_map(monkeypatch):
     assert len(calls) == 1
 
 
-def _concatenate_images(outer, inner):
-    """The composite's images with no cancellation where pieces meet."""
-    return {e: tuple(chain.from_iterable(
-                outer[d] if d > 0 else reverse_path(outer[-d]) for d in p))
-            for e, p in inner.items()}
+def _concatenate(images, path):
+    """The image of ``path`` with no cancellation where two images meet."""
+    return tuple(chain.from_iterable(
+        images[d] if d > 0 else reverse_path(images[-d]) for d in path))
 
 
 def test_a_splice_that_backtracks_is_rejected(monkeypatch):
     # the word's map is validated once, so that one check must catch a
-    # splice that skipped its seams, whether at every step or only the last
+    # splice that skipped its seams, whether at every step or only the last.
+    # Each step splices every image through one dict of the step before
     genus, word = REFERENCE_WORDS["ex1"]
     steps = []
 
-    def last_step_concatenates(outer, inner):
-        steps.append(inner)
-        kernel = (_concatenate_images if len(steps) == len(word)
-                  else graphs._compose_images)
-        return kernel(outer, inner)
+    def last_step_concatenates(images, path):
+        if not steps or steps[-1] is not images:
+            steps.append(images)
+        kernel = (_concatenate if len(steps) == len(word)
+                  else graphs._path_image)
+        return kernel(images, path)
 
-    for kernel in (_concatenate_images, last_step_concatenates):
-        monkeypatch.setattr(twist, "_compose_images", kernel)
+    for kernel in (_concatenate, last_step_concatenates):
+        monkeypatch.setattr(twist, "_path_image", kernel)
         with pytest.raises(MapCompatibilityError, match="backtracks"):
             compose_word(genus, word)
     assert len(steps) == len(word)
