@@ -40,9 +40,6 @@ from .bh import (
     gate_map,
     gates,
     is_train_track,
-    remove_valence_one,
-    remove_valence_two,
-    subdivide,
 )
 from .analysis import (
     InfinitesimalPolygon,
@@ -103,12 +100,9 @@ __all__ = [
     "orbit_permutation",
     "polygons",
     "puncture_index",
-    "remove_valence_one",
-    "remove_valence_two",
     "reverse_path",
     "spectral_radius",
     "standard_generators",
     "standard_rose",
-    "subdivide",
     "tighten",
 ]

@@ -1,10 +1,9 @@
 """The train track algorithm for self-maps of punctured-surface spines.
 
-Moves are pure functions: each takes a :class:`GraphSelfMap` and returns a
-new one (or the input object itself when nothing applies).  Each move that
-changes the graph is a homotopy equivalence given by a letter table, and
-one path, ``_rebuild``, pushes the old images through that table onto the
-new graph.  The valence-two move is BH92's valence-two homotopy: it
+Moves are private steps of the loop, each from one :class:`GraphSelfMap` to
+a new one by a homotopy equivalence given by a letter table; one path,
+``_rebuild``, pushes the old images through that table onto the new
+graph.  The valence-two move is BH92's valence-two homotopy: it
 collapses one of the two edges at the vertex, and the other collapse
 follows from the first by a slide along the fresh edge.  After every move
 the boundary word must still be preserved and the genus unchanged; these
@@ -190,13 +189,16 @@ def _collapse_edges(f, forest, rep):
                     f.edge_image)
 
 
-def remove_valence_one(f):
-    """Retract the lowest-id valence-one vertex; ``f`` itself when none exist."""
+def _retract_leaf(f, v):
+    """Retract the leaf ``v`` and its edge: BH92's valence-one homotopy.
+
+    Only hand-built spines with leaves get here: no move makes a leaf from a
+    spine without one.  A fold keeps its vertex at valence two or more and
+    the merged far end at three or more, collapsing a tree leaves valence
+    two or more, removing a valence-two vertex keeps both its neighbours,
+    and a split's new vertex has valence two.
+    """
     g = f.graph
-    leaves = [v for v in g.vertices if g.valence(v) == 1]
-    if not leaves:
-        return f
-    v = min(leaves)
     (germ,) = g.directions(v)
     u = abs(germ)
     # rho turns around at a leaf: it holds the consecutive pair (-germ, germ),
@@ -209,23 +211,14 @@ def remove_valence_one(f):
                     f.edge_image)
 
 
-def remove_valence_two(f):
-    """Collapse one of the two edges at the lowest-id valence-two vertex.
-
-    This is BH92's valence-two homotopy.  The path through the vertex
-    becomes a single fresh edge, and the vertex goes with whichever of its
-    two edges collapses.  Each collapse is a homotopy equivalence, but the
-    two differ wherever another vertex maps onto the removed one, so they
-    can give different growth rates; the smaller rate is kept, which keeps
-    it non-increasing across the move, and only the kept side is built.
-    Returns ``f`` itself when no valence-two vertex exists.
-    """
-    candidates = [v for v in f.graph.vertices if f.graph.valence(v) == 2]
-    return _merge_through(f, min(candidates)) if candidates else f
-
-
 def _merge_through(f, v):
-    """remove_valence_two at ``v``: collapse |b|, or slide to collapse |a|.
+    """Remove the valence-two vertex ``v``: collapse |b|, or slide to
+    collapse |a|.
+
+    The path through ``v`` becomes one fresh edge.  The two collapses differ
+    wherever another vertex maps onto ``v``, so they can give different
+    growth rates; the smaller is kept, which keeps growth non-increasing,
+    and only the kept side is built.
 
     The edges |a| and |b| are distinct and neither is a loop, so x and y
     differ from v.  A loop at ``v`` would take both its germs, so ``v``
@@ -279,10 +272,10 @@ class _Subdivision:
     ``edges``, ``rho``, ``vertex_image`` and ``edge_image`` spell the
     subdivided graph and its map in that graph's own letters: a split
     rewrites ``rho`` and, in place, only the images that cross the split
-    edge.  ``splits`` lists every split as ``(edge, at, into)``, the
-    arguments and new edge ids of :func:`subdivide`.  A subdivided tight
-    path is still tight, so a move that ends the preparation builds the map
-    once.  A split's new vertex has just the inner ends ``(-e1, e2)`` of its
+    edge.  ``splits`` lists every split as ``(edge, at, into)``: the edge,
+    where its image was cut, and its halves.  A subdivided tight path is
+    still tight, so a move that ends the preparation builds the map once.
+    A split's new vertex has just the inner ends ``(-e1, e2)`` of its
     halves, which is where a fold pass reads x's turn from.
     """
 
@@ -315,10 +308,11 @@ class _Subdivision:
                 return True
         return False
 
-    def split(self, e, k, p):
-        """Split edge ``e`` at position ``k`` of its image ``p``, which is
-        ``self.image(e)``, as :func:`subdivide` does; returns the new edges
-        and vertex."""
+    def split(self, e, k):
+        """Split edge ``e`` after the first ``k`` letters of its image, into
+        halves ``max+1`` and ``max+2`` that meet at a new vertex mapped to
+        where those letters end; returns the halves and that vertex."""
+        p = self.edge_image[e]
         e1, e2 = max(self.edges) + 1, max(self.edges) + 2
         z = max(self.vertex_image) + 1
         self.vertex_image[z] = self.head(p[k - 1])
@@ -335,25 +329,6 @@ class _Subdivision:
         images[e2] = tuple(_subst(p[k:], step))
         self.splits.append((e, k, (e1, e2)))
         return e1, e2, z
-
-
-def subdivide(f, e, k):
-    """Split edge ``e`` at position ``k`` of its image path.
-
-    The new halves get ids ``max+1``, ``max+2`` and the new vertex maps to
-    the endpoint of the image prefix of length ``k``; the growth rate is
-    untouched.  ``k`` must satisfy ``0 < k < len(image)``.
-    """
-    if e not in f.graph.edges:
-        raise ValueError(f"unknown edge {e!r}")
-    n = len(f.edge_image[e])
-    if not 0 < k < n:
-        raise ValueError(
-            f"subdivision point {k} out of range for image of length {n}")
-    prep = _Subdivision(f)
-    prep.split(e, k, f.edge_image[e])
-    return _rebuild("subdivide", f, prep.edges, prep.rho, {},
-                    prep.vertex_image, prep.edge_image)
 
 
 def _fold(prep, d1, d2):
@@ -497,17 +472,16 @@ def _simplify(f, hook):
             f = _collapse_edges(f, forest, rep)
             hook("collapse", f, edges=sorted(forest))
             continue
-        new = remove_valence_one(f)
-        if new is not f:
-            f = new
+        # the lowest-id vertex of valence one, or else of valence two
+        valence, v = min((f.graph.valence(v), v) for v in f.graph.vertices)
+        if valence == 1:
+            f = _retract_leaf(f, v)
             hook("valence_one", f)
-            continue
-        new = remove_valence_two(f)
-        if new is not f:
-            f = new
+        elif valence == 2:
+            f = _merge_through(f, v)
             hook("valence_two", f)
-            continue
-        return f, m, sinks
+        else:
+            return f, m, sinks
 
 
 def _adjacent_fold_pair(f, t1, t2):
@@ -572,7 +546,7 @@ def _fold_pass(f, o1, o2, x, hook):
     ``(-e1, e2)``, the inner ends of the halves.  Renames in later splits
     keep each direction's sign.  No fold takes a segment ending at x.  A pair
     that fills a valence-two vertex has a degenerate turn: the pass removes
-    the vertex, as :func:`remove_valence_two` does, instead of folding.
+    the vertex with :func:`_merge_through` instead of folding.
 
     Otherwise the pass is one partial fold.  The pair's edges are split at
     the end of their common image prefix, and, while x is a far end, first
@@ -612,7 +586,7 @@ def _fold_pass(f, o1, o2, x, hook):
         p = prep.image(e)
         k = length if d > 0 else len(p) - length
         took = x is None and (p[k - 1], p[k]) in ((-o1, o2), (-o2, o1))
-        e1, e2, z = prep.split(e, k, p)
+        e1, e2, z = prep.split(e, k)
         rename = {e: e1, -e: -e2}
         d1, d2, o1, o2 = (rename.get(t, t) for t in (d1, d2, o1, o2))
         if took and not prep.takes(o1, o2):

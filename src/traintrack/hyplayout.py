@@ -174,11 +174,14 @@ def circle_pack(tri):
                     break
             step *= 0.5
         else:
-            break
+            raise PackingDidNotConverge(
+                f"angle sums still off by {worst:.3e}: the line search found "
+                "no lower residual in 60 halvings")
         r, residual, jac = trial, trial_residual, trial_jac
         worst = np.abs(residual).max()
     raise PackingDidNotConverge(
-        f"angle sums still off by {worst:.3e} when the Newton solve stopped")
+        f"angle sums still off by {worst:.3e} after {MAX_NEWTON_STEPS} "
+        "Newton steps")
 
 
 # ---------------------------------------------------------------------------

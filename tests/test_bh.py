@@ -23,11 +23,9 @@ from traintrack import (
     is_irreducible,
     is_permutation_matrix,
     is_train_track,
-    remove_valence_two,
     spectral_radius,
     standard_generators,
     standard_rose,
-    subdivide,
 )
 from traintrack import bh, growth
 
@@ -336,6 +334,8 @@ def test_hook_snapshots_keep_surface_invariants(reference_runs):
             assert f.preserves_boundary()
             assert oracles.face_count(f.graph) == 1
             assert oracles.genus_via_euler(f.graph) == run.genus
+            # no move makes a leaf, so the leaf retraction never runs
+            assert min(map(f.graph.valence, f.graph.vertices)) >= 2, move
             growth = spectral_radius(f.transition_matrix())
             assert growth <= last_growth + 1e-7, (run.word, move)
             last_growth = growth
@@ -387,9 +387,9 @@ def test_spectral_radius_matches_the_blockwise_solve(reference_runs):
 
 
 def test_fold_events_replay_as_public_moves(reference_runs):
-    # each fold event, replayed as the public subdivisions it records and a
-    # fold of the map they give, rebuilds the event's map from the one
-    # before it
+    # each fold event, replayed as the subdivisions it records, each built
+    # as one move, and a fold of the map they give, rebuilds the event's
+    # map from the one before it
     runs = dict(reference_runs)
     runs["cap1"] = run_word(2, CHAIN_OF_FIVE_WORD, collect_snapshots=True)
     folds = 0
@@ -399,7 +399,7 @@ def test_fold_events_replay_as_public_moves(reference_runs):
             if move == "fold":
                 g = before
                 for edge, at, into in info["splits"]:
-                    g = subdivide(g, edge, at)
+                    g = _split(g, edge, at)
                     assert sorted(g.graph.edges)[-2:] == list(into), name
                 g = bh._fold(bh._Subdivision(g), *info["directions"])[0]
                 assert oracles.maps_equal(g, f), (name, folds)
@@ -469,18 +469,36 @@ def test_deterministic_rerun():
 # Individual moves
 # ---------------------------------------------------------------------------
 
+def _split(f, e, k):
+    """``f`` with edge ``e`` split at position ``k`` of its image, as a fold
+    pass splits it, built as one move; building checks that the genus and
+    the boundary word are kept."""
+    prep = bh._Subdivision(f)
+    prep.split(e, k)
+    return bh._rebuild("split", f, prep.edges, prep.rho, {},
+                       prep.vertex_image, prep.edge_image)
+
+
+def _merge_lowest(f):
+    """``f`` with its lowest-id valence-two vertex removed, as the loop
+    removes it."""
+    g = f.graph
+    return bh._merge_through(f, min(v for v in g.vertices
+                                    if g.valence(v) == 2))
+
+
 def test_subdivide_preserves_dynamics():
     f = compose_word(2, [("d0", 1), ("c0", 1), ("d1", 1)])
     lam = spectral_radius(f.transition_matrix())
     edge = next(e for e in sorted(f.graph.edges) if len(f.image(e)) >= 2)
-    g = subdivide(f, edge, 1)
+    g = _split(f, edge, 1)
     assert len(g.graph.edges) == len(f.graph.edges) + 1
     assert g.preserves_boundary()
     assert oracles.genus_via_euler(g.graph) == 2
     assert spectral_radius(g.transition_matrix()) == pytest.approx(
         lam, abs=1e-8)
     # the new valence-two vertex can be removed again
-    h = remove_valence_two(g)
+    h = _merge_lowest(g)
     assert len(h.graph.edges) == len(f.graph.edges)
     assert spectral_radius(h.transition_matrix()) == pytest.approx(
         lam, abs=1e-8)
@@ -490,35 +508,25 @@ def test_subdivide_preserves_dynamics():
     # after z must give f back too
     second = 0
     for e, k in _split_points(f):
-        g = subdivide(f, e, k)
-        assert _same_map_up_to_edge_names(f, remove_valence_two(g))
+        g = _split(f, e, k)
+        assert _same_map_up_to_edge_names(f, _merge_lowest(g))
         z = max(g.graph.vertices)
         for e2, k2 in _split_points(g):
             if g.graph.head(g.edge_image[e2][k2 - 1]) != z:
                 continue
-            h = remove_valence_two(remove_valence_two(subdivide(g, e2, k2)))
+            h = _merge_lowest(_merge_lowest(_split(g, e2, k2)))
             assert _same_map_up_to_edge_names(f, h), (e, k, e2, k2)
             second += 1
     assert second > 0
 
 
-def test_subdivide_rejects_bad_arguments():
-    f = identity_map(standard_rose(2))
-    with pytest.raises(ValueError, match="^unknown edge 9$"):
-        subdivide(f, 9, 1)
-    for k in (0, 1):
-        with pytest.raises(ValueError, match=f"^subdivision point {k} out "
-                           "of range for image of length 1$"):
-            subdivide(f, 1, k)
-
-
 def test_subdivision_matches_chained_subdivide(reference_runs):
     # a _Subdivision spells the subdivided map in its own letters; after
     # several seeded splits, built once, it is the map that the same splits
-    # give as chained public subdivisions.  Each split keeps ``length``
-    # letters for a direction d of either sign, as a fold pass does, and
-    # the splits reach fresh halves and edges that other images cross only
-    # reversed
+    # give one at a time, each built as one move.  Each split keeps
+    # ``length`` letters for a direction d of either sign, as a fold pass
+    # does, and the splits reach fresh halves and edges that other images
+    # cross only reversed
     rng = random.Random(20)
     fresh = reversed_only = 0
     for name in REFERENCE_WORDS:
@@ -537,8 +545,8 @@ def test_subdivision_matches_chained_subdivide(reference_runs):
                 fresh += e not in f.graph.edges
                 reversed_only += any(-e in q and e not in q
                                      for q in prep.edge_image.values())
-                prep.split(e, k, p)
-                g = subdivide(g, e, k)
+                prep.split(e, k)
+                g = _split(g, e, k)
             built = bh._rebuild("subdivide", f, prep.edges, prep.rho, {},
                                 prep.vertex_image, prep.edge_image)
             assert oracles.maps_equal(built, g), name
@@ -597,9 +605,9 @@ def test_valence_two_sides_differ_by_a_slide(monkeypatch):
     maps = _seeded_snapshots(40)
     f = compose_word(2, [("d0", 1), ("c0", 1), ("d1", 1)])
     for e, k in _split_points(f):
-        g = subdivide(f, e, k)
+        g = _split(f, e, k)
         z = max(g.graph.vertices)
-        maps += [subdivide(g, e2, k2) for e2, k2 in _split_points(g)
+        maps += [_split(g, e2, k2) for e2, k2 in _split_points(g)
                  if g.graph.head(g.edge_image[e2][k2 - 1]) == z]
     kept_sides = []
     for f in maps:
@@ -614,8 +622,6 @@ def test_valence_two_sides_differ_by_a_slide(monkeypatch):
             kept = "b" if lam_b <= lam_a + 1e-12 else "a"
             want = side_b if kept == "b" else side_a
             assert oracles.maps_equal(bh._merge_through(f, v), want)
-            if v == min(two):
-                assert oracles.maps_equal(remove_valence_two(f), want)
             kept_sides.append(kept)
             # make the |a| side win, so the move builds it from the slide
             seen = []
@@ -697,6 +703,27 @@ def test_valence_one_retracts_leaf():
     assert moves == ["valence_one"]
     assert isinstance(outcome, GrowthOne)
     assert sorted(outcome.map.graph.edges) == [1, 2]
+
+
+def test_leaf_goes_before_a_valence_two_vertex():
+    # edge 3 split at 1 has halves 4 = (0, 2) and 5 = (2, 1): the leaf 1 and
+    # the valence-two vertex 2 at once.  The leaf goes first, then 2 is a
+    # leaf.  Relabelled so that the valence-two vertex has the lower id, the
+    # order holds too
+    f = GraphSelfMap(EmbeddedGraph(*LEAF_GRAPH), {0: 0, 1: 1},
+                     {1: (1,), 2: (2,), 3: (1, 3)})
+    g = _split(f, 3, 1)
+    relabelled = GraphSelfMap(
+        EmbeddedGraph({1: (0, 0), 2: (0, 0), 4: (0, 1), 5: (1, 2)},
+                      (1, 2, -1, -2, 4, 5, -5, -4)),
+        {0: 0, 1: 0, 2: 2}, {1: (1,), 2: (2,), 4: (1,), 5: (4, 5)})
+    for h in (g, relabelled):
+        assert sorted(map(h.graph.valence, h.graph.vertices)) == [1, 2, 5]
+        moves = []
+        outcome = bestvina_handel(
+            h, hook=lambda name, _g, **info: moves.append(name))
+        assert moves == ["valence_one", "valence_one"]
+        assert isinstance(outcome, GrowthOne)
 
 
 def test_fold_rejects_parallel_pair():
