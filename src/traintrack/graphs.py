@@ -100,8 +100,8 @@ def _path_image(images, path):
         return images[path[0]]
     # a reversed step reads its stored image q from the end: it pushes
     # -q[-1], -q[-2], ..., and -q[-1 - k] cancels out[-1 - k].  Most seams
-    # cancel nothing (none does while composing the benchmark's twist
-    # words), so such a seam skips the scan
+    # cancel nothing (at least two thirds of those spliced while composing
+    # the benchmark's twist words), so such a seam costs one compare
     out = []
     for d in path:
         if d > 0:

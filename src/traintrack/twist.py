@@ -164,9 +164,35 @@ def _rose_and_curves(genus):
 
 
 @lru_cache(maxsize=None, typed=True)
-def _generator_twist(genus, name, sign):
+def _generator_factor(genus, name, sign):
+    """A generator twist ``T`` factored as ``T = i_u o R``: conjugation by
+    the loop ``u`` after the remainder ``R(e) = tight(u~ T(e) u)``.
+
+    Returns ``(u, moved)``, with ``moved`` the ``(e, R(e))`` pairs of the
+    edges that ``R`` moves.  ``u`` is ``()`` or the part of some image
+    ``T(e)`` before its letter ``e``, whichever leaves ``R`` the fewest
+    letters to move: on the standard generators at genus >= 2 every
+    ``a_i`` gives ``u = (-+x_i)`` and a remainder that moves one edge.
+    Checked once, through the splice kernel that composes with it, that
+    ``u R(e) u~`` reduces to ``T(e)`` on every edge.
+    """
     graph, curves = _rose_and_curves(genus)
-    return dehn_twist(graph, curves[name], sign)
+    images = dehn_twist(graph, curves[name], sign).edge_image
+    # the first of the fewest moved letters, so u = () wins a tie
+    u, rest = min(
+        ((u, {e: tighten(reverse_path(u) + p + u) for e, p in images.items()})
+         for u in [()] + [p[:p.index(e)] for e, p in images.items()
+                          if e in p]),
+        key=lambda c: sum(len(p) for e, p in c[1].items() if p != (e,)))
+    moved = tuple((e, p) for e, p in rest.items() if p != (e,))
+    # the conjugator as the image of the extra key w, as compose_word has it
+    w = len(graph.edges) + 1
+    rest[w] = u
+    if any(_path_image(rest, (w, e, -w)) != p for e, p in images.items()):
+        raise InternalInvariantError(
+            f"conjugating the remainder of {name} (sign {sign}) by "
+            f"{list(u)} does not give its twist")
+    return u, moved
 
 
 def compose_word(genus, word):
@@ -174,30 +200,48 @@ def compose_word(genus, word):
 
     ``word`` is a sequence of ``(name, sign)`` pairs, leftmost letter
     outermost: the rightmost twist acts first.  An empty word gives the
-    identity map of the rose.  Genus must be at least 1.
+    identity map of the rose.  Genus must be at least 1.  Every name is
+    looked up before anything is composed, so an unknown one fails at once.
 
     Each generator's twist map is built by :func:`dehn_twist`, with its
-    boundary check, once per genus and process, and shared by every later
-    word: maps are immutable.  The map returned is always freshly composed.
+    boundary check, once per genus and process, and factored there as
+    ``T = i_u o R`` (:func:`_generator_factor`), with the factor checked
+    once.  The word's map is carried as ``i_w o B``: conjugation by a loop
+    ``w`` after a map ``B``.  A letter sets ``w <- w B(u)`` and
+    ``B <- B o R``, splicing only the edges that ``R`` moves, since
+    ``B o i_u = i_B(u) o B``; so an ``a_i`` twist re-splices one edge, not
+    ``2g - 1``.  The images returned are ``w B(e) w~``.  The map returned
+    is always freshly composed.
 
-    Composites along the way are image dicts, each image spliced by
-    :func:`~traintrack.graphs._path_image`; only the word's map is
+    Every splice goes through :func:`~traintrack.graphs._path_image`, with
+    ``w`` stored as the image of one extra key, and only the word's map is
     validated, which checks it exactly as strongly as validating each step.
     The rose has one vertex, so path and endpoint checks hold for any word;
-    every letter comes from a twist that :func:`dehn_twist` validated; and
-    a splice cancels only inverse pairs, so by the uniqueness of reduced
-    words a map that passes the tightness check is exactly the step-by-step
-    chain's, while a splice that left a backtrack fails it.  The map then
-    still meets :func:`~traintrack.bh.bestvina_handel`'s input check.
+    every letter comes from a twist that :func:`dehn_twist` validated and a
+    factor checked against it; and a splice cancels only inverse pairs, so
+    by the uniqueness of reduced words a map that passes the tightness
+    check is exactly the step-by-step chain's, while a splice that left a
+    backtrack fails it.  The map then still meets
+    :func:`~traintrack.bh.bestvina_handel`'s input check.
     """
     graph, curves = _rose_and_curves(genus)
-    images = {e: (e,) for e in graph.edges}
+    factors = []
     for name, sign in word:
         if name not in curves:
             known = ", ".join(sorted(curves))
             raise ValueError(
                 f"unknown generator {name!r} at genus {genus} "
                 f"(have: {known})")
-        images = {e: _path_image(images, p) for e, p
-                  in _generator_twist(genus, name, sign).edge_image.items()}
-    return GraphSelfMap(graph, {v: v for v in graph.vertices}, images)
+        factors.append(_generator_factor(genus, name, sign))
+    # i_w o B is one dict: B's images, and w as the image of key w
+    w = len(graph.edges) + 1
+    images = {e: (e,) for e in graph.edges}
+    images[w] = ()
+    for u, moved in factors:
+        spliced = [(e, _path_image(images, p)) for e, p in moved]
+        if u:
+            images[w] = _path_image(images, (w,) + u)
+        images.update(spliced)
+    return GraphSelfMap(graph, {v: v for v in graph.vertices},
+                        {e: _path_image(images, (w, e, -w))
+                         for e in graph.edges})

@@ -255,19 +255,26 @@ def test_composition_is_associative(rose2, gens2):
     assert oracles.maps_equal(left, right)
 
 
-def test_unknown_generator_name():
+def test_unknown_generator_name(monkeypatch):
     have2 = r"\(have: a0, a1, c0, c1, d0, d1\)"
     with pytest.raises(ValueError,
                        match=f"^unknown generator 'b0' at genus 2 {have2}$"):
         compose_word(2, [("b0", 1)])
-    # after a valid prefix, which is composed first
-    with pytest.raises(ValueError,
-                       match=f"^unknown generator 'b0' at genus 2 {have2}$"):
-        compose_word(2, [("a0", 1), ("b0", 1)])
     # no chain curve fits on one handle
     with pytest.raises(ValueError, match=r"^unknown generator 'c0' at genus 1 "
                                          r"\(have: a0, d0\)$"):
         compose_word(1, [("c0", 1)])
+    # after a valid prefix: every name is looked up before anything is
+    # composed, so the prefix is never spliced
+    compose_word(2, [("a0", 1)])
+
+    def no_splice(images, path):
+        raise AssertionError("spliced before every name was looked up")
+
+    monkeypatch.setattr(twist, "_path_image", no_splice)
+    with pytest.raises(ValueError,
+                       match=f"^unknown generator 'b0' at genus 2 {have2}$"):
+        compose_word(2, [("a0", 1)] * 20 + [("b0", 1)])
 
 
 def _uncached_word(genus, word):
@@ -294,15 +301,47 @@ def test_shared_generator_twists_match_fresh_builds():
                 assert oracles.maps_equal(
                     compose_word(genus, [(name, sign)]),
                     dehn_twist(rose, curves[name], sign)), (genus, name, sign)
-        # the empty word, ten seeded words and the reference words
+        # the empty word, ten seeded words of length up to 20, three of
+        # a-twists alone (whose conjugators pile up) and the reference
+        # words, each with its inverse
+        a_names = [n for n in names if n.startswith("a")]
         words = [[]] + [[(rng.choice(names), rng.choice((1, -1)))
-                         for _ in range(rng.randint(1, 12))]
+                         for _ in range(rng.randint(1, 20))]
                         for _ in range(10)]
+        words += [[(rng.choice(a_names), rng.choice((1, -1)))
+                   for _ in range(rng.randint(1, 20))] for _ in range(3)]
         words += [list(word) for g, word in REFERENCE_WORDS.values()
                   if g == genus]
+        words += [[(n, -sign) for n, sign in reversed(word)]
+                  for word in words]
         for word in words:
             assert oracles.maps_equal(compose_word(genus, word),
                                       _uncached_word(genus, word)), word
+
+
+def test_generator_factors_conjugate_back_to_their_twists():
+    # each cached factor (u, R) of a generator twist T gives T back as
+    # u R(e) u~, and every a_i's remainder moves one edge: the structure
+    # that lets an a-letter re-splice one image
+    for genus in range(1, 6):
+        rose, curves = standard_rose(genus), standard_generators(genus)
+        for name, curve in curves.items():
+            for sign in (1, -1):
+                u, moved = twist._generator_factor(genus, name, sign)
+                rest = {e: (e,) for e in rose.edges}
+                rest.update(moved)
+                want = dehn_twist(rose, curve, sign).edge_image
+                for e in rose.edges:
+                    assert oracles.free_reduce(
+                        u + rest[e] + reverse_path(u)) == want[e], (
+                        genus, name, sign, e)
+                assert all(p != (e,) for e, p in moved)
+                if name.startswith("a"):
+                    assert len(moved) == 1, (genus, name, sign)
+                    if genus >= 2:
+                        assert u == (-sign * curve[0],), (genus, name, sign)
+                if name.startswith("d"):
+                    assert u == (), (genus, name, sign)
 
 
 def test_a_word_validates_one_map(monkeypatch):
@@ -332,23 +371,24 @@ def _concatenate(images, path):
 
 def test_a_splice_that_backtracks_is_rejected(monkeypatch):
     # the word's map is validated once, so that one check must catch a
-    # splice that skipped its seams, whether at every step or only the last.
-    # Each step splices every image through one dict of the step before
+    # splice that skipped its seams at any of its three sites.  The
+    # conjugator w is the image of the extra key 2g + 1: its update splices
+    # (w,) + u, the final conjugation (w, e, -w), and the remainder splices
+    # paths of the rose alone
     genus, word = REFERENCE_WORDS["ex1"]
-    steps = []
+    compose_word(genus, word)  # the generator factors, built and checked
+    w = 2 * genus + 1
+    sites = {"conjugator update": lambda path: path[0] == w and -w not in path,
+             "remainder splices": lambda path: w not in map(abs, path),
+             "final conjugation": lambda path: -w in path}
+    for site, at_site in sites.items():
+        def kernel(images, path, at_site=at_site):
+            return (_concatenate if at_site(path)
+                    else graphs._path_image)(images, path)
 
-    def last_step_concatenates(images, path):
-        if not steps or steps[-1] is not images:
-            steps.append(images)
-        kernel = (_concatenate if len(steps) == len(word)
-                  else graphs._path_image)
-        return kernel(images, path)
-
-    for kernel in (_concatenate, last_step_concatenates):
         monkeypatch.setattr(twist, "_path_image", kernel)
         with pytest.raises(MapCompatibilityError, match="backtracks"):
             compose_word(genus, word)
-    assert len(steps) == len(word)
 
 
 def test_composed_maps_are_fresh():
