@@ -3,14 +3,13 @@
 Moves are private steps of the loop, each from one :class:`GraphSelfMap` to
 a new one by a homotopy equivalence given by a letter table; one path,
 ``_rebuild``, pushes the old images through that table onto the new
-graph.  The valence-two move is BH92's valence-two homotopy: it
-collapses one of the two edges at the vertex, and the other collapse
-follows from the first by a slide along the fresh edge.  After every move
-the boundary word must still be preserved and the genus unchanged; these
-checks are cheap and always on.  Images are tight by construction, so
-BH92's pull-tight move never applies.  The main loop runs rounds.  A round
-simplifies (collapsing invariant forests, removing low-valence vertices)
-and stops at one of three outcomes:
+graph.  The valence-two move is BH92's valence-two homotopy: it collapses
+one of the two edges at the vertex, each by its own table, and keeps the
+side of smaller growth.  After every move the boundary word must still be
+preserved and the genus unchanged; these checks are cheap and always on.
+Images are tight by construction, so BH92's pull-tight move never applies.
+The main loop runs rounds.  A round simplifies (collapsing invariant
+forests, removing low-valence vertices) and stops at one of three outcomes:
 
 * :class:`TrainTrack` — every turn taken by an edge image is legal and the
   transition matrix is irreducible with growth > 1,
@@ -51,13 +50,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    GraphStructureError,
     InternalInvariantError,
     IterationLimitExceeded,
     MapCompatibilityError,
 )
-from .graphs import (EmbeddedGraph, GraphSelfMap, _path_image, reverse_path,
-                     substitute, tighten)
+from .graphs import EmbeddedGraph, GraphSelfMap, _path_image, substitute
 from .growth import (
     is_irreducible,
     is_permutation_matrix,
@@ -212,13 +209,14 @@ def _retract_leaf(f, v):
 
 
 def _merge_through(f, v):
-    """Remove the valence-two vertex ``v``: collapse |b|, or slide to
-    collapse |a|.
+    """Remove the valence-two vertex ``v``: collapse |b| or |a|, each side
+    built from f by its own letter table.
 
-    The path through ``v`` becomes one fresh edge.  The two collapses differ
-    wherever another vertex maps onto ``v``, so they can give different
-    growth rates; the smaller is kept, which keeps growth non-increasing,
-    and only the kept side is built.
+    The path through ``v`` becomes one fresh edge m.  The two collapses are
+    homotopic relative to every vertex but ``v``, whose track is m, so they
+    differ only in how often the images of edges with an end mapped onto
+    ``v`` cross m, and can give different growth rates.  The smaller is
+    kept, which keeps growth non-increasing, and only the kept side is built.
 
     The edges |a| and |b| are distinct and neither is a loop, so x and y
     differ from v.  A loop at ``v`` would take both its germs, so ``v``
@@ -231,6 +229,7 @@ def _merge_through(f, v):
     x, y = g.head(a), g.head(b)
     # the fresh edge m runs from x to y along (-a, b).  Collapsing |b| moves
     # v to y and leaves |a| as m; collapsing |a| moves v to x and leaves |b|
+    # (a side is named by its collapsed edge: x and y coincide on a bigon)
     m = max(g.edges) + 1
     edges = {e: uv for e, uv in g.edges.items() if e not in (abs(a), abs(b))}
     edges[m] = (x, y)
@@ -238,32 +237,29 @@ def _merge_through(f, v):
     # as m and -m; rotated to start at -a, rho starts with m
     i0 = g.rho.index(-a)
     rho = g.rho[i0:] + g.rho[:i0]
-    new = _rebuild("valence_two", f, edges, rho,
-                   {b: (), -b: (), -a: (m,), a: (-m,)},
-                   _merge_vertices("valence_two", f.vertex_image, {v: y}, v),
-                   {**f.edge_image, m: _path_image(f.edge_image, (-a, b))})
-    # the two collapses are homotopic relative to every vertex but v, whose
-    # track is m, and a tight path is unique in its homotopy class: so the
-    # |a| side slides each z that maps to v back to x, along m
-    slide = {z for z, w in f.vertex_image.items() if w == v and z != v}
-    if not slide:
+    images = {**f.edge_image, m: _path_image(f.edge_image, (-a, b))}
+    table_b = {b: (), -b: (), -a: (m,), a: (-m,)}
+    table_a = {a: (), -a: (), b: (m,), -b: (-m,)}
+
+    def collapse(table, w):
+        return _rebuild("valence_two", f, edges, rho, table, _merge_vertices(
+            "valence_two", f.vertex_image, {v: w}, v), images)
+
+    new = collapse(table_b, y)
+    moved = [e for e, uv in edges.items() if v in map(f.vertex_image.get, uv)]
+    if not moved:
         return new
-    images = {e: tighten((m,) * (t in slide) + new.edge_image[e]
-                         + (-m,) * (h in slide))
-              for e, (t, h) in edges.items() if t in slide or h in slide}
     # only row m, the last, of the transition matrix changes; ties keep the
     # |b| side, whose direction b follows a in the rotation at v
     matrix = new.transition_matrix()
     lam = spectral_radius(matrix)
     order = sorted(edges)
-    for e, p in images.items():
+    for e in moved:
+        p = substitute(images[e], table_a)
         matrix[-1, order.index(e)] = p.count(m) + p.count(-m)
     if lam <= spectral_radius(matrix) + 1e-12:
         return new
-    return _rebuild("valence_two", f, edges, rho,
-                    {a: (), -a: (), b: (m,), -b: (-m,)},
-                    {**new.vertex_image, **dict.fromkeys(slide, x)},
-                    {**new.edge_image, **images})
+    return collapse(table_a, x)
 
 
 class _Subdivision:
@@ -272,33 +268,26 @@ class _Subdivision:
     ``edges``, ``rho``, ``vertex_image`` and ``edge_image`` spell the
     subdivided graph and its map in that graph's own letters: a split
     rewrites ``rho`` and, in place, only the images that cross the split
-    edge.  ``splits`` lists every split as ``(edge, at, into)``: the edge,
-    where its image was cut, and its halves.  A subdivided tight path is
-    still tight, so a move that ends the preparation builds the map once.
+    edge.  ``tail``, ``head`` and ``image`` are the readers of
+    :class:`EmbeddedGraph` and :class:`GraphSelfMap`, on a direction -> tail
+    table ``_tail``.  ``splits`` lists every split as ``(edge, at, into)``:
+    the edge, where its image was cut, and its halves.  A subdivided tight
+    path is still tight, so a move that ends the preparation builds it once.
     A split's new vertex has just the inner ends ``(-e1, e2)`` of its
     halves, which is where a fold pass reads x's turn from.
     """
 
+    tail, head = EmbeddedGraph.tail, EmbeddedGraph.head
+    image = GraphSelfMap.image
+
     def __init__(self, f):
         self.f = f
         self.edges = dict(f.graph.edges)
+        self._tail = dict(f.graph._tail)
         self.rho = f.graph.rho
         self.vertex_image = dict(f.vertex_image)
         self.edge_image = dict(f.edge_image)
         self.splits = []
-
-    def tail(self, d):
-        if abs(d) not in self.edges:
-            raise GraphStructureError(f"unknown edge in direction {d}")
-        t, h = self.edges[abs(d)]
-        return t if d > 0 else h
-
-    def head(self, d):
-        return self.tail(-d)
-
-    def image(self, d):
-        p = self.edge_image[abs(d)]
-        return p if d > 0 else reverse_path(p)
 
     def takes(self, a, b):
         """Whether some edge image takes the turn ``(a, b)``."""
@@ -318,6 +307,8 @@ class _Subdivision:
         self.vertex_image[z] = self.head(p[k - 1])
         t, h = self.edges.pop(e)
         self.edges[e1], self.edges[e2] = (t, z), (z, h)
+        del self._tail[e], self._tail[-e]
+        self._tail.update({e1: t, -e1: z, e2: z, -e2: h})
         step = {e: (e1, e2), -e: (-e2, -e1)}
         self.rho = tuple(_subst(self.rho, step))
         images = self.edge_image
@@ -333,7 +324,7 @@ class _Subdivision:
 
 def _fold(prep, d1, d2):
     """Fold two directions of the subdivided graph of ``prep`` (a partial
-    fold); returns the map and the number of letters tightening cancelled.
+    fold); returns the map, the fused edge and how many letters cancelled.
 
     The two edges merge into a fresh edge and their far endpoints into one
     vertex.  The fold pass prepares ``d1`` and ``d2``, so each broken
@@ -379,7 +370,8 @@ def _fold(prep, d1, d2):
         d1: (fused,), d2: (fused,), -d1: (-fused,), -d2: (-fused,)},
         _merge_vertices("fold", prep.vertex_image, rep), images)
     # the fold replaces letters one for one, so any shortfall is cancellation
-    return new, sum(len(images[e]) - len(new.edge_image[e]) for e in edges)
+    return new, fused, sum(len(images[e]) - len(new.edge_image[e])
+                           for e in edges)
 
 
 def gates(f):
@@ -615,8 +607,7 @@ def _fold_pass(f, o1, o2, x, hook):
         split(d1 if len(p1) > shared else d2, shared)
     else:
         raise InternalInvariantError("fold preparation did not settle")
-    f, cancelled = _fold(prep, d1, d2)
-    fused = max(f.graph.edges)
+    f, fused, cancelled = _fold(prep, d1, d2)
     hook("fold", f, edges=sorted((abs(d1), abs(d2))), into=fused,
          directions=(d1, d2), splits=prep.splits)
     rename = {d1: fused, d2: fused, -d1: -fused, -d2: -fused}

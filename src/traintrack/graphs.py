@@ -95,9 +95,7 @@ def _path_image(images, path):
     """The tight image of an edge path under a map with tight edge images
     ``images`` (edge id -> path): each letter's image is spliced on, read
     from the end for a reversed letter, cancelling only at the seam where
-    two meet.  A one-letter forward path gives the stored tuple itself."""
-    if len(path) == 1 and path[0] > 0:
-        return images[path[0]]
+    two meet."""
     # a reversed step reads its stored image q from the end: it pushes
     # -q[-1], -q[-2], ..., and -q[-1 - k] cancels out[-1 - k].  Most seams
     # cancel nothing (at least two thirds of those spliced while composing

@@ -526,7 +526,9 @@ def test_subdivision_matches_chained_subdivide(reference_runs):
     # give one at a time, each built as one move.  Each split keeps
     # ``length`` letters for a direction d of either sign, as a fold pass
     # does, and the splits reach fresh halves and edges that other images
-    # cross only reversed
+    # cross only reversed.  After every split the draft reads each
+    # direction's tail, head and image as the built map does, and a split
+    # edge is unknown to both
     rng = random.Random(20)
     fresh = reversed_only = 0
     for name in REFERENCE_WORDS:
@@ -547,6 +549,15 @@ def test_subdivision_matches_chained_subdivide(reference_runs):
                                      for q in prep.edge_image.values())
                 prep.split(e, k)
                 g = _split(g, e, k)
+                for c in g.graph.edges:
+                    for d in (c, -c):
+                        assert (prep.tail(d), prep.head(d), prep.image(d)) == (
+                            g.graph.tail(d), g.graph.head(d), g.image(d)), name
+                for reader in (prep.tail, prep.head,
+                               g.graph.tail, g.graph.head):
+                    for d in (e, -e):
+                        with pytest.raises(GraphStructureError):
+                            reader(d)
             built = bh._rebuild("subdivide", f, prep.edges, prep.rho, {},
                                 prep.vertex_image, prep.edge_image)
             assert oracles.maps_equal(built, g), name
@@ -598,10 +609,13 @@ def _valence_two_side(f, v, collapse):
 
 
 def test_valence_two_sides_differ_by_a_slide(monkeypatch):
-    # the two collapses at v are homotopic relative to every vertex but v,
-    # so the |a| side that the move reads off the |b| side must be the
-    # table-built one exactly.  Seeded snapshots and twice subdivided maps
-    # give valence-two vertices that another vertex maps onto
+    # the two collapses at v are homotopic relative to every vertex but v:
+    # they differ by a slide along m, so only in row m of the transition
+    # matrix.  The move compares the |b| side's matrix with that row
+    # recounted for the |a| side, and builds the kept side by its own table:
+    # each matrix and map must be the oracle's side exactly.  Seeded
+    # snapshots and twice subdivided maps give valence-two vertices that
+    # another vertex maps onto
     maps = _seeded_snapshots(40)
     f = compose_word(2, [("d0", 1), ("c0", 1), ("d1", 1)])
     for e, k in _split_points(f):
@@ -623,7 +637,7 @@ def test_valence_two_sides_differ_by_a_slide(monkeypatch):
             want = side_b if kept == "b" else side_a
             assert oracles.maps_equal(bh._merge_through(f, v), want)
             kept_sides.append(kept)
-            # make the |a| side win, so the move builds it from the slide
+            # make the |a| side win, so the move builds it
             seen = []
             with monkeypatch.context() as patch:
                 patch.setattr(bh, "spectral_radius",

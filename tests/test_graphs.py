@@ -380,7 +380,7 @@ def test_path_image_is_the_reduced_substitution(reference_runs):
     for f in maps:
         images = f.edge_image
         for e, q in images.items():
-            assert _path_image(images, (e,)) is q
+            assert _path_image(images, (e,)) == q
             assert _path_image(images, (-e,)) == reverse_path(q)
             assert _path_image(images, (e, -e)) == ()
             empty += not q
