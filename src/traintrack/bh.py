@@ -254,9 +254,14 @@ def _merge_through(f, v):
     matrix = new.transition_matrix()
     lam = spectral_radius(matrix)
     order = sorted(edges)
+    # row m of the |a| side counts b and -b in each image, since table_a
+    # (drop +-a, rename +-b) cancels nothing.  A tight path passes v inside
+    # only as (-a, b) or (-b, a): a dropped a follows a -b and comes before
+    # a letter from x, a dropped -a comes before a b and follows a letter
+    # into x, and the inverse of that -b or b starts or ends at v, not at x
     for e in moved:
-        p = substitute(images[e], table_a)
-        matrix[-1, order.index(e)] = p.count(m) + p.count(-m)
+        p = images[e]
+        matrix[-1, order.index(e)] = p.count(b) + p.count(-b)
     if lam <= spectral_radius(matrix) + 1e-12:
         return new
     return collapse(table_a, x)

@@ -12,6 +12,7 @@ SVG output.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,6 +133,14 @@ def circle_pack(tri):
     radii exact to rounding, and stops.  The system of the apex and ``V``
     vertices is ``(V+1) x (V+1)``, assembled from the ``2n`` cone triangles
     in one pass per step.
+
+    The genus and angle-deficit checks run on every call.  The solve itself
+    is kept per process for the last 256 corner sequences, each vertex id
+    replaced by its rank among ``graph.vertices``.  That rank is the
+    numbering of the unknowns, and the solve reads nothing else, so a memo
+    hit returns radii bit-identical to a cold solve.  Each call returns a
+    fresh :class:`PackingRadii` keyed by the caller's vertex ids, and a
+    solve that raises :class:`PackingDidNotConverge` is not kept.
     """
     graph = tri.graph
     if graph.genus < 2:
@@ -146,9 +155,16 @@ def circle_pack(tri):
                 "corners descend to it")
     # unknown 0 is the apex, unknown k + 1 is the k-th graph vertex
     unknown = {v: k + 1 for k, v in enumerate(graph.vertices)}
-    c = [unknown[v] for v in corners]
+    r = _solve_packing(tuple(unknown[v] for v in corners))
+    return PackingRadii(r[0], {v: r[k] for v, k in unknown.items()})
+
+
+@lru_cache(maxsize=256)
+def _solve_packing(c):
+    """The radii of the apex and of unknowns ``1..max(c)``, as a tuple, for
+    the corner sequence ``c`` of unknowns; every unknown has a corner."""
     tris = np.array([(0, c[i], c[(i + 1) % len(c)]) for i in range(len(c))])
-    n = len(unknown) + 1
+    n = max(c) + 1
     entry = (tris[:, :, None] * n + tris[:, None, :]).ravel()
 
     def residual_and_jacobian(r):
@@ -163,9 +179,7 @@ def circle_pack(tri):
     for _ in range(MAX_NEWTON_STEPS):
         step = np.linalg.solve(jac, residual)
         if worst < 1e-10:
-            r -= step
-            return PackingRadii(float(r[0]), {
-                v: float(r[k]) for v, k in sorted(unknown.items())})
+            return tuple((r - step).tolist())
         for _ in range(60):  # by then the step is below rounding
             trial = r - step
             if trial.min() > 0.0:

@@ -28,6 +28,7 @@ from traintrack import (
     standard_rose,
 )
 from traintrack import bh, growth
+from traintrack.graphs import _path_image, substitute
 
 import oracles
 from conftest import REFERENCE_WORDS, gate_map_keeps_gates_apart, run_word
@@ -647,6 +648,34 @@ def test_valence_two_sides_differ_by_a_slide(monkeypatch):
             assert [m.tolist() for m in seen] == [
                 h.transition_matrix().tolist() for h in (side_b, side_a)]
     assert kept_sides.count("a") > 10 and kept_sides.count("b") > 100
+
+
+def test_valence_two_tables_cancel_nothing(reference_runs):
+    # _merge_through reads row m of the |a| side as how often each image
+    # crosses b.  That holds because neither collapse table makes a
+    # backtrack at a valence-two vertex: a tight path passes it only as
+    # (-a, b) or (-b, a).  Pinned on every valence-two vertex of every hook
+    # snapshot, for the images of f's edges and of m
+    runs = dict(reference_runs)
+    runs["cap1"] = run_word(2, CHAIN_OF_FIVE_WORD, collect_snapshots=True)
+    checked = 0
+    for name, run in runs.items():
+        for _move, f, _info in run.snapshots:
+            g = f.graph
+            for v in g.vertices:
+                if g.valence(v) != 2:
+                    continue
+                a, b = g.rotation_order(v)
+                m = max(g.edges) + 1
+                paths = [*f.edge_image.values(),
+                         _path_image(f.edge_image, (-a, b))]
+                for table in ({b: (), -b: (), -a: (m,), a: (-m,)},
+                              {a: (), -a: (), b: (m,), -b: (-m,)}):
+                    for p in paths:
+                        assert substitute(p, table) == tuple(
+                            bh._subst(p, table)), (name, v, p)
+                checked += 1
+    assert checked > 200
 
 
 def _gates_by_iteration(f):

@@ -174,24 +174,74 @@ def test_packing_wide_final_graphs():
 
 
 def test_packing_rejects_genus_one():
-    with pytest.raises(GraphStructureError):
-        circle_pack(cone_triangulation(standard_rose(1)))
+    # the checks run on every call, memo or not: each raises twice in a row
+    for _ in range(2):
+        with pytest.raises(GraphStructureError):
+            circle_pack(cone_triangulation(standard_rose(1)))
     # genus 2 fits, but the genus-2 rose with edge 1 split at the valence-two
     # vertex 1 gives that vertex only two corners
     split = EmbeddedGraph({1: (0, 1), 5: (1, 0), 2: (0, 0), 3: (0, 0),
                            4: (0, 0)}, (1, 5, 2, -5, -1, -2, 3, 4, -3, -4))
-    with pytest.raises(GraphStructureError, match="^vertex 1 has angle "
-                       "deficit: fewer than three polygon corners descend "
-                       "to it$"):
-        circle_pack(cone_triangulation(split))
+    for _ in range(2):
+        with pytest.raises(GraphStructureError, match="^vertex 1 has angle "
+                           "deficit: fewer than three polygon corners "
+                           "descend to it$"):
+            circle_pack(cone_triangulation(split))
 
 
-def test_packing_sweep_cap(monkeypatch):
+@pytest.fixture
+def cold_memo():
+    """An empty packing memo before and after the test, for tests that
+    patch the solve: a solve they let through must neither hit nor stay."""
+    hyplayout._solve_packing.cache_clear()
+    yield
+    hyplayout._solve_packing.cache_clear()
+
+
+def _shifted(graph, by):
+    """``graph`` with every vertex id raised by ``by``."""
+    return EmbeddedGraph({e: (u + by, v + by)
+                          for e, (u, v) in graph.edges.items()}, graph.rho)
+
+
+def test_packing_memo_hit_is_the_cold_solve(reference_runs, cold_memo):
+    # the memo keys a solve by vertex ranks: a hit, also on the same graph
+    # with other vertex ids, gives exactly the cold radii, keyed by the
+    # caller's own ids, and one entry serves both graphs
+    memo = hyplayout._solve_packing
+    for name, run in reference_runs.items():
+        graph = run.final.graph
+        memo.cache_clear()
+        cold = circle_pack(cone_triangulation(graph))
+        hit = circle_pack(cone_triangulation(graph))
+        moved = circle_pack(cone_triangulation(_shifted(graph, 10)))
+        info = memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1), name
+        assert hit == cold, name
+        assert moved == PackingRadii(
+            cold.apex, {v + 10: r for v, r in cold.vertex.items()}), name
+
+
+def test_packing_result_is_the_callers_own(cold_memo):
+    # each call builds its own PackingRadii: writing into one returned
+    # vertex dict leaves the next result as it was
+    tri = cone_triangulation(standard_rose(2))
+    first = circle_pack(tri)
+    want = PackingRadii(first.apex, dict(first.vertex))
+    first.vertex[0] = -1.0
+    first.vertex[7] = 2.0
+    assert circle_pack(tri) == want
+
+
+def test_packing_sweep_cap(monkeypatch, cold_memo):
+    # a solve that gives up is not kept: the next call gives up too
     monkeypatch.setattr(hyplayout, "MAX_NEWTON_STEPS", 1)
     tri = cone_triangulation(standard_rose(2))
-    with pytest.raises(PackingDidNotConverge, match=r"^angle sums still off "
-                       r"by \S+ after 1 Newton steps$"):
-        circle_pack(tri)
+    for _ in range(2):
+        with pytest.raises(PackingDidNotConverge, match=r"^angle sums still "
+                           r"off by \S+ after 1 Newton steps$"):
+            circle_pack(tri)
+    assert hyplayout._solve_packing.cache_info().currsize == 0
 
 
 def _patched_solve(monkeypatch, scale):
@@ -212,11 +262,13 @@ def _patched_solve(monkeypatch, scale):
     return steps
 
 
-def test_packing_line_search_halves_a_long_step(monkeypatch):
+def test_packing_line_search_halves_a_long_step(monkeypatch, cold_memo):
     # eight times the Newton step overshoots; halving it three times gives
-    # the Newton step back, and the packing is unique
+    # the Newton step back, and the packing is unique.  The patched solve
+    # runs on an empty memo, not on the entry that ``want`` left
     tri = cone_triangulation(standard_rose(2))
     want = circle_pack(tri)
+    hyplayout._solve_packing.cache_clear()
     steps = _patched_solve(monkeypatch, 8.0)
     got = circle_pack(tri)
     assert any(np.array_equal(step, newton) for step, newton in steps)
@@ -226,7 +278,7 @@ def test_packing_line_search_halves_a_long_step(monkeypatch):
         assert got.vertex[v] == pytest.approx(r, abs=1e-12)
 
 
-def test_packing_gives_up_on_an_uphill_step(monkeypatch):
+def test_packing_gives_up_on_an_uphill_step(monkeypatch, cold_memo):
     # uphill steps soon stop lowering the residual: the line search halves
     # the last step 60 times and gives up long before the cap
     steps = _patched_solve(monkeypatch, -1.0)
