@@ -1,12 +1,15 @@
 """The train track algorithm for self-maps of punctured-surface spines.
 
-Moves are private steps of the loop, each from one :class:`GraphSelfMap` to
-a new one by a homotopy equivalence given by a letter table; one path,
-``_rebuild``, pushes the old images through that table onto the new
-graph.  The valence-two move is BH92's valence-two homotopy: it collapses
-one of the two edges at the vertex, each by its own table, and keeps the
-side of smaller growth.  After every move the boundary word must still be
-preserved and the genus unchanged; these checks are cheap and always on.
+Moves are private steps of the loop.  Each is a homotopy equivalence
+given by a letter table and a vertex merge, applied to a draft of the map
+(:class:`_Subdivision`): a fold's subdivided draft, or f's own.  One path,
+``_rebuild``, derives the new graph and map from those two: the edges the
+table names leave, every other edge keeps its ends through the merge, and
+the old images are pushed through the table.  The valence-two move is
+BH92's valence-two homotopy: it collapses one of the two edges at the
+vertex, each by its own table, and keeps the side of smaller growth.  After
+every move the boundary word must still be preserved and the genus
+unchanged; these checks are cheap and always on.
 Images are tight by construction, so BH92's pull-tight move never applies.
 The main loop runs rounds.  A round simplifies (collapsing invariant
 forests, removing low-valence vertices) and stops at one of three outcomes:
@@ -102,44 +105,46 @@ def _subst(path, table):
     return out
 
 
-def _rebuild(move, f, edges, rho, table, vertex_image, images):
-    """The map ``f`` pushed through a move onto the graph ``(edges, rho)``.
+def _rebuild(move, start, table, rep, rho, fresh=None, dropped=None):
+    """The map of the draft ``start`` pushed through one move.
 
-    A move is a homotopy equivalence given by a letter table, which spells a
-    path of the graph the move starts from in the new graph's letters (see
-    :func:`_subst`).  That start graph is f's, or a fold's
-    :class:`_Subdivision` of it, and each call reads one letter space, the
-    start graph's: ``rho`` is its boundary word, read from where the move
-    needs it, and ``images`` the tight image of every edge the new graph
-    keeps or adds.  ``vertex_image`` is the vertex map on the new graph.
-    An image that holds a letter of the table is translated and tightened
-    in one pass (:func:`~.graphs.substitute`); any other is kept as it is.
+    A move is a homotopy equivalence given by a letter table and a vertex
+    merge.  The table spells a path of the start graph in the new graph's
+    letters (see :func:`_subst`), and every edge it names leaves the graph.
+    ``rep`` sends a vertex to the vertex it joins; every other edge keeps
+    its ends, read through ``rep``, and ``dropped`` leaves the graph.  The
+    draft ``start`` is a :class:`_Subdivision`: a fold's, or one of f with
+    no split.  Each call reads one letter space, the draft's: ``rho`` is its
+    boundary word, read from where the move needs it, and ``fresh`` is
+    ``(edge, (tail, head), image)`` for the one edge a move may add.  An
+    image that holds a letter of the table is translated and tightened in
+    one pass (:func:`~.graphs.substitute`); any other is kept as it is.
     """
-    graph = EmbeddedGraph(edges, _subst(rho, table))
+    vertex_image = {}
+    for z, fz in start.vertex_image.items():
+        if z == dropped:
+            continue
+        r, w = rep.get(z, z), rep.get(fz, fz)
+        if vertex_image.setdefault(r, w) != w:
+            raise InternalInvariantError(
+                f"{move} merged vertices with different images")
+    kept = [(e, ends, start.edge_image[e])
+            for e, ends in start.edges.items() if e not in table]
+    if fresh is not None:
+        kept.append(fresh)
     keys = table.keys()
-    new = GraphSelfMap(graph, vertex_image, {
-        e: p if keys.isdisjoint(p := images[e]) else substitute(p, table)
-        for e in edges})
+    edges, images = {}, {}
+    for e, (t, h), p in kept:
+        edges[e] = (rep.get(t, t), rep.get(h, h))
+        images[e] = p if keys.isdisjoint(p) else substitute(p, table)
+    graph = EmbeddedGraph(edges, _subst(rho, table))
+    new = GraphSelfMap(graph, vertex_image, images)
     # every move must fix the puncture loop and the surface
-    if graph.genus != f.graph.genus:
+    if graph.genus != start.f.graph.genus:
         raise InternalInvariantError(f"{move} changed the genus")
     if not new.preserves_boundary():
         raise InternalInvariantError(f"{move} broke the boundary word")
     return new
-
-
-def _merge_vertices(move, vertex_image, rep, dropped=None):
-    """``vertex_image`` once each vertex ``z`` becomes ``rep.get(z, z)``;
-    ``dropped`` leaves the graph."""
-    merged = {}
-    for z, fz in vertex_image.items():
-        if z == dropped:
-            continue
-        r, w = rep.get(z, z), rep.get(fz, fz)
-        if merged.setdefault(r, w) != w:
-            raise InternalInvariantError(
-                f"{move} merged vertices with different images")
-    return merged
 
 
 def _contract(graph, edges):
@@ -172,18 +177,13 @@ def _contract(graph, edges):
 def _collapse_edges(f, forest, rep):
     """Collapse a forest of edges whose images stay inside the forest;
     ``rep`` is its contraction, as :func:`_contract` gives it."""
-    g = f.graph
     for e in forest:
         for d in f.edge_image[e]:
             if abs(d) not in forest:
                 raise InternalInvariantError(
                     "collapse target is not invariant under the map")
-    edges = {e: (rep[u], rep[v])
-             for e, (u, v) in g.edges.items() if e not in forest}
     table = {d: () for e in forest for d in (e, -e)}
-    vertex_image = _merge_vertices("collapse", f.vertex_image, rep)
-    return _rebuild("collapse", f, edges, g.rho, table, vertex_image,
-                    f.edge_image)
+    return _rebuild("collapse", _Subdivision(f), table, rep, f.graph.rho)
 
 
 def _retract_leaf(f, v):
@@ -195,17 +195,11 @@ def _retract_leaf(f, v):
     two or more, removing a valence-two vertex keeps both its neighbours,
     and a split's new vertex has valence two.
     """
-    g = f.graph
-    (germ,) = g.directions(v)
-    u = abs(germ)
+    (germ,) = f.graph.directions(v)
     # rho turns around at a leaf: it holds the consecutive pair (-germ, germ),
     # and dropping both letters removes exactly that corner
-    edges = {e: uv for e, uv in g.edges.items() if e != u}
-    table = {u: (), -u: ()}
-    vertex_image = _merge_vertices("valence_one", f.vertex_image,
-                                   {v: g.head(germ)}, v)
-    return _rebuild("valence_one", f, edges, g.rho, table, vertex_image,
-                    f.edge_image)
+    return _rebuild("valence_one", _Subdivision(f), {germ: (), -germ: ()},
+                    {v: f.graph.head(germ)}, f.graph.rho, dropped=v)
 
 
 def _merge_through(f, v):
@@ -224,28 +218,27 @@ def _merge_through(f, v):
     be the whole graph: V = E = 1 gives an odd 2g, which
     :class:`EmbeddedGraph` rejects.
     """
-    g = f.graph
-    a, b = g.rotation_order(v)
-    x, y = g.head(a), g.head(b)
+    start = _Subdivision(f)
+    a, b = f.graph.rotation_order(v)
+    x, y = start.head(a), start.head(b)
     # the fresh edge m runs from x to y along (-a, b).  Collapsing |b| moves
     # v to y and leaves |a| as m; collapsing |a| moves v to x and leaves |b|
     # (a side is named by its collapsed edge: x and y coincide on a bigon)
-    m = max(g.edges) + 1
-    edges = {e: uv for e, uv in g.edges.items() if e not in (abs(a), abs(b))}
-    edges[m] = (x, y)
+    m = max(start.edges) + 1
+    image_m = _path_image(start.edge_image, (-a, b))
     # rho passes v only as (-a, b) and (-b, a), which both collapses spell
     # as m and -m; rotated to start at -a, rho starts with m
-    i0 = g.rho.index(-a)
-    rho = g.rho[i0:] + g.rho[:i0]
-    images = {**f.edge_image, m: _path_image(f.edge_image, (-a, b))}
+    i0 = start.rho.index(-a)
+    rho = start.rho[i0:] + start.rho[:i0]
     table_b = {b: (), -b: (), -a: (m,), a: (-m,)}
     table_a = {a: (), -a: (), b: (m,), -b: (-m,)}
 
     def collapse(table, w):
-        return _rebuild("valence_two", f, edges, rho, table, _merge_vertices(
-            "valence_two", f.vertex_image, {v: w}, v), images)
+        return _rebuild("valence_two", start, table, {v: w}, rho,
+                        (m, (x, y), image_m), dropped=v)
 
     new = collapse(table_b, y)
+    edges = new.graph.edges
     moved = [e for e, uv in edges.items() if v in map(f.vertex_image.get, uv)]
     if not moved:
         return new
@@ -260,7 +253,7 @@ def _merge_through(f, v):
     # a letter from x, a dropped -a comes before a b and follows a letter
     # into x, and the inverse of that -b or b starts or ends at v, not at x
     for e in moved:
-        p = images[e]
+        p = image_m if e == m else f.edge_image[e]
         matrix[-1, order.index(e)] = p.count(b) + p.count(-b)
     if lam <= spectral_radius(matrix) + 1e-12:
         return new
@@ -268,8 +261,10 @@ def _merge_through(f, v):
 
 
 class _Subdivision:
-    """The graph of ``f`` with edges subdivided, and the map on it, unbuilt.
+    """The draft a move is built from: the graph of ``f`` with edges
+    subdivided, and the map on it, unbuilt.
 
+    Every move starts from one, with no split unless it is a fold.
     ``edges``, ``rho``, ``vertex_image`` and ``edge_image`` spell the
     subdivided graph and its map in that graph's own letters: a split
     rewrites ``rho`` and, in place, only the images that cross the split
@@ -359,24 +354,19 @@ def _fold(prep, d1, d2):
         raise InternalInvariantError(
             "parallel fold: far endpoints already agree")
     w = min(w1, w2)
-    rep = {w1: w, w2: w}
     fused = max(prep.edges) + 1
     # the corner being sewn shut shows up in rho as (-first, second); rotate
     # rho so the pair sits at the front and drop it, every other occurrence
     # of the two edges becomes the fused edge
     i0 = rho.index(-(d1 if adj12 else d2))
     rotated = rho[i0:] + rho[:i0]
-    edges = {e: (rep.get(t, t), rep.get(h, h))
-             for e, (t, h) in prep.edges.items()
-             if e not in (abs(d1), abs(d2))}
-    edges[fused] = (rep.get(v, v), w)
-    images = {**prep.edge_image, fused: p1}
-    new = _rebuild("fold", prep.f, edges, rotated[2:], {
+    new = _rebuild("fold", prep, {
         d1: (fused,), d2: (fused,), -d1: (-fused,), -d2: (-fused,)},
-        _merge_vertices("fold", prep.vertex_image, rep), images)
-    # the fold replaces letters one for one, so any shortfall is cancellation
-    return new, fused, sum(len(images[e]) - len(new.edge_image[e])
-                           for e in edges)
+        {w1: w, w2: w}, rotated[2:], (fused, (v, w1), p1))
+    # the fold replaces letters one for one, so any shortfall is
+    # cancellation; the fused edge's image p1 stands for both |d1| and |d2|
+    return new, fused, (sum(map(len, prep.edge_image.values())) - len(p1)
+                        - sum(map(len, new.edge_image.values())))
 
 
 def gates(f):

@@ -129,8 +129,8 @@ class EmbeddedGraph:
     Parameters
     ----------
     edges:
-        Mapping from positive integer edge ids to ``(tail, head)`` vertex
-        pairs.  Loops (``tail == head``) are allowed.
+        Mapping from positive integer edge ids to ``(tail, head)`` pairs of
+        integer vertex ids.  Loops (``tail == head``) are allowed.
     rho:
         The boundary word: a closed walk, as a tuple of oriented edges,
         crossing every edge exactly twice, once per direction.
@@ -158,6 +158,10 @@ class EmbeddedGraph:
         tail = {}
         for e, (u, v) in self.edges.items():
             tail[e], tail[-e] = u, v
+        for v in tail.values():
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise GraphStructureError(
+                    f"vertex ids must be integers, got {v!r}")
         self._tail = tail
         rho = self.rho
         # as many letters as directions, and all of them: each exactly once

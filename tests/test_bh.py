@@ -286,6 +286,43 @@ def test_rotated_word_has_an_essential_invariant_subgraph():
     assert bh._contract(outcome.map.graph, inv) is None
 
 
+def _random_word(rng, names, lo, hi):
+    return tuple((rng.choice(names), rng.choice((1, -1)))
+                 for _ in range(rng.randint(lo, hi)))
+
+
+def test_conjugates_keep_the_invariants():
+    """Seeded genus-2 and genus-3 words phi of 3-8 letters and conjugators h
+    of 1-3 letters: when phi and h phi h^-1 both end PseudoAnosov, they
+    share growth, the (k, index) multiset and the puncture index."""
+    rng = random.Random(29)
+    pairs = 0
+    for _ in range(200):
+        genus = rng.randint(2, 3)
+        names = sorted(standard_generators(genus))
+        word = _random_word(rng, names, 3, 8)
+        h = _random_word(rng, names, 1, 3)
+        first, second = (run_word(genus, w).report
+                         for w in (word, h + word + _inverse(h)))
+        if first.verdict == second.verdict == "PseudoAnosov":
+            pairs += 1
+            assert second.growth == pytest.approx(first.growth, rel=1e-9)
+            assert (sorted((p.k, p.index) for p in first.polygons)
+                    == sorted((p.k, p.index) for p in second.polygons)), word
+            assert first.puncture_index == second.puncture_index, word
+    assert pairs >= 25
+
+
+@pytest.mark.xfail(strict=True, reason="the verdict depends on the fold path")
+def test_conjugate_gets_the_same_verdict():
+    # phi ends Reducible; its conjugate by h ends PseudoAnosov, growth 2.29663
+    word = (("a1", -1), ("d1", 1), ("a0", 1), ("a0", -1), ("a1", -1),
+            ("c0", 1), ("a1", 1))
+    h = (("c1", 1), ("a0", -1), ("a1", -1))
+    assert (run_word(2, word).report.verdict
+            == run_word(2, h + word + _inverse(h)).report.verdict)
+
+
 # genus-2 words whose final train track maps fix non-peripheral circuits (16
 # and 24 of them, rotations and reversals counted, up to 6 letters): the
 # classes are reducible, but train track maps do not yet get BH95's
@@ -476,8 +513,7 @@ def _split(f, e, k):
     the boundary word are kept."""
     prep = bh._Subdivision(f)
     prep.split(e, k)
-    return bh._rebuild("split", f, prep.edges, prep.rho, {},
-                       prep.vertex_image, prep.edge_image)
+    return bh._rebuild("split", prep, {}, {}, prep.rho)
 
 
 def _merge_lowest(f):
@@ -559,10 +595,43 @@ def test_subdivision_matches_chained_subdivide(reference_runs):
                     for d in (e, -e):
                         with pytest.raises(GraphStructureError):
                             reader(d)
-            built = bh._rebuild("subdivide", f, prep.edges, prep.rho, {},
-                                prep.vertex_image, prep.edge_image)
+            built = bh._rebuild("subdivide", prep, {}, {}, prep.rho)
             assert oracles.maps_equal(built, g), name
     assert fresh > 0 and reversed_only > 0
+
+
+def test_rebuild_rejects_a_merge_of_vertices_with_different_images(
+        reference_runs):
+    f = next(f for _move, f, _info in reference_runs["ex3"].snapshots
+             if len(f.graph.vertices) == 5)
+    # joining 4 to 0 would need f(4) = 3 and f(0) = 0 to join too
+    assert (f.vertex_image[4], f.vertex_image[0]) == (3, 0)
+    with pytest.raises(InternalInvariantError,
+                       match="^fold merged vertices with different images$"):
+        bh._rebuild("fold", bh._Subdivision(f), {}, {4: 0}, f.graph.rho)
+
+
+def test_rebuild_rejects_a_change_of_genus():
+    # dropping a handle of the genus-2 rose leaves a genus-1 spine
+    f = identity_map(standard_rose(2))
+    with pytest.raises(InternalInvariantError,
+                       match="^collapse changed the genus$"):
+        bh._rebuild("collapse", bh._Subdivision(f),
+                    {d: () for d in (1, -1, 2, -2)}, {}, f.graph.rho)
+
+
+def test_rebuild_rejects_a_broken_boundary_word():
+    # on the genus-2 rose, whose boundary word is 1 2 -1 -2 3 4 -3 -4,
+    # sending edge 1 to (1, 2) keeps that word and sending it to (1, 3)
+    # does not
+    f = identity_map(standard_rose(2))
+    prep = bh._Subdivision(f)
+    prep.edge_image[1] = (1, 2)
+    assert bh._rebuild("fold", prep, {}, {}, prep.rho).edge_image[1] == (1, 2)
+    prep.edge_image[1] = (1, 3)
+    with pytest.raises(InternalInvariantError,
+                       match="^fold broke the boundary word$"):
+        bh._rebuild("fold", prep, {}, {}, prep.rho)
 
 
 def _split_points(f):

@@ -152,6 +152,11 @@ def test_rejects_bad_edge_ids():
         EmbeddedGraph({0: (0, 0)}, (0, -0))
     with pytest.raises(GraphStructureError):
         EmbeddedGraph({-1: (0, 0)}, (-1, 1))
+    # vertex ids follow the same rule: a fold names its new vertex after
+    # the largest id, so a non-integer id would fail only inside the loop
+    for z in ("a", True):
+        with pytest.raises(GraphStructureError, match="^vertex ids must be"):
+            EmbeddedGraph({1: (z, z), 2: (z, z)}, (1, 2, -1, -2))
 
 
 def test_rejects_boundary_with_repeats():
