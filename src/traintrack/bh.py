@@ -21,13 +21,15 @@ forests, removing low-valence vertices) and stops at one of three outcomes:
 
 Otherwise it folds along the derivative orbit of the first illegal turn
 until letters cancel.  Each fold pass is one partial fold (BH92, section
-1): the subdivisions that prepare it rewrite an unbuilt copy of the map in
-the subdivided graph's own letters, and the fold's letter table builds the
-map from that copy, so the map is rebuilt and checked once per pass.  A
-subdivision never cancels a letter, so nothing is lost by not building the
-maps in between.  When a subdivision splits the turn's last occurrence, the
-new valence-two vertex x is kept and folding goes on along x's orbit until
-removing x cancels.
+1) that sews one corner ``(d, successor(d))`` of the rotation: the pass
+names d, and the fold finds the corner in rho once.  The subdivisions that
+prepare it rewrite an unbuilt copy of the map, with one direction table,
+in the subdivided graph's own letters, and the fold's letter table builds
+the map from that copy, so the map is rebuilt and checked once per pass.
+A subdivision never cancels a letter, so nothing is lost by not building
+the maps in between.  When a subdivision splits the turn's last
+occurrence, the new valence-two vertex x is kept and folding goes on
+along x's orbit until removing x cancels.
 
 Termination rests on three statements of Bestvina and Handel (BH92: Train
 tracks and automorphisms of free groups, Annals 135, 1992, section 1 and
@@ -112,13 +114,14 @@ def _rebuild(move, start, table, rep, rho, fresh=None, dropped=None):
     merge.  The table spells a path of the start graph in the new graph's
     letters (see :func:`_subst`), and every edge it names leaves the graph.
     ``rep`` sends a vertex to the vertex it joins; every other edge keeps
-    its ends, read through ``rep``, and ``dropped`` leaves the graph.  The
-    draft ``start`` is a :class:`_Subdivision`: a fold's, or one of f with
-    no split.  Each call reads one letter space, the draft's: ``rho`` is its
-    boundary word, read from where the move needs it, and ``fresh`` is
-    ``(edge, (tail, head), image)`` for the one edge a move may add.  An
-    image that holds a letter of the table is translated and tightened in
-    one pass (:func:`~.graphs.substitute`); any other is kept as it is.
+    its ends, read off the draft's direction table through ``rep``, and
+    ``dropped`` leaves the graph.  The draft ``start`` is a
+    :class:`_Subdivision`: a fold's, or one of f with no split.  Each call
+    reads one letter space, the draft's: ``rho`` is its boundary word, read
+    from where the move needs it, and ``fresh`` is ``(edge, (tail, head),
+    image)`` for the one edge a move may add.  An image that holds a letter
+    of the table is translated and tightened in one pass
+    (:func:`~.graphs.substitute`); any other is kept as it is.
     """
     vertex_image = {}
     for z, fz in start.vertex_image.items():
@@ -128,8 +131,8 @@ def _rebuild(move, start, table, rep, rho, fresh=None, dropped=None):
         if vertex_image.setdefault(r, w) != w:
             raise InternalInvariantError(
                 f"{move} merged vertices with different images")
-    kept = [(e, ends, start.edge_image[e])
-            for e, ends in start.edges.items() if e not in table]
+    kept = [(e, (start._tail[e], start._tail[-e]), p)
+            for e, p in start.edge_image.items() if e not in table]
     if fresh is not None:
         kept.append(fresh)
     keys = table.keys()
@@ -224,7 +227,7 @@ def _merge_through(f, v):
     # the fresh edge m runs from x to y along (-a, b).  Collapsing |b| moves
     # v to y and leaves |a| as m; collapsing |a| moves v to x and leaves |b|
     # (a side is named by its collapsed edge: x and y coincide on a bigon)
-    m = max(start.edges) + 1
+    m = max(start.edge_image) + 1
     image_m = _path_image(start.edge_image, (-a, b))
     # rho passes v only as (-a, b) and (-b, a), which both collapses spell
     # as m and -m; rotated to start at -a, rho starts with m
@@ -265,16 +268,18 @@ class _Subdivision:
     subdivided, and the map on it, unbuilt.
 
     Every move starts from one, with no split unless it is a fold.
-    ``edges``, ``rho``, ``vertex_image`` and ``edge_image`` spell the
-    subdivided graph and its map in that graph's own letters: a split
-    rewrites ``rho`` and, in place, only the images that cross the split
-    edge.  ``tail``, ``head`` and ``image`` are the readers of
-    :class:`EmbeddedGraph` and :class:`GraphSelfMap`, on a direction -> tail
-    table ``_tail``.  ``splits`` lists every split as ``(edge, at, into)``:
-    the edge, where its image was cut, and its halves.  A subdivided tight
-    path is still tight, so a move that ends the preparation builds it once.
-    A split's new vertex has just the inner ends ``(-e1, e2)`` of its
-    halves, which is where a fold pass reads x's turn from.
+    ``_tail``, ``rho``, ``vertex_image`` and ``edge_image`` spell the
+    subdivided graph and its map in that graph's own letters: ``_tail`` is
+    its one direction -> tail table, as in :class:`EmbeddedGraph`, and the
+    keys of ``edge_image`` are its edges.  A split rewrites ``rho`` and, in
+    place, only the images that cross the split edge.  ``tail``, ``head``
+    and ``image`` are the readers of :class:`EmbeddedGraph` and
+    :class:`GraphSelfMap`.  ``splits`` lists every split as ``(edge, at,
+    into)``: the edge, where its image was cut, and its halves.  A
+    subdivided tight path is still tight, so a move that ends the
+    preparation builds it once.  A split's new vertex has just the inner
+    ends ``(-e1, e2)`` of its halves, which is where a fold pass reads x's
+    turn from.
     """
 
     tail, head = EmbeddedGraph.tail, EmbeddedGraph.head
@@ -282,7 +287,6 @@ class _Subdivision:
 
     def __init__(self, f):
         self.f = f
-        self.edges = dict(f.graph.edges)
         self._tail = dict(f.graph._tail)
         self.rho = f.graph.rho
         self.vertex_image = dict(f.vertex_image)
@@ -302,12 +306,10 @@ class _Subdivision:
         halves ``max+1`` and ``max+2`` that meet at a new vertex mapped to
         where those letters end; returns the halves and that vertex."""
         p = self.edge_image[e]
-        e1, e2 = max(self.edges) + 1, max(self.edges) + 2
+        e1, e2 = max(self.edge_image) + 1, max(self.edge_image) + 2
         z = max(self.vertex_image) + 1
         self.vertex_image[z] = self.head(p[k - 1])
-        t, h = self.edges.pop(e)
-        self.edges[e1], self.edges[e2] = (t, z), (z, h)
-        del self._tail[e], self._tail[-e]
+        t, h = self._tail.pop(e), self._tail.pop(-e)
         self._tail.update({e1: t, -e1: z, e2: z, -e2: h})
         step = {e: (e1, e2), -e: (-e2, -e1)}
         self.rho = tuple(_subst(self.rho, step))
@@ -323,43 +325,35 @@ class _Subdivision:
 
 
 def _fold(prep, d1, d2):
-    """Fold two directions of the subdivided graph of ``prep`` (a partial
-    fold); returns the map, the fused edge and how many letters cancelled.
+    """Fold the corner ``(d1, d2)`` of the draft ``prep`` (a partial fold);
+    returns the map, the fused edge and how many letters cancelled.
 
     The two edges merge into a fresh edge and their far endpoints into one
-    vertex.  The fold pass prepares ``d1`` and ``d2``, so each broken
-    precondition raises :class:`InternalInvariantError`: they live at one
-    vertex on distinct edges, have equal nonempty images, are adjacent in
-    the rotation through exactly one of their two corners, and their far
-    endpoints differ.
+    vertex.  The corner is found in rho once: rho steps along ``-d1`` and
+    then ``d2`` exactly when ``d2`` follows ``d1`` in the rotation at the
+    vertex both leave.  The fold pass prepares the corner, so each broken
+    precondition raises :class:`InternalInvariantError`: the directions lie
+    on distinct edges, ``d2`` follows ``d1``, their images are equal and
+    nonempty, and their far endpoints differ.
     """
     if abs(d1) == abs(d2):
         raise InternalInvariantError("fold needs two distinct edges")
     v = prep.tail(d1)
-    if prep.tail(d2) != v:
-        raise InternalInvariantError("fold needs directions at one vertex")
+    # rotate rho to start at the corner; sewing it shut drops the pair, and
+    # every other occurrence of the two edges becomes the fused edge
+    i0 = prep.rho.index(-d1)
+    rotated = prep.rho[i0:] + prep.rho[:i0]
+    if rotated[1] != d2:
+        raise InternalInvariantError("fold needs d2 to follow d1")
     p1, p2 = prep.image(d1), prep.image(d2)
     if not p1 or p1 != p2:
         raise InternalInvariantError("fold needs equal nonempty images")
-    rho = prep.rho
-    # d' succeeds d in the rotation when rho steps along -d, then d'
-    succ = {-a: b for a, b in zip(rho, rho[1:] + rho[:1])}
-    adj12 = succ[d1] == d2
-    adj21 = succ[d2] == d1
-    if adj12 == adj21:
-        raise InternalInvariantError(
-            "fold needs directions adjacent through exactly one corner")
     w1, w2 = prep.head(d1), prep.head(d2)
     if w1 == w2:
         raise InternalInvariantError(
             "parallel fold: far endpoints already agree")
     w = min(w1, w2)
-    fused = max(prep.edges) + 1
-    # the corner being sewn shut shows up in rho as (-first, second); rotate
-    # rho so the pair sits at the front and drop it, every other occurrence
-    # of the two edges becomes the fused edge
-    i0 = rho.index(-(d1 if adj12 else d2))
-    rotated = rho[i0:] + rho[:i0]
+    fused = max(prep.edge_image) + 1
     new = _rebuild("fold", prep, {
         d1: (fused,), d2: (fused,), -d1: (-fused,), -d2: (-fused,)},
         {w1: w, w2: w}, rotated[2:], (fused, (v, w1), p1))
@@ -471,31 +465,31 @@ def _simplify(f, hook):
             return f, m, sinks
 
 
-def _adjacent_fold_pair(f, t1, t2):
-    """Pick the rotation-adjacent pair of directions that the fold acts on.
+def _fold_corner(f, t1, t2):
+    """The direction d whose rotation corner ``(d, successor(d))`` the fold
+    acts on.
 
-    If the walked pair is already adjacent, use it.  Otherwise scan the two
-    rotation arcs between them for one whose directions all share a
-    derivative, and fold its first two members.  Failing both, any adjacent
-    pair with equal derivatives does (one exists whenever the image of the
-    boundary word cancels, which is forced while the matrix is irreducible
-    and not a permutation).
+    If the walked pair is already such a corner, it is.  Otherwise scan the
+    two rotation arcs between them for one whose directions all share a
+    derivative, and take its first corner.  Failing both, any corner with
+    equal derivatives does (one exists whenever the image of the boundary
+    word cancels, which is forced while the matrix is irreducible and not a
+    permutation).
     """
     g = f.graph
     if g.successor(t1) == t2:
-        return t1, t2
+        return t1
     if g.successor(t2) == t1:
-        return t2, t1
+        return t2
     for a, b in ((t1, t2), (t2, t1)):
-        arc = (a,) + g.arc(a, b) + (b,)
         want = f.derivative(a)
-        if all(f.derivative(x) == want for x in arc):
-            return arc[0], arc[1]
+        if all(f.derivative(x) == want for x in g.arc(a, b) + (b,)):
+            return a
     for v in sorted(g.vertices):
         for x in g.rotation_order(v):
             y = g.successor(x)
             if x != y and f.derivative(x) == f.derivative(y):
-                return x, y
+                return x
     raise InternalInvariantError("no adjacent foldable pair exists")
 
 
@@ -516,7 +510,7 @@ def _letter_to_split(prep, c):
     ``c'``, ``c'`` must grow first, and so on along the chain.  ``prep`` is
     the :class:`_Subdivision` being prepared.
     """
-    for _ in range(len(prep.edges)):
+    for _ in range(len(prep.edge_image)):
         if len(prep.image(c)) > 1:
             return c
         (c,) = prep.image(c)
@@ -535,7 +529,9 @@ def _fold_pass(f, o1, o2, x, hook):
     that fills a valence-two vertex has a degenerate turn: the pass removes
     the vertex with :func:`_merge_through` instead of folding.
 
-    Otherwise the pass is one partial fold.  The pair's edges are split at
+    Otherwise the pass is one partial fold of the corner ``(d1, d2)``, with
+    ``d2`` the successor of ``d1`` that :func:`_fold_corner` names; splits
+    rename both and keep them a corner.  The pair's edges are split at
     the end of their common image prefix, and, while x is a far end, first
     at the last half letter that x keeps.  These splits are bookkeeping on a
     :class:`_Subdivision`, not moves, and the fold builds the map once.  Two
@@ -549,7 +545,8 @@ def _fold_pass(f, o1, o2, x, hook):
         guard -= 1
         if guard < 0:
             raise InternalInvariantError("derivative orbit never merged")
-    d1, d2 = _adjacent_fold_pair(f, t1, t2)
+    d1 = _fold_corner(f, t1, t2)
+    d2 = f.graph.successor(d1)
     v = f.graph.tail(d1)
     if f.graph.valence(v) == 2:
         # no single corner separates the pair, so folding is meaningless;
@@ -635,8 +632,7 @@ def bestvina_handel(f, hook=None):
             # the lowest sink is the witness; _simplify returns only once no
             # sink contracts, so it is no forest and is essential
             return Reducible(f, frozenset(sinks[0]))
-        gate_of = gates(f)
-        turn = _first_illegal_turn(f, gate_of)
+        turn = _first_illegal_turn(f, gates(f))
         if turn is None:
             return TrainTrack(f, spectral_radius(m))
         # passes fold along the turn's derivative orbit, shortening it (or

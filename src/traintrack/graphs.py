@@ -36,19 +36,13 @@ def tighten(path):
     Backtracking pairs ``(d, -d)`` are cancelled with a stack scan, which
     resolves cascades of cancellations in a single pass.
     """
-    out = []
-    for d in path:
-        if out and out[-1] == -d:
-            out.pop()
-        else:
-            out.append(d)
-    return tuple(out)
+    return substitute(path, {})
 
 
 def substitute(path, table):
     """Replace each letter ``d`` of a path by the path ``table[d]`` (letters
-    the table lacks stay) and tighten, in one stack scan: the result is
-    ``tighten`` of the plain substitution, for any path and table."""
+    the table lacks stay) and tighten, in one stack scan: the result is the
+    tight form of the plain substitution, for any path and table."""
     out = []
     for d in path:
         rep = table.get(d)

@@ -427,7 +427,8 @@ def test_spectral_radius_matches_the_blockwise_solve(reference_runs):
 def test_fold_events_replay_as_public_moves(reference_runs):
     # each fold event, replayed as the subdivisions it records, each built
     # as one move, and a fold of the map they give, rebuilds the event's
-    # map from the one before it
+    # map from the one before it.  The event's directions (d1, d2) are a
+    # rotation corner of the subdivided map: d2 is d1's successor
     runs = dict(reference_runs)
     runs["cap1"] = run_word(2, CHAIN_OF_FIVE_WORD, collect_snapshots=True)
     folds = 0
@@ -439,7 +440,9 @@ def test_fold_events_replay_as_public_moves(reference_runs):
                 for edge, at, into in info["splits"]:
                     g = _split(g, edge, at)
                     assert sorted(g.graph.edges)[-2:] == list(into), name
-                g = bh._fold(bh._Subdivision(g), *info["directions"])[0]
+                d1, d2 = info["directions"]
+                assert g.graph.successor(d1) == d2, (name, folds)
+                g = bh._fold(bh._Subdivision(g), d1, d2)[0]
                 assert oracles.maps_equal(g, f), (name, folds)
                 folds += 1
             before = f
@@ -572,7 +575,7 @@ def test_subdivision_matches_chained_subdivide(reference_runs):
         for _move, f, _info in reference_runs[name].snapshots:
             prep, g = bh._Subdivision(f), f
             for _ in range(4):
-                dirs = [d for e in sorted(prep.edges) for d in (e, -e)
+                dirs = [d for e in sorted(prep.edge_image) for d in (e, -e)
                         if len(prep.edge_image[e]) > 1]
                 if not dirs:
                     break
@@ -849,21 +852,25 @@ def test_fold_rejects_parallel_pair():
 
 
 def test_fold_names_the_broken_precondition():
-    # 1 and 3 share the image (1,), but no corner of the rose joins them
+    # the rose's rotation at its vertex is (-4, -3, 4, 1, -2, -1, 2, 3), so
+    # (2, 3) is a corner and (3, 2) is not.  1 and 3 share the image (1,),
+    # but no corner of the rose joins them
     f = GraphSelfMap(standard_rose(2), {0: 0},
                      {1: (1,), 2: (2,), 3: (1,), 4: (4,)})
     for d1, d2, message in [
             (1, -1, "fold needs two distinct edges"),
-            (1, 2, "fold needs equal nonempty images"),
-            (1, 3, "fold needs directions adjacent through exactly one "
-                   "corner")]:
+            (2, 3, "fold needs equal nonempty images"),
+            (3, 2, "fold needs d2 to follow d1"),
+            (1, 3, "fold needs d2 to follow d1"),
+            (1, 9, "fold needs d2 to follow d1")]:
         with pytest.raises(InternalInvariantError, match=f"^{message}$"):
             bh._fold(bh._Subdivision(f), d1, d2)
     with pytest.raises(GraphStructureError,
                        match="^unknown edge in direction 9$"):
         bh._fold(bh._Subdivision(f), 9, 1)
+    # 1 leaves vertex 0 and -2 leaves vertex 1: no corner holds both
     g = EmbeddedGraph({1: (0, 1), 2: (0, 1), 3: (0, 1)}, (1, -2, 3, -1, 2, -3))
     f = GraphSelfMap(g, {0: 0, 1: 1}, {1: (1,), 2: (2,), 3: (3,)})
     with pytest.raises(InternalInvariantError,
-                       match="^fold needs directions at one vertex$"):
+                       match="^fold needs d2 to follow d1$"):
         bh._fold(bh._Subdivision(f), 1, -2)

@@ -33,6 +33,7 @@ because the circuit search costs far more than the runs.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -51,6 +52,10 @@ CHO_HAM = 1.72208
 # the classes whose verdict changes with the fold order, check (g)
 FOLD_ORDER_FLIPS = ("c0 -d0 d1", "c0 d0 -d1", "c0 -d1 c1", "c0 -d1 d0",
                     "c0 d1 -d0")
+# test_census_reports_are_pinned: a change that means to alter a run's
+# outcome re-records it and says so
+CENSUS_SHA256 = (
+    "0d8bc5322e96ff467c7b4b125775d7d8ae0759331a72579b167106f2039a3db7")
 
 
 def _inverse(word):
@@ -91,6 +96,23 @@ def _train_tracks(runs):
 def test_census_size(census):
     assert len(census) == 536
     assert sum(len(runs) for runs in census.values()) == 2012
+
+
+def test_census_reports_are_pinned(census):
+    # every run's word, verdict, growth, singularity data and final graph,
+    # hashed in fixture order: a refactor of the moves must keep them all
+    digest = hashlib.sha256()
+    for runs in census.values():
+        for run in runs:
+            rep = run.report
+            digest.update(repr((
+                run.word, rep.verdict,
+                None if rep.growth is None else f"{rep.growth:.9f}",
+                None if rep.polygons is None else sorted(
+                    (p.k, p.index) for p in rep.polygons),
+                rep.puncture_index, sorted(run.final.graph.edges.items()),
+                run.final.graph.rho)).encode())
+    assert digest.hexdigest() == CENSUS_SHA256
 
 
 def test_census_growth_is_a_class_invariant_above_homology(census):
