@@ -40,7 +40,8 @@ print("\ntheta graph")
 print("  edges:", dict(theta.edges))
 print("  boundary word rho:", theta.rho)
 print("  genus:", theta.genus)
-print("  rotation system:", theta.rotation_system())
+print("  rotation system:",
+      {v: theta.rotation_order(v) for v in theta.vertices})
 
 # Validation is strict: a boundary word whose complement is not a single
 # disk is rejected at construction time.  The word below embeds the wedge

@@ -3,7 +3,7 @@
 The composite of Dehn twists is rarely efficient as given: iterating it
 makes edge images backtrack, so the transition matrix overstates the true
 stretching.  The algorithm below repeatedly simplifies the map —
-collapsing invariant trees, removing low-valence vertices, subdividing and
+collapsing invariant trees, removing valence-two vertices, subdividing and
 folding at illegal turns, each move pulling tight the images it builds —
 strictly decreasing the growth rate until one of three stable outcomes
 appears:

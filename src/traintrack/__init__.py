@@ -18,10 +18,6 @@ from .errors import (
 from .graphs import (
     EmbeddedGraph,
     GraphSelfMap,
-    compose,
-    cyclic_tighten,
-    identity_map,
-    is_cyclic_rotation,
     reverse_path,
     tighten,
 )
@@ -81,19 +77,15 @@ __all__ = [
     "TrainTrack",
     "bestvina_handel",
     "circle_pack",
-    "compose",
     "compose_word",
     "cone_triangulation",
-    "cyclic_tighten",
     "dehn_twist",
     "develop",
     "emit_svg",
     "full_report",
     "gate_map",
     "gates",
-    "identity_map",
     "infinitesimal_edges",
-    "is_cyclic_rotation",
     "is_irreducible",
     "is_permutation_matrix",
     "is_train_track",

@@ -12,7 +12,7 @@ every move the boundary word must still be preserved and the genus
 unchanged; these checks are cheap and always on.
 Images are tight by construction, so BH92's pull-tight move never applies.
 The main loop runs rounds.  A round simplifies (collapsing invariant
-forests, removing low-valence vertices) and stops at one of three outcomes:
+forests, removing valence-two vertices) and stops at one of three outcomes:
 
 * :class:`TrainTrack` — every turn taken by an edge image is legal and the
   transition matrix is irreducible with growth > 1,
@@ -38,8 +38,7 @@ Topology 34, 1995), for the Perron-Frobenius growth λ of the transition
 matrix:
 
 * cancellation in the images of an irreducible map lowers λ strictly;
-* valence-one, valence-two, forest-collapse and subdivision moves never
-  raise λ;
+* valence-two, forest-collapse and subdivision moves never raise λ;
 * below any bound, the Perron-Frobenius eigenvalues of non-negative integer
   matrices of bounded size form a finite set, and with no vertex of valence
   one or two the edge count is at most ``6g - 3``.
@@ -55,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    GraphStructureError,
     InternalInvariantError,
     IterationLimitExceeded,
     MapCompatibilityError,
@@ -187,22 +187,6 @@ def _collapse_edges(f, forest, rep):
                     "collapse target is not invariant under the map")
     table = {d: () for e in forest for d in (e, -e)}
     return _rebuild("collapse", _Subdivision(f), table, rep, f.graph.rho)
-
-
-def _retract_leaf(f, v):
-    """Retract the leaf ``v`` and its edge: BH92's valence-one homotopy.
-
-    Only hand-built spines with leaves get here: no move makes a leaf from a
-    spine without one.  A fold keeps its vertex at valence two or more and
-    the merged far end at three or more, collapsing a tree leaves valence
-    two or more, removing a valence-two vertex keeps both its neighbours,
-    and a split's new vertex has valence two.
-    """
-    (germ,) = f.graph.directions(v)
-    # rho turns around at a leaf: it holds the consecutive pair (-germ, germ),
-    # and dropping both letters removes exactly that corner
-    return _rebuild("valence_one", _Subdivision(f), {germ: (), -germ: ()},
-                    {v: f.graph.head(germ)}, f.graph.rho, dropped=v)
 
 
 def _merge_through(f, v):
@@ -429,7 +413,7 @@ def _no_pretrivial_loops(f):
 
 
 def _simplify(f, hook):
-    """Drive collapsing/valence moves to a joint fixed point.
+    """Drive forest collapses and valence-two removals to a fixed point.
 
     Returns the map, its transition matrix and the edge sets of the proper
     sink components (the minimal invariant subgraphs) by smallest edge id:
@@ -453,12 +437,15 @@ def _simplify(f, hook):
             f = _collapse_edges(f, forest, rep)
             hook("collapse", f, edges=sorted(forest))
             continue
-        # the lowest-id vertex of valence one, or else of valence two
+        # the lowest-id vertex of valence two.  bestvina_handel takes no
+        # leaf, and no move makes one: a fold keeps its vertex at valence
+        # two or more and the merged far end at three or more, collapsing a
+        # tree leaves valence two or more, removing a valence-two vertex
+        # keeps both its neighbours, and a split's new vertex has valence two
         valence, v = min((f.graph.valence(v), v) for v in f.graph.vertices)
         if valence == 1:
-            f = _retract_leaf(f, v)
-            hook("valence_one", f)
-        elif valence == 2:
+            raise InternalInvariantError("a move made a leaf")
+        if valence == 2:
             f = _merge_through(f, v)
             hook("valence_two", f)
         else:
@@ -609,8 +596,9 @@ def _fold_pass(f, o1, o2, x, hook):
 def bestvina_handel(f, hook=None):
     """Run the train track algorithm on a boundary-preserving self-map.
 
-    A map that does not preserve the boundary word raises
-    :class:`MapCompatibilityError`, and a round that cancels no letter
+    A graph with a vertex of valence one raises
+    :class:`GraphStructureError`, a map that does not preserve the boundary
+    word :class:`MapCompatibilityError`, and a round that cancels no letter
     :class:`InternalInvariantError`.  By the descent argument in the module
     docstring no input should reach :data:`MAX_ROUNDS` rounds;
     :class:`IterationLimitExceeded` after that many stays as a safety net.
@@ -619,6 +607,10 @@ def bestvina_handel(f, hook=None):
     the map *after* the move; pass one to trace or audit a run.
     """
     hook = hook or _noop_hook
+    leaf = next((v for v in f.graph.vertices if f.graph.valence(v) == 1),
+                None)
+    if leaf is not None:
+        raise GraphStructureError(f"vertex {leaf} has valence one")
     if not f.preserves_boundary():
         raise MapCompatibilityError(
             "input map does not preserve the boundary word")

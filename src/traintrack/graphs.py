@@ -60,11 +60,6 @@ def substitute(path, table):
     return tuple(out)
 
 
-def cyclic_tighten(path):
-    """Tighten a closed path as a cyclic word (cancel across the seam too)."""
-    return _trim_seam(tighten(path))
-
-
 def _trim_seam(p):
     """A tight closed path with the cancellations across its seam trimmed."""
     k = 0
@@ -73,9 +68,8 @@ def _trim_seam(p):
     return p[k:len(p) - k]
 
 
-def is_cyclic_rotation(p, q):
+def _is_cyclic_rotation(p, q):
     """Whether two tuples agree up to a cyclic rotation."""
-    p, q = tuple(p), tuple(q)
     if len(p) != len(q):
         return False
     if not p:
@@ -251,10 +245,6 @@ class EmbeddedGraph:
         first = min(self.directions(v))
         return (first,) + self.arc(first, first)
 
-    def rotation_system(self):
-        """The full rotation system, vertex id -> tuple in rotation order."""
-        return {v: self.rotation_order(v) for v in self.vertices}
-
     def __eq__(self, other):
         if not isinstance(other, EmbeddedGraph):
             return NotImplemented
@@ -273,8 +263,9 @@ class GraphSelfMap:
     reverse orientation maps to the reversed path.  Construction checks
     that images are tight paths with the right endpoints: no image may
     backtrack (take a step ``d`` and then ``-d``), so :func:`_path_image`,
-    the one splice behind :func:`compose`, :meth:`preserves_boundary` and
-    the moves' path images, cancels letters only where two images meet.
+    the one splice behind :func:`~.twist.compose_word`,
+    :meth:`preserves_boundary` and the moves' path images, cancels letters
+    only where two images meet.
     It deliberately does *not* require the boundary word to be preserved —
     see :meth:`preserves_boundary` — because maps that reverse the surface
     orientation are still useful self-maps of the graph.  Instances
@@ -361,9 +352,9 @@ class GraphSelfMap:
         cancels only where two images meet, since each image is tight; that
         leaves it tight, so only its cyclic seam is trimmed.
         """
-        return is_cyclic_rotation(
+        return _is_cyclic_rotation(
             _trim_seam(_path_image(self.edge_image, self.graph.rho)),
-            cyclic_tighten(self.graph.rho))
+            _trim_seam(tighten(self.graph.rho)))
 
     def transition_matrix(self):
         """Unsigned crossing counts, rows/columns in sorted edge-id order.
@@ -391,19 +382,3 @@ class GraphSelfMap:
     def __repr__(self):
         total = sum(len(p) for p in self.edge_image.values())
         return f"GraphSelfMap({self.graph!r}, image size {total})"
-
-
-def identity_map(graph):
-    """The identity self-map of a graph."""
-    return GraphSelfMap(graph, {v: v for v in graph.vertices},
-                        {e: (e,) for e in graph.edges})
-
-
-def compose(g, f):
-    """The composite ``g ∘ f`` (f first), validated; both maps must share
-    one graph."""
-    if g.graph != f.graph:
-        raise MapCompatibilityError("compose needs maps on the same graph")
-    vertex_image = {v: g.vertex_image[w] for v, w in f.vertex_image.items()}
-    return GraphSelfMap(f.graph, vertex_image, {
-        e: _path_image(g.edge_image, p) for e, p in f.edge_image.items()})

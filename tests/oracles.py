@@ -11,9 +11,10 @@ back into the code under test, so agreement is meaningful evidence:
 * action on first homology of a rose, with the symplectic form of the
   once-punctured surface;
 * raw (untightened) edge-path substitution, for immersion checks, the
-  period of a map on all short cyclically reduced circuits, the short
-  non-peripheral circuits a map fixes up to rotation and reversal, and the
-  growth rate of one loop under iteration (λ from the input map alone);
+  identity map and composites of maps, the period of a map on all short
+  cyclically reduced circuits, the short non-peripheral circuits a map
+  fixes up to rotation and reversal, and the growth rate of one loop under
+  iteration (λ from the input map alone);
 * BH92's valence-two homotopy as a plain letter table, for either of the
   two edges it may collapse;
 * direct cusp count of the puncture region along the boundary word;
@@ -28,6 +29,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from traintrack.graphs import GraphSelfMap
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +262,20 @@ def free_reduce(path) -> tuple:
         else:
             out.append(d)
     return tuple(out)
+
+
+def identity(graph):
+    """The identity self-map of ``graph``."""
+    return GraphSelfMap(graph, {v: v for v in graph.vertices},
+                        {e: (e,) for e in graph.edges})
+
+
+def compose(g, f):
+    """The composite ``g ∘ f`` (f first) on f's graph: each image of f
+    spelled through g letter by letter and freely reduced."""
+    return GraphSelfMap(
+        f.graph, {v: g.vertex_image[w] for v, w in f.vertex_image.items()},
+        {e: free_reduce(raw_apply(g, p)) for e, p in f.edge_image.items()})
 
 
 def valence_two_side(f, v, collapse):

@@ -19,7 +19,6 @@ from traintrack import (
     bestvina_handel,
     compose_word,
     dehn_twist,
-    identity_map,
     is_irreducible,
     is_permutation_matrix,
     is_train_track,
@@ -33,7 +32,7 @@ from traintrack.graphs import _path_image, substitute
 import oracles
 from conftest import REFERENCE_WORDS, gate_map_keeps_gates_apart, run_word
 
-MOVE_NAMES = {"collapse", "valence_one", "valence_two", "fold"}
+MOVE_NAMES = {"collapse", "valence_two", "fold"}
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +113,7 @@ def test_reducible_outcome_has_invariant_subgraph(reference_runs):
 # ---------------------------------------------------------------------------
 
 def test_identity_map_is_growth_one():
-    outcome = bestvina_handel(identity_map(standard_rose(2)))
+    outcome = bestvina_handel(compose_word(2, []))
     assert isinstance(outcome, GrowthOne)
     assert is_permutation_matrix(outcome.map.transition_matrix())
 
@@ -372,7 +371,7 @@ def test_hook_snapshots_keep_surface_invariants(reference_runs):
             assert f.preserves_boundary()
             assert oracles.face_count(f.graph) == 1
             assert oracles.genus_via_euler(f.graph) == run.genus
-            # no move makes a leaf, so the leaf retraction never runs
+            # no move makes a leaf: _simplify raises "a move made a leaf"
             assert min(map(f.graph.valence, f.graph.vertices)) >= 2, move
             growth = spectral_radius(f.transition_matrix())
             assert growth <= last_growth + 1e-7, (run.word, move)
@@ -616,7 +615,7 @@ def test_rebuild_rejects_a_merge_of_vertices_with_different_images(
 
 def test_rebuild_rejects_a_change_of_genus():
     # dropping a handle of the genus-2 rose leaves a genus-1 spine
-    f = identity_map(standard_rose(2))
+    f = oracles.identity(standard_rose(2))
     with pytest.raises(InternalInvariantError,
                        match="^collapse changed the genus$"):
         bh._rebuild("collapse", bh._Subdivision(f),
@@ -627,7 +626,7 @@ def test_rebuild_rejects_a_broken_boundary_word():
     # on the genus-2 rose, whose boundary word is 1 2 -1 -2 3 4 -3 -4,
     # sending edge 1 to (1, 2) keeps that word and sending it to (1, 3)
     # does not
-    f = identity_map(standard_rose(2))
+    f = oracles.identity(standard_rose(2))
     prep = bh._Subdivision(f)
     prep.edge_image[1] = (1, 2)
     assert bh._rebuild("fold", prep, {}, {}, prep.rho).edge_image[1] == (1, 2)
@@ -788,57 +787,67 @@ def test_gate_map_keeps_the_gates_at_a_vertex_apart(reference_runs):
     assert checked > 150
 
 
-# a genus-1 spine: the rose's two loops at vertex 0 and an edge 3 out to
-# the leaf vertex 1
-LEAF_GRAPH = ({1: (0, 0), 2: (0, 0), 3: (0, 1)}, (1, 2, -1, -2, 3, -3))
-
-
 def test_collapse_trivial_edge():
-    f = GraphSelfMap(EmbeddedGraph(*LEAF_GRAPH), {0: 0, 1: 0},
-                     {1: (1,), 2: (2,), 3: ()})
+    # a genus-2 spine: loops 1 and 2 at vertex 0, loops 3 and 4 at vertex 1
+    # and edge 5 between them, both ends of valence five.  The map swaps
+    # the handles and sends 5 to a point, so {5} is an invariant forest
+    g = EmbeddedGraph({1: (0, 0), 2: (0, 0), 3: (1, 1), 4: (1, 1),
+                       5: (0, 1)}, (1, 2, -1, -2, 5, 3, 4, -3, -4, -5))
+    assert min(map(g.valence, g.vertices)) >= 3
+    f = GraphSelfMap(g, {0: 0, 1: 0}, {1: (5, 3, -5), 2: (5, 4, -5),
+                                       3: (1,), 4: (2,), 5: ()})
     moves = []
     outcome = bestvina_handel(
         f, hook=lambda name, g, **info: moves.append((name, info, g)))
     [(name, info, g)] = moves
-    assert (name, info) == ("collapse", {"edges": [3]})
-    assert sorted(g.graph.edges) == [1, 2]
+    assert (name, info) == ("collapse", {"edges": [5]})
+    assert sorted(g.graph.edges) == [1, 2, 3, 4]
+    assert g.edge_image == {1: (3,), 2: (4,), 3: (1,), 4: (2,)}
     assert g.preserves_boundary()
     assert isinstance(outcome, GrowthOne)
     assert outcome.map is g
 
 
-def test_valence_one_retracts_leaf():
-    # edge 3 maps across itself, so it is no invariant forest; the leaf
-    # vertex 1 is retracted instead
+# a genus-1 spine: the rose's two loops at vertex 0 and an edge 3 out to the
+# leaf vertex 1
+LEAF_GRAPH = ({1: (0, 0), 2: (0, 0), 3: (0, 1)}, (1, 2, -1, -2, 3, -3))
+
+
+def test_a_leaf_is_rejected():
+    # edge 3 maps across itself, so it is no invariant forest.  No move
+    # makes a leaf, so bestvina_handel rejects one as input and _simplify
+    # reports one as a broken invariant
     f = GraphSelfMap(EmbeddedGraph(*LEAF_GRAPH), {0: 0, 1: 1},
                      {1: (1,), 2: (2,), 3: (1, 3)})
-    moves = []
-    outcome = bestvina_handel(
-        f, hook=lambda name, g, **info: moves.append(name))
-    assert moves == ["valence_one"]
-    assert isinstance(outcome, GrowthOne)
-    assert sorted(outcome.map.graph.edges) == [1, 2]
+    assert f.preserves_boundary()
+    with pytest.raises(GraphStructureError,
+                       match="^vertex 1 has valence one$"):
+        bestvina_handel(f)
+    with pytest.raises(InternalInvariantError,
+                       match="^a move made a leaf$"):
+        bh._simplify(f, bh._noop_hook)
 
 
 def test_leaf_goes_before_a_valence_two_vertex():
     # edge 3 split at 1 has halves 4 = (0, 2) and 5 = (2, 1): the leaf 1 and
-    # the valence-two vertex 2 at once.  The leaf goes first, then 2 is a
-    # leaf.  Relabelled so that the valence-two vertex has the lower id, the
-    # order holds too
+    # the valence-two vertex 2 at once.  The leaf is rejected before any
+    # move runs.  Relabelled so that the valence-two vertex has the lower
+    # id, the order holds too
     f = GraphSelfMap(EmbeddedGraph(*LEAF_GRAPH), {0: 0, 1: 1},
                      {1: (1,), 2: (2,), 3: (1, 3)})
-    g = _split(f, 3, 1)
     relabelled = GraphSelfMap(
         EmbeddedGraph({1: (0, 0), 2: (0, 0), 4: (0, 1), 5: (1, 2)},
                       (1, 2, -1, -2, 4, 5, -5, -4)),
         {0: 0, 1: 0, 2: 2}, {1: (1,), 2: (2,), 4: (1,), 5: (4, 5)})
-    for h in (g, relabelled):
+    for h, leaf in ((_split(f, 3, 1), 1), (relabelled, 2)):
         assert sorted(map(h.graph.valence, h.graph.vertices)) == [1, 2, 5]
+        assert h.preserves_boundary()
         moves = []
-        outcome = bestvina_handel(
-            h, hook=lambda name, _g, **info: moves.append(name))
-        assert moves == ["valence_one", "valence_one"]
-        assert isinstance(outcome, GrowthOne)
+        with pytest.raises(GraphStructureError,
+                           match=f"^vertex {leaf} has valence one$"):
+            bestvina_handel(
+                h, hook=lambda name, _g, **info: moves.append(name))
+        assert moves == []
 
 
 def test_fold_rejects_parallel_pair():

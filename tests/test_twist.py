@@ -18,11 +18,9 @@ from traintrack import (
     Reducible,
     TrainTrack,
     bestvina_handel,
-    compose,
     compose_word,
     dehn_twist,
     graphs,
-    identity_map,
     reverse_path,
     standard_generators,
     standard_rose,
@@ -135,7 +133,8 @@ def test_twist_power_is_repeated_transvection(rose2, gens2):
     curve = gens2["c0"]
     once = oracles.abelianization(dehn_twist(rose2, curve, 1))
     twice = oracles.abelianization(
-        compose(dehn_twist(rose2, curve, 1), dehn_twist(rose2, curve, 1)))
+        oracles.compose(dehn_twist(rose2, curve, 1),
+                        dehn_twist(rose2, curve, 1)))
     assert np.array_equal(twice, once @ once)
 
 
@@ -218,7 +217,7 @@ def test_random_closed_walks_twist_or_are_rejected(reference_runs):
 
 def test_empty_word_is_identity(rose2):
     f = compose_word(2, [])
-    assert oracles.maps_equal(f, identity_map(rose2))
+    assert oracles.maps_equal(f, oracles.identity(rose2))
 
 
 def test_single_letter_matches_dehn_twist(rose2, gens2):
@@ -236,23 +235,25 @@ def test_leftmost_letter_acts_last(rose2, gens2):
     via_word = compose_word(2, word)
     outer = dehn_twist(rose2, gens2["a0"], 1)
     inner = dehn_twist(rose2, gens2["d0"], 1)
-    assert oracles.maps_equal(via_word, compose(outer, inner))
-    assert not oracles.maps_equal(via_word, compose(inner, outer))
+    assert oracles.maps_equal(via_word, oracles.compose(outer, inner))
+    assert not oracles.maps_equal(via_word, oracles.compose(inner, outer))
 
 
 def test_inverse_pair_cancels_to_identity(rose2):
     for name in ("a0", "d1", "c0"):
         f = compose_word(2, [(name, 1), (name, -1)])
-        assert oracles.maps_equal(f, identity_map(rose2))
+        assert oracles.maps_equal(f, oracles.identity(rose2))
 
 
 def test_composition_is_associative(rose2, gens2):
     fa = dehn_twist(rose2, gens2["a1"], 1)
     fc = dehn_twist(rose2, gens2["c0"], 1)
     fd = dehn_twist(rose2, gens2["d0"], -1)
-    left = compose(compose(fa, fc), fd)
-    right = compose(fa, compose(fc, fd))
+    left = oracles.compose(oracles.compose(fa, fc), fd)
+    right = oracles.compose(fa, oracles.compose(fc, fd))
     assert oracles.maps_equal(left, right)
+    via_word = compose_word(2, [("a1", 1), ("c0", 1), ("d0", -1)])
+    assert oracles.maps_equal(via_word, left)
 
 
 def test_unknown_generator_name(monkeypatch):
@@ -281,9 +282,9 @@ def _uncached_word(genus, word):
     """``compose_word`` from freshly built twists, with no shared state,
     validating every composite along the way."""
     rose, curves = standard_rose(genus), standard_generators(genus)
-    f = identity_map(rose)
+    f = oracles.identity(rose)
     for name, sign in word:
-        f = compose(f, dehn_twist(rose, curves[name], sign))
+        f = oracles.compose(f, dehn_twist(rose, curves[name], sign))
     return f
 
 
