@@ -8,9 +8,10 @@ A graph sitting as a spine inside a once-punctured orientable surface is
 stored as its edge set together with the *boundary word* ``rho``: the closed
 walk around the puncture, which crosses every edge exactly twice, once per
 direction.  The cyclic order of directions around each vertex (the rotation
-system) is not stored separately — it is recovered from ``rho``: if ``d`` is
-immediately followed by ``d'`` on the boundary walk, then ``d'`` is the
-rotation successor of the reversed direction ``-d`` at their common vertex.
+system) is not an input — it is derived from ``rho`` once, at construction:
+if ``d`` is immediately followed by ``d'`` on the boundary walk, then ``d'``
+is the rotation successor of the reversed direction ``-d`` at their common
+vertex.
 Conversely a graph with a rotation system has a well-defined boundary walk,
 so ``rho`` carries exactly the embedding data and nothing more.
 """
@@ -126,32 +127,31 @@ class EmbeddedGraph:
     Construction validates that ``rho`` really is such a walk and that the
     rotation it induces at each vertex is a single cycle; together these force
     the complement of the graph in the surface to be one disk containing the
-    puncture.  The genus then comes out of the Euler count and must be a
-    positive integer.  Instances are immutable; algorithm moves build new
-    graphs rather than mutating.
+    puncture.  The walk that checks a vertex's rotation is kept as its
+    :meth:`rotation_order`.  The genus then comes out of the Euler count and
+    must be a positive integer.  Instances are immutable; algorithm moves
+    build new graphs rather than mutating.
     """
 
-    __slots__ = ("edges", "rho", "_tail", "_succ", "_dirs")
+    __slots__ = ("edges", "rho", "_tail", "_succ", "_rotation")
 
     def __init__(self, edges, rho):
-        self.edges = {e: (u, v) for e, (u, v) in dict(edges).items()}
-        self.rho = tuple(rho)
-        if not self.edges:
-            raise GraphStructureError("a spine needs at least one edge")
-        for e in self.edges:
+        # direction -> the vertex it leaves from; the head of d is tail[-d]
+        self.edges, tail = {}, {}
+        for e, (u, v) in dict(edges).items():
             if not isinstance(e, int) or isinstance(e, bool) or e <= 0:
                 raise GraphStructureError(
                     f"edge ids must be positive integers, got {e!r}")
-        # direction -> the vertex it leaves from; the head of d is tail[-d]
-        tail = {}
-        for e, (u, v) in self.edges.items():
+            for w in (u, v):
+                if not isinstance(w, int) or isinstance(w, bool):
+                    raise GraphStructureError(
+                        f"vertex ids must be integers, got {w!r}")
+            self.edges[e] = (u, v)
             tail[e], tail[-e] = u, v
-        for v in tail.values():
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise GraphStructureError(
-                    f"vertex ids must be integers, got {v!r}")
         self._tail = tail
-        rho = self.rho
+        self.rho = rho = tuple(rho)
+        if not tail:
+            raise GraphStructureError("a spine needs at least one edge")
         # as many letters as directions, and all of them: each exactly once
         if len(rho) != len(tail) or tail.keys() != set(rho):
             raise GraphStructureError(
@@ -164,24 +164,23 @@ class EmbeddedGraph:
                 raise GraphStructureError("boundary word is not a closed walk")
             succ[-d] = d2
         self._succ = succ
-        dirs = {}
-        for d in succ:
-            dirs.setdefault(tail[d], []).append(d)
-        self._dirs = {v: tuple(sorted(ds)) for v, ds in dirs.items()}
-        for v, ds in self._dirs.items():
-            d = self._succ[ds[0]]
-            seen = {ds[0]}
-            while d not in seen:
-                seen.add(d)
-                d = self._succ[d]
-            if seen != set(ds):
-                raise GraphStructureError(
-                    f"rotation at vertex {v} splits into several cycles")
-        two_genus = 1 - len(self._dirs) + len(self.edges)
+        # The first direction met at a vertex in sorted order is its
+        # smallest, and the walk from it is the vertex's rotation; a
+        # direction there off that walk lies on a second cycle.
+        self._rotation, walked = {}, set()
+        for d in sorted(succ):
+            if d not in walked:
+                v = tail[d]
+                if v in self._rotation:
+                    raise GraphStructureError(
+                        f"rotation at vertex {v} splits into several cycles")
+                self._rotation[v] = (d,) + self.arc(d, d)
+                walked.update(self._rotation[v])
+        two_genus = 1 - len(self._rotation) + len(self.edges)
         if two_genus < 2 or two_genus % 2:
             raise GraphStructureError(
                 "boundary word does not give a once-punctured surface of "
-                f"genus >= 1 (V={len(self._dirs)}, E={len(self.edges)})")
+                f"genus >= 1 (V={len(self._rotation)}, E={len(self.edges)})")
 
     def tail(self, d):
         """Vertex an oriented edge leaves from."""
@@ -202,22 +201,15 @@ class EmbeddedGraph:
     @property
     def vertices(self):
         """Sorted tuple of vertex ids (every vertex meets an edge)."""
-        return tuple(sorted(self._dirs))
+        return tuple(sorted(self._rotation))
 
     @property
     def genus(self):
         """Genus of the once-punctured surface this graph is a spine of."""
-        return (1 - len(self._dirs) + len(self.edges)) // 2
-
-    def directions(self, v):
-        """All directions based at ``v`` (sorted, not in rotation order)."""
-        try:
-            return self._dirs[v]
-        except KeyError:
-            raise GraphStructureError(f"unknown vertex {v}") from None
+        return (1 - len(self._rotation) + len(self.edges)) // 2
 
     def valence(self, v):
-        return len(self.directions(v))
+        return len(self.rotation_order(v))
 
     def successor(self, d):
         """The next direction after ``d`` in the rotation at its base vertex."""
@@ -241,9 +233,12 @@ class EmbeddedGraph:
         return tuple(out)
 
     def rotation_order(self, v):
-        """Directions at ``v`` in rotation order, starting from the smallest."""
-        first = min(self.directions(v))
-        return (first,) + self.arc(first, first)
+        """Directions at ``v`` in rotation order, starting from the smallest:
+        the successor walk that construction checked and kept."""
+        try:
+            return self._rotation[v]
+        except KeyError:
+            raise GraphStructureError(f"unknown vertex {v}") from None
 
     def __eq__(self, other):
         if not isinstance(other, EmbeddedGraph):
@@ -251,7 +246,7 @@ class EmbeddedGraph:
         return self.edges == other.edges and self.rho == other.rho
 
     def __repr__(self):
-        return (f"EmbeddedGraph(V={len(self._dirs)}, E={len(self.edges)}, "
+        return (f"EmbeddedGraph(V={len(self._rotation)}, E={len(self.edges)}, "
                 f"genus={self.genus})")
 
 
@@ -280,7 +275,7 @@ class GraphSelfMap:
         self.vertex_image = dict(vertex_image)
         self.edge_image = {e: tuple(p) for e, p in dict(edge_image).items()}
         self._matrix = None
-        verts = graph._dirs.keys()
+        verts = graph._rotation.keys()
         if self.vertex_image.keys() != verts:
             raise MapCompatibilityError(
                 "vertex_image must cover exactly the vertices")

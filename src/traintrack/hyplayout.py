@@ -147,15 +147,15 @@ def circle_pack(tri):
         raise GraphStructureError(
             "hyperbolic circle packing needs a surface of genus >= 2, "
             f"got genus {graph.genus}")
-    corners = tri.corner_vertex
+    # the polygon corners that descend to v are v's directions
     for v in graph.vertices:
-        if corners.count(v) < 3:
+        if graph.valence(v) < 3:
             raise GraphStructureError(
                 f"vertex {v} has angle deficit: fewer than three polygon "
                 "corners descend to it")
     # unknown 0 is the apex, unknown k + 1 is the k-th graph vertex
     unknown = {v: k + 1 for k, v in enumerate(graph.vertices)}
-    r = _solve_packing(tuple(unknown[v] for v in corners))
+    r = _solve_packing(tuple(unknown[v] for v in tri.corner_vertex))
     return PackingRadii(r[0], {v: r[k] for v, k in unknown.items()})
 
 

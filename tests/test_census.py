@@ -30,11 +30,16 @@ they sit in one strict xfail that lists every mismatch.  So does (g): five
 classes flip between PseudoAnosov and Reducible with the fold order.  (b)
 runs on each class's least rotation and its inverse only, final map first,
 because the circuit search costs far more than the runs.
+
+The ``slow`` test, outside tier-1, pins the outcomes of the length-<= 4
+census (4238 classes): each class's least rotation and its inverse, 8476
+runs, with their verdict counts.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -56,6 +61,9 @@ FOLD_ORDER_FLIPS = ("c0 -d0 d1", "c0 d0 -d1", "c0 -d1 c1", "c0 -d1 d0",
 # outcome re-records it and says so
 CENSUS_SHA256 = (
     "0d8bc5322e96ff467c7b4b125775d7d8ae0759331a72579b167106f2039a3db7")
+# test_length_four_census_reports_are_pinned, under the same rule
+CENSUS4_SHA256 = (
+    "ca015a5a2f405c66e6bd24cd9cc5ca09644ec2f77952f0e8e9b556cce0bb41c7")
 
 
 def _inverse(word):
@@ -98,21 +106,43 @@ def test_census_size(census):
     assert sum(len(runs) for runs in census.values()) == 2012
 
 
+def _pin(digest, run):
+    """Hash a run's word, verdict, growth, singularity data and final
+    graph into ``digest``."""
+    rep = run.report
+    digest.update(repr((
+        run.word, rep.verdict,
+        None if rep.growth is None else f"{rep.growth:.9f}",
+        None if rep.polygons is None else sorted(
+            (p.k, p.index) for p in rep.polygons),
+        rep.puncture_index, sorted(run.final.graph.edges.items()),
+        run.final.graph.rho)).encode())
+
+
 def test_census_reports_are_pinned(census):
-    # every run's word, verdict, growth, singularity data and final graph,
-    # hashed in fixture order: a refactor of the moves must keep them all
+    # every run, hashed in fixture order: a refactor of the moves must keep
+    # them all
     digest = hashlib.sha256()
     for runs in census.values():
         for run in runs:
-            rep = run.report
-            digest.update(repr((
-                run.word, rep.verdict,
-                None if rep.growth is None else f"{rep.growth:.9f}",
-                None if rep.polygons is None else sorted(
-                    (p.k, p.index) for p in rep.polygons),
-                rep.puncture_index, sorted(run.final.graph.edges.items()),
-                run.final.graph.rho)).encode())
+            _pin(digest, run)
     assert digest.hexdigest() == CENSUS_SHA256
+
+
+@pytest.mark.slow
+def test_length_four_census_reports_are_pinned():
+    # each length-<= 4 class's least rotation, then its inverse: 8476 runs,
+    # hashed as they come so that none is kept, with the verdict counts
+    digest = hashlib.sha256()
+    verdicts = Counter()
+    for c in census_classes(4):
+        for word in (c, _inverse(c)):
+            run = run_word(GENUS, word)
+            _pin(digest, run)
+            verdicts[run.report.verdict] += 1
+    assert verdicts == {"Reducible": 6897, "GrowthOne": 160,
+                        "PseudoAnosov": 1419}
+    assert digest.hexdigest() == CENSUS4_SHA256
 
 
 def test_census_growth_is_a_class_invariant_above_homology(census):

@@ -73,7 +73,7 @@ def test_rose_face_trace_oracle(genus):
 def test_rose_rotation_is_single_cycle():
     rose = standard_rose(2)
     order = rose.rotation_order(0)
-    assert set(order) == set(rose.directions(0))
+    assert set(order) == {d for d in rose.rho if rose.tail(d) == 0}
     assert len(order) == 8
     # successor really cycles through all directions once
     seen = [order[0]]
@@ -115,8 +115,8 @@ def test_unknown_ids_raise():
     with pytest.raises(GraphStructureError,
                        match="^unknown edge in direction -7$"):
         g.head(7)
-    with pytest.raises(GraphStructureError):
-        g.directions(9)
+    with pytest.raises(GraphStructureError, match="^unknown vertex 9$"):
+        g.rotation_order(9)
     with pytest.raises(GraphStructureError, match="^unknown direction 0$"):
         g.successor(0)
     with pytest.raises(GraphStructureError,
@@ -137,7 +137,27 @@ def test_arc_walks_the_rotation(reference_runs):
                     assert _is_cyclic_rotation(walk, order)
         for v, w in combinations(g.vertices, 2):
             with pytest.raises(GraphStructureError):
-                g.arc(g.directions(v)[0], g.directions(w)[0])
+                g.arc(g.rotation_order(v)[0], g.rotation_order(w)[0])
+
+
+def test_rotation_is_the_successor_walk_from_the_smallest_direction(
+        reference_runs):
+    # the derivation that construction replaced, as the reference: on every
+    # hook snapshot's graph and the standard roses, a vertex's rotation is
+    # the successor walk from the smallest of its directions read off rho
+    graphs = [f.graph for run in reference_runs.values()
+              for _move, f, _info in run.snapshots]
+    graphs += [standard_rose(genus) for genus in (1, 2, 3, 4)]
+    for g in graphs:
+        assert g.vertices == tuple(sorted({g.tail(d) for d in g.rho}))
+        for v in g.vertices:
+            at = {d for d in g.rho if g.tail(d) == v}
+            walk = [min(at)]
+            while g.successor(walk[-1]) != walk[0]:
+                walk.append(g.successor(walk[-1]))
+            assert g.rotation_order(v) == tuple(walk)
+            assert g.valence(v) == len(at)
+    assert len(graphs) > 100
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +197,18 @@ def test_rejects_non_closed_walk():
 
 
 def test_rejects_split_rotation():
-    # two loops at one vertex traversed as two separate faces
-    with pytest.raises(GraphStructureError):
-        EmbeddedGraph({1: (0, 0), 2: (0, 0)}, (1, -1, 2, -2))
+    for edges, rho, v in [
+            # two loops at one vertex traversed as two separate faces
+            ({1: (0, 0), 2: (0, 0)}, (1, -1, 2, -2), 0),
+            # three loops the same way: the rotation splits into four cycles
+            ({1: (0, 0), 2: (0, 0), 3: (0, 0)}, (1, -1, 2, -2, 3, -3), 0),
+            # vertex 0, met first in sorted order (at -3), is whole; vertex
+            # 1's rotation splits into (-2), (-1) and (1 2 3)
+            ({1: (1, 1), 2: (1, 1), 3: (1, 0)}, (-3, 1, -1, 2, -2, 3), 1)]:
+        with pytest.raises(GraphStructureError,
+                           match=f"^rotation at vertex {v} splits into "
+                           "several cycles$"):
+            EmbeddedGraph(edges, rho)
 
 
 def test_rejects_genus_zero():
@@ -359,7 +388,7 @@ def _walk(graph, rng, length):
     at = rng.choice(graph.vertices)
     path = []
     for _ in range(length):
-        d = rng.choice(graph.directions(at))
+        d = rng.choice(sorted(graph.rotation_order(at)))
         path.append(d)
         at = graph.head(d)
     return tuple(path)
@@ -389,8 +418,8 @@ def test_path_image_is_the_reduced_substitution(reference_runs):
         walks = [_walk(f.graph, rng, rng.randint(2, 12)) for _ in range(4)]
         paths = [(), f.graph.rho] + walks
         paths += [w + reverse_path(w) for w in walks]
-        paths += [(a, b) for a in f.graph.rho for b in f.graph.directions(
-            f.graph.head(a))][:40]
+        paths += [(a, b) for a in f.graph.rho for b in sorted(
+            f.graph.rotation_order(f.graph.head(a)))][:40]
         for p in paths:
             assert _path_image(images, p) == oracles.free_reduce(
                 oracles.raw_apply(f, p)), (f, p)
@@ -449,7 +478,7 @@ def _padded(graph, vertex_image, images, rng):
             i = rng.randint(0, len(p))
             at = (graph.tail(p[i]) if i < len(p)
                   else vertex_image[graph.head(e)])
-            d = rng.choice(graph.directions(at))
+            d = rng.choice(sorted(graph.rotation_order(at)))
             p[i:i] = [d, -d]
         out[e] = tuple(p)
     return out
