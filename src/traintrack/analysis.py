@@ -19,10 +19,6 @@ from .errors import InternalInvariantError
 from .growth import is_irreducible
 
 
-def _gate_key(gate):
-    return tuple(sorted(gate))
-
-
 def infinitesimal_edges(f):
     """Gate pairs joined by a taken turn, closed under the gate map.
 
@@ -76,7 +72,8 @@ def polygons(f, edges):
     degree three or more, or an edge across two vertices, cannot arise from
     a train track and raise :class:`InternalInvariantError`.  Polygons come
     back sorted by vertex and smallest member gate; their list position is
-    the polygon's label.
+    the polygon's label.  Gates partition the directions, so their least
+    directions differ and order them as their sorted members do.
     """
 
     def vertex_of(gate):
@@ -94,7 +91,7 @@ def polygons(f, edges):
     # first; an open chain ends in a gate of degree one
     found = []
     seen = set()
-    for start in sorted(adjacency, key=lambda g: (vertex_of(g), _gate_key(g))):
+    for start in sorted(adjacency, key=lambda g: (vertex_of(g), min(g))):
         nbrs = adjacency[start]
         if len(nbrs) > 2:
             raise InternalInvariantError(
@@ -102,7 +99,7 @@ def polygons(f, edges):
                 "infinitesimal edges")
         if len(nbrs) < 2 or start in seen:
             continue
-        cycle = [start, min(nbrs, key=_gate_key)]
+        cycle = [start, min(nbrs, key=min)]
         while cycle[-1] != start and len(adjacency[cycle[-1]]) == 2:
             (nxt,) = adjacency[cycle[-1]] - {cycle[-2]}
             cycle.append(nxt)

@@ -176,8 +176,9 @@ class EmbeddedGraph:
                         f"rotation at vertex {v} splits into several cycles")
                 self._rotation[v] = (d,) + self.arc(d, d)
                 walked.update(self._rotation[v])
-        two_genus = 1 - len(self._rotation) + len(self.edges)
-        if two_genus < 2 or two_genus % 2:
+        # rho is one face and each rotation one cycle, so this is a closed
+        # orientable surface with one face, and 1 - V + E = 2g is even
+        if 1 - len(self._rotation) + len(self.edges) < 2:
             raise GraphStructureError(
                 "boundary word does not give a once-punctured surface of "
                 f"genus >= 1 (V={len(self._rotation)}, E={len(self.edges)})")

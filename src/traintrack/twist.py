@@ -14,7 +14,6 @@ curve and every sign.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import CurveNotRealizable, GraphStructureError, InternalInvariantError
 from .graphs import EmbeddedGraph, GraphSelfMap, _path_image, reverse_path, tighten
@@ -47,11 +46,13 @@ def _twist_sectors(graph, curve):
     germs*, slots in the vertex rotation taken by the curve itself.
 
     Raises :class:`CurveNotRealizable`, checking in this order, for an empty
-    word, a letter naming no edge, a word that is not a closed walk, and
-    visits that cannot be disjoint arcs: a germ serving two visits, two
-    chords interleaving at a vertex, or a chord germ inside another visit's
-    sector.  A word that backtracks (``d`` then ``-d``) or repeats a
-    direction puts one germ into two visits, so that check rejects both.
+    word, a letter naming no edge, a word that is not a closed walk, a germ
+    serving two visits, and a chord germ inside a visit's sector.  A word
+    that backtracks (``d`` then ``-d``) or repeats a direction puts one germ
+    into two visits, so that check rejects both.  The sector walk rejects
+    both ways two strands can fail to be disjoint arcs at a vertex: nesting,
+    and crossing, since when two chords with distinct germs interleave,
+    exactly one germ of the second lies strictly inside the first's sector.
     Once these checks pass the sectors are disjoint: a sector holds no chord
     germ, so it is the whole gap in the rotation after its visit's
     ``rev_in``, and the visits' ``rev_in`` germs are distinct.
@@ -69,11 +70,6 @@ def _twist_sectors(graph, curve):
     chord_germs = [d for _v, rev_in, out in visits for d in (rev_in, out)]
     if len(set(chord_germs)) != len(chord_germs):
         raise CurveNotRealizable("two curve strands share a direction")
-    for (v, a1, b1), (w, a2, b2) in combinations(visits, 2):
-        if v == w:
-            arc = graph.arc(a1, b1)
-            if (a2 in arc) != (b2 in arc):
-                raise CurveNotRealizable(f"curve strands cross at vertex {v}")
     chord_set = set(chord_germs)
     sector_of = {}
     for i, (v, rev_in, out) in enumerate(visits):
@@ -85,7 +81,7 @@ def _twist_sectors(graph, curve):
         for d in graph.arc(rev_in, out):
             if d in chord_set:
                 raise CurveNotRealizable(
-                    "curve strands nest inside a twisting sector "
+                    "curve strands cross or nest inside a twisting sector "
                     f"at vertex {v}")
             sector_of[d] = i
     return sector_of
@@ -100,6 +96,10 @@ def dehn_twist(graph, curve, sign=1):
     inverse.  Every direction in a twisting sector drags its edge once
     around the curve: the edge arriving through a sector germ has a rotated
     copy of the curve word appended to its image.  Vertices stay put.
+
+    The images are tight as built: a curve that shares no germ is
+    cyclically reduced, and a seam could cancel only if ``e`` or ``-e``
+    were a chord germ, which no sector holds.
     """
     if sign not in (1, -1):
         raise ValueError(f"twist sign must be +1 or -1, got {sign!r}")
@@ -109,8 +109,7 @@ def dehn_twist(graph, curve, sign=1):
         gamma = p[i:] + p[:i]
         suffix[germ] = gamma if sign > 0 else reverse_path(gamma)
     # an edge arrives at its tail through germ +e and at its head through -e
-    images = {e: tighten(reverse_path(suffix.get(e, ())) + (e,)
-                         + suffix.get(-e, ()))
+    images = {e: reverse_path(suffix.get(e, ())) + (e,) + suffix.get(-e, ())
               for e in graph.edges}
     f = GraphSelfMap(graph, {v: v for v in graph.vertices}, images)
     if not f.preserves_boundary():

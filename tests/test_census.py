@@ -31,9 +31,16 @@ classes flip between PseudoAnosov and Reducible with the fold order.  (b)
 runs on each class's least rotation and its inverse only, final map first,
 because the circuit search costs far more than the runs.
 
-The ``slow`` test, outside tier-1, pins the outcomes of the length-<= 4
-census (4238 classes): each class's least rotation and its inverse, 8476
-runs, with their verdict counts.
+The ``slow`` tests, outside tier-1, run the length-<= 4 census (4238
+classes) once: each class's least rotation and its inverse, 8476 runs.
+They pin the outcomes with their verdict counts and run checks (c)-(f),
+which pass, and (a) and (g), each a strict xfail that lists every
+mismatch: 35 classes whose two runs get two verdicts, and 34 least
+rotations whose verdict flips with the fold order.  (b) is left out
+because ``fixed_circuits`` on the 1419 TrainTrack runs would take minutes.
+(h) is left out because ``curve_growth`` from the loop (1, 2) misses λ by
+more than 1e-3 on 15 of the 720 PseudoAnosov least rotations, and whether
+the oracle or λ is wrong there is not settled.
 """
 from __future__ import annotations
 
@@ -41,6 +48,7 @@ import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -101,6 +109,11 @@ def _train_tracks(runs):
     return [run for run in runs if run.report.verdict == "PseudoAnosov"]
 
 
+def _singularity_data(report):
+    return (tuple(sorted((p.k, p.index) for p in report.polygons)),
+            report.puncture_index)
+
+
 def test_census_size(census):
     assert len(census) == 536
     assert sum(len(runs) for runs in census.values()) == 2012
@@ -129,54 +142,126 @@ def test_census_reports_are_pinned(census):
     assert digest.hexdigest() == CENSUS_SHA256
 
 
-@pytest.mark.slow
-def test_length_four_census_reports_are_pinned():
-    # each length-<= 4 class's least rotation, then its inverse: 8476 runs,
-    # hashed as they come so that none is kept, with the verdict counts
+@pytest.fixture(scope="module")
+def census4():
+    """The length-<= 4 census: each class's least rotation, then its
+    inverse, 8476 runs, hashed as they come into the pin's digest.
+
+    Returns the hex digest and least rotation -> runs.  A run keeps only
+    what the checks read: its word and report, its input map if it ends
+    PseudoAnosov and its final map if it ends GrowthOne.
+    """
     digest = hashlib.sha256()
-    verdicts = Counter()
+    classes = {}
     for c in census_classes(4):
+        classes[c] = []
         for word in (c, _inverse(c)):
             run = run_word(GENUS, word)
             _pin(digest, run)
-            verdicts[run.report.verdict] += 1
+            verdict = run.report.verdict
+            classes[c].append(SimpleNamespace(
+                word=run.word, report=run.report,
+                start=run.start if verdict == "PseudoAnosov" else None,
+                final=run.final if verdict == "GrowthOne" else None))
+    return digest.hexdigest(), classes
+
+
+@pytest.mark.slow
+def test_length_four_census_reports_are_pinned(census4):
+    digest, census = census4
+    verdicts = Counter(run.report.verdict
+                       for runs in census.values() for run in runs)
     assert verdicts == {"Reducible": 6897, "GrowthOne": 160,
                         "PseudoAnosov": 1419}
-    assert digest.hexdigest() == CENSUS4_SHA256
+    assert digest == CENSUS4_SHA256
 
 
-def test_census_growth_is_a_class_invariant_above_homology(census):
+def _check_growth_above_homology(census):
+    """Check (c); return how many classes have two TrainTrack runs."""
+    compared = 0
     for c, runs in census.items():
         growths = [run.report.growth for run in _train_tracks(runs)]
-        if growths:
+        if len(growths) > 1:
             assert max(growths) - min(growths) <= 1e-9, _text(c)
+            compared += 1
         for run in _train_tracks(runs):
             assert (run.report.growth
                     >= oracles.h1_spectral_radius(run.start) - 1e-9), _text(c)
+    return compared
 
 
-def test_census_growth_obeys_dilatation_bounds(census):
+def _check_dilatation_bounds(census):
+    """Check (d); return how many runs it read."""
+    checked = 0
     for runs in census.values():
         for run in _train_tracks(runs):
             assert run.report.growth >= PENNER, _text(run.word)
             if run.report.puncture_index != Fraction(1, 2):
                 assert run.report.growth >= CHO_HAM, _text(run.word)
+            checked += 1
+    return checked
 
 
-def test_census_singularity_data_is_a_class_invariant(census):
+def _check_singularity_data(census):
+    """Check (e); return how many classes have two TrainTrack runs."""
+    compared = 0
     for c, runs in census.items():
-        data = {(tuple(sorted((p.k, p.index) for p in run.report.polygons)),
-                 run.report.puncture_index) for run in _train_tracks(runs)}
-        assert len(data) <= 1, _text(c)
+        tracks = _train_tracks(runs)
+        assert len({_singularity_data(run.report) for run in tracks}) <= 1, \
+            _text(c)
+        compared += len(tracks) > 1
+    return compared
 
 
-def test_census_growth_one_runs_have_a_period(census):
-    # no census class ends GrowthOne today; this guards verdicts that move
+def _check_growth_one_periods(census):
+    """Check (f); return how many runs it read."""
+    checked = 0
     for runs in census.values():
         for run in runs:
             if run.report.verdict == "GrowthOne":
                 assert oracles.circuit_period(run.final, 4, 12) is not None, \
                     _text(run.word)
+                checked += 1
+    return checked
+
+
+def test_census_growth_is_a_class_invariant_above_homology(census):
+    _check_growth_above_homology(census)
+
+
+def test_census_growth_obeys_dilatation_bounds(census):
+    _check_dilatation_bounds(census)
+
+
+def test_census_singularity_data_is_a_class_invariant(census):
+    _check_singularity_data(census)
+
+
+def test_census_growth_one_runs_have_a_period(census):
+    # no class of length <= 3 ends GrowthOne today; this guards verdicts
+    # that move
+    _check_growth_one_periods(census)
+
+
+@pytest.mark.slow
+def test_length_four_census_growth_is_a_class_invariant_above_homology(
+        census4):
+    assert _check_growth_above_homology(census4[1]) == 692
+
+
+@pytest.mark.slow
+def test_length_four_census_growth_obeys_dilatation_bounds(census4):
+    assert _check_dilatation_bounds(census4[1]) == 1419
+
+
+@pytest.mark.slow
+def test_length_four_census_singularity_data_is_a_class_invariant(census4):
+    assert _check_singularity_data(census4[1]) == 692
+
+
+@pytest.mark.slow
+def test_length_four_census_growth_one_runs_have_a_period(census4):
+    assert _check_growth_one_periods(census4[1]) == 160
 
 
 def test_census_growth_matches_curve_growth_of_the_input(census):
@@ -200,14 +285,21 @@ def test_census_gate_maps_keep_the_gates_at_a_vertex_apart(census):
     assert checked > 1000
 
 
+def _verdict_mismatches(census):
+    """Check (a): each class whose runs get more than one verdict."""
+    mismatches = []
+    for c, runs in census.items():
+        verdicts = [run.report.verdict for run in runs]
+        if len(set(verdicts)) > 1:
+            mismatches.append(("verdicts differ", _text(c), verdicts))
+    return mismatches
+
+
 @pytest.mark.xfail(strict=True,
                    reason="TrainTrack outcomes are not tested for reducibility")
 def test_census_verdicts_are_class_invariants_and_certified(census):
-    mismatches = []
-    for c, runs in census.items():
-        verdicts = sorted({run.report.verdict for run in runs})
-        if len(verdicts) > 1:
-            mismatches.append(("verdicts differ", _text(c), verdicts))
+    mismatches = _verdict_mismatches(census)
+    for runs in census.values():
         for run in _train_tracks((runs[0], runs[-1])):
             if (oracles.fixed_circuits(run.final, 4, 2)
                     or oracles.fixed_circuits(run.start, 4, 2)):
@@ -226,15 +318,9 @@ def _last_illegal_turn(f, gate_of):
     return turn
 
 
-def _singularity_data(report):
-    return (sorted((p.k, p.index) for p in report.polygons),
-            report.puncture_index)
-
-
-@pytest.mark.xfail(strict=True, reason="the verdicts of "
-                   + ", ".join(FOLD_ORDER_FLIPS)
-                   + " depend on the fold order")
-def test_census_verdicts_do_not_depend_on_the_fold_order(census, monkeypatch):
+def _fold_order_mismatches(census, monkeypatch):
+    """Check (g): rerun each class's least rotation, its first run, folding
+    the last illegal turn, and list every class whose outcome changes."""
     monkeypatch.setattr(bh, "_first_illegal_turn", _last_illegal_turn)
     mismatches = []
     for c, runs in census.items():
@@ -245,4 +331,28 @@ def test_census_verdicts_do_not_depend_on_the_fold_order(census, monkeypatch):
                 abs(first.growth - last.growth) > 1e-9
                 or _singularity_data(first) != _singularity_data(last)):
             mismatches.append((_text(c), "growth or singularity data"))
-    assert mismatches == []
+    return mismatches
+
+
+@pytest.mark.xfail(strict=True, reason="the verdicts of "
+                   + ", ".join(FOLD_ORDER_FLIPS)
+                   + " depend on the fold order")
+def test_census_verdicts_do_not_depend_on_the_fold_order(census, monkeypatch):
+    assert _fold_order_mismatches(census, monkeypatch) == []
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, reason="35 classes get PseudoAnosov from one "
+                   "run and Reducible from the other (28 from the least "
+                   "rotation, 7 from its inverse)")
+def test_length_four_census_verdicts_are_class_invariants(census4):
+    assert _verdict_mismatches(census4[1]) == []
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, reason="the verdicts of 34 least rotations "
+                   "depend on the fold order (22 Reducible to PseudoAnosov, "
+                   "12 the other way)")
+def test_length_four_census_verdicts_do_not_depend_on_the_fold_order(
+        census4, monkeypatch):
+    assert _fold_order_mismatches(census4[1], monkeypatch) == []

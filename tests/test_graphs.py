@@ -222,6 +222,47 @@ def test_rejects_genus_zero():
         EmbeddedGraph({1: (0, 1)}, (1, -1))
 
 
+def test_one_face_rotation_systems_have_even_euler_count():
+    # seeded rotation systems on at most 4 vertices and 6 edges, loops
+    # allowed: shuffled cyclic orders, and rho the boundary walk from
+    # direction 1, d -> successor(-d).  When the walk covers every
+    # direction the surface has one face, so 1 - V + E is twice its genus,
+    # and the constructor needs no parity check to reject the rest
+    rng = random.Random(33)
+    accepted = rejected = 0
+    for _ in range(20000):
+        n_vertices = rng.randint(1, 4)
+        edges = {e: (rng.randrange(n_vertices), rng.randrange(n_vertices))
+                 for e in range(1, rng.randint(1, 6) + 1)}
+        at = {}
+        for e, (u, v) in edges.items():
+            at.setdefault(u, []).append(e)
+            at.setdefault(v, []).append(-e)
+        succ = {}
+        for ds in at.values():
+            rng.shuffle(ds)
+            succ.update(zip(ds, ds[1:] + ds[:1]))
+        rho = [1]
+        while succ[-rho[-1]] != 1:
+            rho.append(succ[-rho[-1]])
+        if len(rho) < 2 * len(edges):
+            continue
+        two_genus = 1 - len(at) + len(edges)
+        assert two_genus % 2 == 0, (edges, rho)
+        if two_genus >= 2:
+            graph = EmbeddedGraph(edges, rho)
+            assert {v: set(graph.rotation_order(v)) for v in at} == {
+                v: set(ds) for v, ds in at.items()}
+            accepted += 1
+        else:
+            with pytest.raises(GraphStructureError,
+                               match="^boundary word does not give a "
+                               "once-punctured surface of genus >= 1"):
+                EmbeddedGraph(edges, rho)
+            rejected += 1
+    assert (accepted, rejected) == (1500, 2269)
+
+
 @pytest.mark.parametrize("rho, message", [
     ((1, 1, 2, -2), "exactly once"),      # right length, a letter repeated
     ((1, -1), "exactly once"),            # too short

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from itertools import chain
 
 import numpy as np
@@ -24,6 +25,7 @@ from traintrack import (
     reverse_path,
     standard_generators,
     standard_rose,
+    tighten,
     twist,
 )
 
@@ -170,23 +172,27 @@ def test_unrealizable_curves(rose2):
     with pytest.raises(ValueError,
                        match=r"^twist sign must be \+1 or -1, got 2$"):
         dehn_twist(rose2, (1,), sign=2)
-    with pytest.raises(CurveNotRealizable, match="curve strands cross"):
-        dehn_twist(rose2, (1, 4))
-    with pytest.raises(CurveNotRealizable,
-                       match="nest inside a twisting sector"):
-        dehn_twist(rose2, (1, 2))
+    # the sector walk rejects a crossing and a nesting alike: in each, one
+    # strand has a germ inside the other's sector
+    for word in ((1, 4), (1, 2)):
+        with pytest.raises(CurveNotRealizable,
+                           match="^curve strands cross or nest inside a "
+                           "twisting sector at vertex 0$"):
+            dehn_twist(rose2, word)
 
 
 def test_random_closed_walks_twist_or_are_rejected(reference_runs):
     # seeded closed walks on the genus 1-3 roses and the final graphs of
-    # ex1, ex3 and ex4.  Every rejection is CurveNotRealizable, and the
+    # ex1, ex3 and ex4.  Every rejection is CurveNotRealizable, the
     # twisting sectors of every accepted curve are pairwise disjoint and
-    # hold no chord germ, which _twist_sectors relies on without a check
+    # hold no chord germ, which _twist_sectors relies on without a check,
+    # and every image is tight as dehn_twist builds it
     graphs = [standard_rose(genus) for genus in (1, 2, 3)]
     graphs += [reference_runs[name].final.graph
                for name in ("ex1", "ex3", "ex4")]
     rng = random.Random(5)
-    accepted = rejected = 0
+    accepted = 0
+    rejected = Counter()
     for _ in range(30000):
         graph = rng.choice(graphs)
         start = at = rng.choice(graph.vertices)
@@ -197,18 +203,22 @@ def test_random_closed_walks_twist_or_are_rejected(reference_runs):
         if at != start:
             continue
         try:
-            dehn_twist(graph, walk, rng.choice((1, -1)))
-        except CurveNotRealizable:
-            rejected += 1
+            f = dehn_twist(graph, walk, rng.choice((1, -1)))
+        except CurveNotRealizable as err:
+            rejected[str(err).split(" at vertex")[0]] += 1
             continue
         accepted += 1
+        assert all(tighten(p) == p for p in f.edge_image.values()), walk
         chords = {d for i, out in enumerate(walk) for d in (-walk[i - 1], out)}
         arcs = [graph.arc(-walk[i - 1], out) for i, out in enumerate(walk)]
         assert all(chords.isdisjoint(arc) for arc in arcs), walk
         sector_of = twist._twist_sectors(graph, walk)
         assert sector_of == {d: i for i, arc in enumerate(arcs) for d in arc}
         assert len(sector_of) == sum(map(len, arcs)), walk
-    assert accepted > 3000 and rejected > 10000
+    assert accepted == 3762
+    assert rejected == {
+        "two curve strands share a direction": 12286,
+        "curve strands cross or nest inside a twisting sector": 2962}
 
 
 # ---------------------------------------------------------------------------
