@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .bh import GrowthOne, Reducible, TrainTrack, gate_map, gates
 from .errors import InternalInvariantError
+from .graphs import _turns
 from .growth import is_irreducible
 
 
@@ -30,9 +31,9 @@ def infinitesimal_edges(f):
     identifies (BH92, section 1).
     """
     gate_of = gates(f)
-    induced = gate_map(f, gate_of)
-    images = {frozenset((gate_of[-a], gate_of[b]))
-              for p in f.edge_image.values() for a, b in zip(p, p[1:])}
+    induced = gate_map(f)
+    images = {frozenset((gate_of[a], gate_of[b]))
+              for p in f.edge_image.values() for a, b in _turns(p)}
     if any(len(pair) != 2 for pair in images):
         raise InternalInvariantError(
             "infinitesimal edges need a train track map")

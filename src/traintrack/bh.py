@@ -19,15 +19,16 @@ forests, removing valence-two vertices) and stops at one of three outcomes:
 * :class:`GrowthOne` — the transition matrix became a permutation matrix,
 * :class:`Reducible` — an essential invariant subgraph remains.
 
-Otherwise it folds along the derivative orbit of the first illegal turn
-until letters cancel.  Each fold pass is one partial fold (BH92, section
-1) that sews one corner ``(d, successor(d))`` of the rotation: the pass
-names d, and the fold finds the corner in rho once.  The subdivisions that
-prepare it rewrite an unbuilt copy of the map, with one direction table,
-in the subdivided graph's own letters, and the fold's letter table builds
-the map from that copy, so the map is rebuilt and checked once per pass.
-A subdivision never cancels a letter, so nothing is lost by not building
-the maps in between.  When a subdivision splits the turn's last
+Otherwise one function, ``_fold_round``, folds along the derivative orbit
+of the first illegal turn until letters cancel, and the loop starts the
+next round.  Each fold pass is one partial fold (BH92, section 1) that sews
+one corner ``(d, successor(d))`` of the rotation: the pass names d, and
+the fold finds the corner in rho once.  The subdivisions that prepare it
+rewrite an unbuilt copy of the map, with one direction table, in the
+subdivided graph's own letters, and the fold's letter table builds the map
+from that copy, so the map is rebuilt and checked once per pass.  A
+subdivision never cancels a letter, so nothing is lost by not building the
+maps in between.  When a subdivision splits the turn's last
 occurrence, the new valence-two vertex x is kept and folding goes on
 along x's orbit until removing x cancels.
 
@@ -59,7 +60,7 @@ from .errors import (
     IterationLimitExceeded,
     MapCompatibilityError,
 )
-from .graphs import EmbeddedGraph, GraphSelfMap, _path_image, substitute
+from .graphs import EmbeddedGraph, GraphSelfMap, _path_image, _turns, substitute
 from .growth import (
     is_irreducible,
     is_permutation_matrix,
@@ -159,12 +160,9 @@ def _contract(graph, edges):
     parent = {v: v for v in graph.vertices}
 
     def find(v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
+        while parent[v] != v:
+            v = parent[v]
+        return v
 
     for e in edges:
         ru, rv = find(graph.tail(e)), find(graph.head(e))
@@ -279,9 +277,9 @@ class _Subdivision:
 
     def takes(self, a, b):
         """Whether some edge image takes the turn ``(a, b)``."""
-        pairs = ((-a, b), (-b, a))
+        turns = ((a, b), (b, a))
         for p in self.edge_image.values():
-            if any(pair in pairs for pair in zip(p, p[1:])):
+            if any(t in turns for t in _turns(p)):
                 return True
         return False
 
@@ -315,13 +313,14 @@ def _fold(prep, d1, d2):
     The two edges merge into a fresh edge and their far endpoints into one
     vertex.  The corner is found in rho once: rho steps along ``-d1`` and
     then ``d2`` exactly when ``d2`` follows ``d1`` in the rotation at the
-    vertex both leave.  The fold pass prepares the corner, so each broken
-    precondition raises :class:`InternalInvariantError`: the directions lie
-    on distinct edges, ``d2`` follows ``d1``, their images are equal and
-    nonempty, and their far endpoints differ.
+    vertex both leave.  The fold round prepares the corner, so each broken
+    precondition raises :class:`InternalInvariantError`: ``d2`` follows
+    ``d1``, their images are equal and nonempty, and their far endpoints
+    differ.  That the two lie on distinct edges needs no check of its own:
+    ``-d1`` never follows ``d1``, since rho would step along ``-d1`` twice,
+    and ``d1`` follows itself only at a leaf, where the far endpoints agree
+    or the image is empty.
     """
-    if abs(d1) == abs(d2):
-        raise InternalInvariantError("fold needs two distinct edges")
     v = prep.tail(d1)
     # rotate rho to start at the corner; sewing it shut drops the pair, and
     # every other occurrence of the two edges becomes the fused edge
@@ -372,26 +371,20 @@ def gates(f):
     return gate_of
 
 
-def gate_map(f, gate_of=None):
-    """The induced map on gates (well-defined because gates are D-coherent)."""
-    if gate_of is None:
-        gate_of = gates(f)
-    out = {}
-    for gate in set(gate_of.values()):
-        images = {gate_of[f.derivative(d)] for d in gate}
-        if len(images) != 1:
-            raise InternalInvariantError("direction map tears a gate apart")
-        out[gate] = images.pop()
-    return out
+def gate_map(f):
+    """The induced map on gates, well defined: two directions of a gate
+    share a vertex and an iterate of the direction map, so their images
+    share the image vertex and the next iterate."""
+    gate_of = gates(f)
+    return {gate_of[d]: gate_of[f.derivative(d)] for d in gate_of}
 
 
 def _first_illegal_turn(f, gate_of):
     # deterministic scan: smallest edge id, earliest position in its image
     for e in sorted(f.graph.edges):
-        p = f.edge_image[e]
-        for a, b in zip(p, p[1:]):
-            if gate_of[-a] == gate_of[b]:
-                return (-a, b)
+        for a, b in _turns(f.edge_image[e]):
+            if gate_of[a] == gate_of[b]:
+                return (a, b)
     return None
 
 
@@ -504,17 +497,18 @@ def _letter_to_split(prep, c):
     raise InternalInvariantError("one-letter edge images close up into a cycle")
 
 
-def _fold_pass(f, o1, o2, x, hook):
-    """Fold once at the merge point of the turn ``(o1, o2)``'s derivative orbit.
+def _fold_round(f, o1, o2, hook):
+    """Fold along the derivative orbit of the illegal turn ``(o1, o2)``
+    until letters cancel; returns the map.
 
-    Returns the new map, the renamed turn and ``x``, and the number of
-    letters the pass cancels.  ``x`` is None while an edge image takes the
-    turn.  The subdivision that splits its last occurrence, into halves e1
-    and e2, makes x: x is its new vertex and the turn becomes x's own,
-    ``(-e1, e2)``, the inner ends of the halves.  Renames in later splits
-    keep each direction's sign.  No fold takes a segment ending at x.  A pair
-    that fills a valence-two vertex has a degenerate turn: the pass removes
-    the vertex with :func:`_merge_through` instead of folding.
+    Each pass folds once at the merge point of the turn's derivative orbit.
+    ``x`` is None while an edge image takes the turn.  The subdivision that
+    splits its last occurrence, into halves e1 and e2, makes x: x is its new
+    vertex and the turn becomes x's own, ``(-e1, e2)``, the inner ends of
+    the halves.  Renames in later splits keep each direction's sign.  No
+    fold takes a segment ending at x.  A pair that fills a valence-two
+    vertex has a degenerate turn: the pass removes the vertex with
+    :func:`_merge_through` instead of folding, and that ends the round.
 
     Otherwise the pass is one partial fold of the corner ``(d1, d2)``, with
     ``d2`` the successor of ``d1`` that :func:`_fold_corner` names; splits
@@ -525,26 +519,7 @@ def _fold_pass(f, o1, o2, x, hook):
     edges with equal images never share their far endpoint too, since the
     loop they bound would map to a point; :func:`_fold` checks this.
     """
-    t1, t2 = o1, o2
-    guard = 2 * len(f.graph.edges) + 2
-    while f.derivative(t1) != f.derivative(t2):
-        t1, t2 = f.derivative(t1), f.derivative(t2)
-        guard -= 1
-        if guard < 0:
-            raise InternalInvariantError("derivative orbit never merged")
-    d1 = _fold_corner(f, t1, t2)
-    d2 = f.graph.successor(d1)
-    v = f.graph.tail(d1)
-    if f.graph.valence(v) == 2:
-        # no single corner separates the pair, so folding is meaningless;
-        # removing v cancels their common image prefix.  It comes before
-        # any other valence move, whose collapses could undo that
-        n = len(f.edge_image[abs(d1)]) + len(f.edge_image[abs(d2)])
-        cancelled = n - len(_path_image(f.edge_image, (-d1, d2)))
-        f = _merge_through(f, v)
-        hook("valence_two", f)
-        return f, None, None, None, cancelled
-    prep = _Subdivision(f)
+    x = None
 
     def split(d, length):
         # subdivide |d| so that d keeps an image of ``length``, and rename
@@ -556,41 +531,69 @@ def _fold_pass(f, o1, o2, x, hook):
         e = abs(d)
         p = prep.image(e)
         k = length if d > 0 else len(p) - length
-        took = x is None and (p[k - 1], p[k]) in ((-o1, o2), (-o2, o1))
+        took = x is None and (-p[k - 1], p[k]) in ((o1, o2), (o2, o1))
         e1, e2, z = prep.split(e, k)
         rename = {e: e1, -e: -e2}
         d1, d2, o1, o2 = (rename.get(t, t) for t in (d1, d2, o1, o2))
         if took and not prep.takes(o1, o2):
             x, o1, o2 = z, -e1, e2
 
-    for _ in range(len(f.graph.edges) + 8):
-        p1, p2 = prep.image(d1), prep.image(d2)
-        if p1 == p2 and x not in (prep.head(d1), prep.head(d2)):
-            break
-        if p1 != p2:
-            shared = _common_prefix_len(p1, p2)
+    # each pass shortens the turn's derivative orbit or the rotation arc
+    # between the pair; the cap is a safety net far above any round seen
+    for _ in range((2 * len(f.graph.edges) + 2) ** 2):
+        t1, t2 = o1, o2
+        guard = 2 * len(f.graph.edges) + 2
+        while f.derivative(t1) != f.derivative(t2):
+            t1, t2 = f.derivative(t1), f.derivative(t2)
+            guard -= 1
+            if guard < 0:
+                raise InternalInvariantError("derivative orbit never merged")
+        d1 = _fold_corner(f, t1, t2)
+        d2 = f.graph.successor(d1)
+        v = f.graph.tail(d1)
+        if f.graph.valence(v) == 2:
+            # no single corner separates the pair, so folding is
+            # meaningless; removing v cancels their common image prefix.  It
+            # comes before any other valence move, whose collapses could
+            # undo that.  The walked pair is v's whole rotation, so tier 1
+            # of _fold_corner names it: both images start with the same
+            # letter, and removing v always cancels
+            f = _merge_through(f, v)
+            hook("valence_two", f)
+            return f
+        prep = _Subdivision(f)
+        for _ in range(len(f.graph.edges) + 8):
+            p1, p2 = prep.image(d1), prep.image(d2)
+            if p1 == p2 and x not in (prep.head(d1), prep.head(d2)):
+                break
+            if p1 != p2:
+                shared = _common_prefix_len(p1, p2)
+            else:
+                # the whole edges may not fold, since x must keep valence
+                # two.  Fold all but the last half letter, so that letter's
+                # edge is split first
+                c = _letter_to_split(prep, p1[-1])
+                split(c, 1)
+                if c != p1[-1] or prep.image(d1) != prep.image(d2):
+                    # a step along a chain of one-letter images, or the
+                    # pair's own edge was split: prepare afresh
+                    continue
+                shared = len(p1)
+                p1 = prep.image(d1)
+            if shared < 1:
+                raise InternalInvariantError("fold pair lost its common prefix")
+            split(d1 if len(p1) > shared else d2, shared)
         else:
-            # the whole edges may not fold, since x must keep valence two.
-            # Fold all but the last half letter, so that letter's edge is
-            # split first
-            c = _letter_to_split(prep, p1[-1])
-            split(c, 1)
-            if c != p1[-1] or prep.image(d1) != prep.image(d2):
-                # a step along a chain of one-letter images, or the pair's
-                # own edge was split: prepare afresh
-                continue
-            shared = len(p1)
-            p1 = prep.image(d1)
-        if shared < 1:
-            raise InternalInvariantError("fold pair lost its common prefix")
-        split(d1 if len(p1) > shared else d2, shared)
-    else:
-        raise InternalInvariantError("fold preparation did not settle")
-    f, fused, cancelled = _fold(prep, d1, d2)
-    hook("fold", f, edges=sorted((abs(d1), abs(d2))), into=fused,
-         directions=(d1, d2), splits=prep.splits)
-    rename = {d1: fused, d2: fused, -d1: -fused, -d2: -fused}
-    return f, rename.get(o1, o1), rename.get(o2, o2), x, cancelled
+            raise InternalInvariantError("fold preparation did not settle")
+        f, fused, cancelled = _fold(prep, d1, d2)
+        hook("fold", f, edges=sorted((abs(d1), abs(d2))), into=fused,
+             directions=(d1, d2), splits=prep.splits)
+        if cancelled > 0:
+            return f
+        rename = {d1: fused, d2: fused, -d1: -fused, -d2: -fused}
+        o1, o2 = rename.get(o1, o1), rename.get(o2, o2)
+    # the descent that ends the loop needs every round to cancel
+    raise InternalInvariantError("fold round cancelled no letter")
 
 
 def bestvina_handel(f, hook=None):
@@ -627,17 +630,6 @@ def bestvina_handel(f, hook=None):
         turn = _first_illegal_turn(f, gates(f))
         if turn is None:
             return TrainTrack(f, spectral_radius(m))
-        # passes fold along the turn's derivative orbit, shortening it (or
-        # the rotation arc between the pair), until letters cancel; the cap
-        # is a safety net far above any round seen
-        o1, o2 = turn
-        x = None
-        for _ in range((2 * len(f.graph.edges) + 2) ** 2):
-            f, o1, o2, x, cancelled = _fold_pass(f, o1, o2, x, hook)
-            if cancelled > 0:
-                break
-        else:
-            # the descent that ends this loop needs every round to cancel
-            raise InternalInvariantError("fold round cancelled no letter")
+        f = _fold_round(f, *turn, hook)
     raise IterationLimitExceeded(
         f"no train track representative within {MAX_ROUNDS} rounds")

@@ -61,6 +61,12 @@ def substitute(path, table):
     return tuple(out)
 
 
+def _turns(path):
+    """The turns a path takes: consecutive letters a, b take the turn
+    ``(-a, b)``, the pair of directions leaving the vertex between them."""
+    return zip(map(neg, path), path[1:])
+
+
 def _trim_seam(p):
     """A tight closed path with the cancellations across its seam trimmed."""
     k = 0
@@ -150,8 +156,6 @@ class EmbeddedGraph:
             tail[e], tail[-e] = u, v
         self._tail = tail
         self.rho = rho = tuple(rho)
-        if not tail:
-            raise GraphStructureError("a spine needs at least one edge")
         # as many letters as directions, and all of them: each exactly once
         if len(rho) != len(tail) or tail.keys() != set(rho):
             raise GraphStructureError(

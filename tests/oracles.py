@@ -331,16 +331,15 @@ def curve_growth(f, loop=(1, 2), letters: int = 200_000) -> float:
     and reducing cyclically, until it has ``letters`` letters (or after 2000
     steps, so that a class that does not grow ends too).  Under a
     pseudo-Anosov class every non-peripheral class grows like λⁿ, so the
-    ratio of successive lengths tends to λ; Aitken's Δ² on the last three
-    ratios sharpens it.  Uses no train track, gate or matrix."""
+    ratio of the last two lengths tends to λ; it is returned as it is,
+    since some classes' ratios oscillate and an extrapolation from the
+    last few amplifies that.  Uses no train track, gate or matrix."""
     word = _cyclic_reduce(tuple(loop))
     lengths = [len(word)]
-    while len(lengths) < 4 or (lengths[-1] < letters and len(lengths) <= 2000):
+    while len(lengths) < 2 or (lengths[-1] < letters and len(lengths) <= 2000):
         word = _cyclic_reduce(raw_apply(f, word))
         lengths.append(len(word))
-    r0, r1, r2 = (b / a for a, b in zip(lengths[-4:], lengths[-3:]))
-    curvature = r2 - 2 * r1 + r0
-    return r2 - (r2 - r1) ** 2 / curvature if curvature else r2
+    return lengths[-1] / lengths[-2]
 
 
 def cyclic_circuits(graph, max_len: int) -> list:

@@ -265,16 +265,6 @@ def test_infinitesimal_edges_reject_illegal_turns():
         infinitesimal_edges(f)
 
 
-def test_gate_map_rejects_a_torn_gate():
-    f = torus_track()
-    # 1 and -1 map to 2 and -2, which lie in different gates
-    torn = {1: frozenset({1, -1}), -1: frozenset({1, -1}),
-            2: frozenset({2}), -2: frozenset({-2})}
-    with pytest.raises(InternalInvariantError,
-                       match="direction map tears a gate apart"):
-        gate_map(f, torn)
-
-
 def test_polygons_reject_an_edge_across_two_vertices(reference_runs):
     f = reference_runs["ex4"].final
     pair = frozenset((_gates_at(f, 4)[0], _gates_at(f, 5)[0]))

@@ -98,6 +98,22 @@ def test_growth_matches_curve_growth_of_the_input():
         sampled += isinstance(outcome, TrainTrack)
 
 
+def test_curve_growth_settles_on_oscillating_length_four_classes():
+    # five of the 15 length-<= 4 least rotations on which an Aitken step on
+    # curve_growth's ratios misses λ by more than 1e-3: three with
+    # λ = 2.015357, whose length ratios oscillate, one with 3.506068 and
+    # one with 3.254264
+    for text in ("a0 c1 -d1 -a1", "-a0 c0 d1 -c1", "a1 d1 -d0 -c0",
+                 "-a0 d1 -c1 -c0", "c0 d1 -c1 -c1"):
+        word = [(t.lstrip("-"), -1 if t[0] == "-" else 1)
+                for t in text.split()]
+        f = compose_word(2, word)
+        outcome = bestvina_handel(f)
+        assert isinstance(outcome, TrainTrack), text
+        assert outcome.growth == pytest.approx(
+            oracles.curve_growth(f, letters=400_000), rel=1e-3), text
+
+
 def test_reducible_outcome_has_invariant_subgraph(reference_runs):
     outcome = reference_runs["ex5"].outcome
     assert isinstance(outcome, Reducible)
@@ -186,18 +202,25 @@ def test_word_that_broke_full_turn_folding_is_a_train_track():
 
 
 def test_round_that_cancels_nothing_raises(monkeypatch):
-    # the descent check stops the first round; without it the loop would
-    # run on to bh.MAX_ROUNDS
-    rounds = []
+    # every fold reports no cancelled letter, so the descent check stops the
+    # first round at its pass cap, (2E + 2)^2 = 100 folds on ex2's four
+    # edges; without it the loop would run on to bh.MAX_ROUNDS.  ex1 would
+    # not do: its first rounds end by removing a valence-two vertex
+    rounds, folds = [], []
     count_round = bh.is_permutation_matrix
     monkeypatch.setattr(bh, "is_permutation_matrix",
                         lambda m: rounds.append(m) or count_round(m))
-    monkeypatch.setattr(bh, "_fold_pass",
-                        lambda f, o1, o2, x, hook: (f, o1, o2, x, 0))
-    f = compose_word(*REFERENCE_WORDS["ex1"])
-    with pytest.raises(InternalInvariantError, match="cancelled no letter"):
-        bestvina_handel(f)
+    fold = bh._fold
+    monkeypatch.setattr(bh, "_fold",
+                        lambda prep, d1, d2: fold(prep, d1, d2)[:2] + (0,))
+    f = compose_word(*REFERENCE_WORDS["ex2"])
+    assert len(f.graph.edges) == 4
+    with pytest.raises(InternalInvariantError,
+                       match="^fold round cancelled no letter$"):
+        bestvina_handel(
+            f, hook=lambda name, _g, **info: folds.append(name == "fold"))
     assert len(rounds) == 1
+    assert sum(folds) == 100
 
 
 def _inverse(word):
@@ -867,7 +890,7 @@ def test_fold_names_the_broken_precondition():
     f = GraphSelfMap(standard_rose(2), {0: 0},
                      {1: (1,), 2: (2,), 3: (1,), 4: (4,)})
     for d1, d2, message in [
-            (1, -1, "fold needs two distinct edges"),
+            (1, -1, "fold needs d2 to follow d1"),
             (2, 3, "fold needs equal nonempty images"),
             (3, 2, "fold needs d2 to follow d1"),
             (1, 3, "fold needs d2 to follow d1"),
@@ -883,3 +906,14 @@ def test_fold_names_the_broken_precondition():
     with pytest.raises(InternalInvariantError,
                        match="^fold needs d2 to follow d1$"):
         bh._fold(bh._Subdivision(f), 1, -2)
+    # -3 leaves the leaf 1 and follows itself there, so (-3, -3) is a
+    # corner: a nonempty image ends at vertex 0 for both, and an empty one
+    # fails the image check first
+    g = EmbeddedGraph({1: (0, 0), 2: (0, 0), 3: (0, 1)}, (1, 2, -1, -2, 3, -3))
+    assert g.successor(-3) == -3
+    for vertex_image, image, message in [
+            ({0: 0, 1: 1}, (3,), "parallel fold: far endpoints already agree"),
+            ({0: 0, 1: 0}, (), "fold needs equal nonempty images")]:
+        f = GraphSelfMap(g, vertex_image, {1: (1,), 2: (2,), 3: image})
+        with pytest.raises(InternalInvariantError, match=f"^{message}$"):
+            bh._fold(bh._Subdivision(f), -3, -3)

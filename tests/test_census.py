@@ -38,9 +38,15 @@ which pass, and (a) and (g), each a strict xfail that lists every
 mismatch: 35 classes whose two runs get two verdicts, and 34 least
 rotations whose verdict flips with the fold order.  (b) is left out
 because ``fixed_circuits`` on the 1419 TrainTrack runs would take minutes.
-(h) is left out because ``curve_growth`` from the loop (1, 2) misses λ by
-more than 1e-3 on 15 of the 720 PseudoAnosov least rotations, and whether
-the oracle or λ is wrong there is not settled.
+(h) is left out too.  ``curve_growth`` returns the plain last ratio of
+lengths.  An Aitken step on the last ratios missed λ by more than 1e-3 on
+15 of the 720 PseudoAnosov least rotations, because it amplifies the
+oscillation of their ratios: the oracle, not λ, was at fault.  The plain
+ratio at 200,000 letters misses on one, ``a0 c1 -d1 -a1`` (by 1.09e-3);
+at 400,000 letters five of the 15, that one included, agree within 1e-3,
+which a tier-1 test in ``test_bh.py`` checks.  Whether all 720 do at
+400,000 letters is not checked: that scan takes about twice the 104 s of
+one at 200,000.
 """
 from __future__ import annotations
 
@@ -276,11 +282,17 @@ def test_census_growth_matches_curve_growth_of_the_input(census):
 
 
 def test_census_gate_maps_keep_the_gates_at_a_vertex_apart(census):
+    # and are well defined: each direction of a gate maps into the gate's
+    # image, which gate_map takes from the gate's directions in turn
     checked = 0
     for runs in census.values():
         for run in runs:
-            if all(run.final.edge_image.values()):
-                assert gate_map_keeps_gates_apart(run.final), _text(run.word)
+            f = run.final
+            if all(f.edge_image.values()):
+                gate_of, induced = bh.gates(f), bh.gate_map(f)
+                assert all(induced[gate_of[d]] == gate_of[f.derivative(d)]
+                           for d in gate_of), _text(run.word)
+                assert gate_map_keeps_gates_apart(f), _text(run.word)
                 checked += 1
     assert checked > 1000
 
