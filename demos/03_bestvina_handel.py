@@ -24,7 +24,7 @@ from traintrack import (
     TrainTrack,
     bestvina_handel,
     compose_word,
-    is_train_track,
+    gates,
     spectral_radius,
 )
 
@@ -50,8 +50,7 @@ for label, genus, word in (
     print(f"  growth driven from {start:.6f} down to {final:.6f}")
     if isinstance(outcome, TrainTrack):
         print(f"  train track with dilatation {outcome.growth:.10f}")
-        print(f"  efficient (no illegal turn crossed): "
-              f"{is_train_track(outcome.map)}")
+        print(f"  gates: {len(set(gates(outcome.map).values()))}")
         print(f"  final edge images:")
         for e in sorted(outcome.map.edge_image):
             print(f"    {e} -> {outcome.map.edge_image[e]}")

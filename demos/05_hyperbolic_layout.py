@@ -32,10 +32,10 @@ graph = f.graph
 
 # Step 1: triangulate the cone over the polygon's boundary.
 tri = cone_triangulation(graph)
-print(f"polygon with {tri.triangle_count} sides "
+print(f"polygon with {len(tri.sides)} sides "
       f"(one per boundary direction), sides: {tri.sides}")
 print("side pairing:",
-      {i: tri.side_partner(i) for i in range(tri.triangle_count)})
+      {i: tri.side_partner(i) for i in range(len(tri.sides))})
 
 # Step 2: solve for hyperbolic radii.  The apex circle sits at the
 # puncture; each boundary vertex of the polygon gets its own radius, and

@@ -35,7 +35,6 @@ from .bh import (
     bestvina_handel,
     gate_map,
     gates,
-    is_train_track,
 )
 from .analysis import (
     InfinitesimalPolygon,
@@ -88,7 +87,6 @@ __all__ = [
     "infinitesimal_edges",
     "is_irreducible",
     "is_permutation_matrix",
-    "is_train_track",
     "orbit_permutation",
     "polygons",
     "puncture_index",

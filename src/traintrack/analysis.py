@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bh import GrowthOne, Reducible, TrainTrack, gate_map, gates
+from .bh import GrowthOne, Reducible, TrainTrack, gate_map
 from .errors import InternalInvariantError
 from .graphs import _turns
 from .growth import is_irreducible
@@ -30,8 +30,9 @@ def infinitesimal_edges(f):
     gate is the class of directions that some iterate of the direction map
     identifies (BH92, section 1).
     """
-    gate_of = gates(f)
     induced = gate_map(f)
+    # the gate map's keys are the gates, so they give each direction's gate
+    gate_of = {d: gate for gate in induced for d in gate}
     images = {frozenset((gate_of[a], gate_of[b]))
               for p in f.edge_image.values() for a, b in _turns(p)}
     if any(len(pair) != 2 for pair in images):

@@ -288,7 +288,8 @@ class _Subdivision:
         halves ``max+1`` and ``max+2`` that meet at a new vertex mapped to
         where those letters end; returns the halves and that vertex."""
         p = self.edge_image[e]
-        e1, e2 = max(self.edge_image) + 1, max(self.edge_image) + 2
+        e1 = max(self.edge_image) + 1
+        e2 = e1 + 1
         z = max(self.vertex_image) + 1
         self.vertex_image[z] = self.head(p[k - 1])
         t, h = self._tail.pop(e), self._tail.pop(-e)
@@ -388,15 +389,6 @@ def _first_illegal_turn(f, gate_of):
     return None
 
 
-def is_train_track(f):
-    """Whether no edge image takes a turn inside a single gate.
-
-    Equivalent to every iterate of every edge image being tight, which is the
-    efficiency the main loop drives toward.
-    """
-    return _first_illegal_turn(f, gates(f)) is None
-
-
 def _no_pretrivial_loops(f):
     for e, p in f.edge_image.items():
         if not p and f.graph.tail(e) == f.graph.head(e):
@@ -465,7 +457,7 @@ def _fold_corner(f, t1, t2):
         want = f.derivative(a)
         if all(f.derivative(x) == want for x in g.arc(a, b) + (b,)):
             return a
-    for v in sorted(g.vertices):
+    for v in g.vertices:
         for x in g.rotation_order(v):
             y = g.successor(x)
             if x != y and f.derivative(x) == f.derivative(y):

@@ -145,7 +145,7 @@ def run(args, out=None, err=None):
         tri = cone_triangulation(final.graph)
         radii = circle_pack(tri)
         layout = develop(tri, radii)
-        svg = emit_svg(layout, report.polygons or ())
+        svg = emit_svg(layout, report.polygons)
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(svg)
         timings["layout"] = time.perf_counter() - t0

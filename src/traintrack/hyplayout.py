@@ -57,10 +57,6 @@ class ConeTriangulation:
     sides: tuple
     corner_vertex: tuple
 
-    @property
-    def triangle_count(self):
-        return len(self.sides)
-
     def side_partner(self, i):
         """Index of the side carrying the reversed oriented edge."""
         return self.sides.index(-self.sides[i])

@@ -17,6 +17,8 @@ back into the code under test, so agreement is meaningful evidence:
   iteration (λ from the input map alone);
 * BH92's valence-two homotopy as a plain letter table, for either of the
   two edges it may collapse;
+* gates by plain iteration of the direction map, and the illegal turns
+  edge images take through them;
 * direct cusp count of the puncture region along the boundary word;
 * geometric intersection of curve words (linked pairs) and Penner's
   construction: faces, prongs and dilatation of T_A T_B^-1;
@@ -309,6 +311,36 @@ def valence_two_side(f, v, collapse):
     vertex_image = {z: to if w == v else w
                     for z, w in f.vertex_image.items() if z != v}
     return edges, spell(g.rho[i:] + g.rho[:i]), vertex_image, images
+
+
+# ---------------------------------------------------------------------------
+# Gates and illegal turns
+# ---------------------------------------------------------------------------
+
+def gates_by_iteration(f) -> dict:
+    """Direction -> gate, by applying the direction map ``2E`` times.
+
+    Each step reads the first letter of a direction's image, so every image
+    must be nonempty.  After ``2E`` steps on the ``2E`` directions every
+    direction sits on a cycle, where the map is a bijection, so two
+    directions at one vertex share a gate exactly when they land together.
+    """
+    dirs = [d for e in f.graph.edges for d in (e, -e)]
+    land = {d: d for d in dirs}
+    for _ in dirs:
+        land = {d: f.image(x)[0] for d, x in land.items()}
+    groups = {}
+    for d in dirs:
+        groups.setdefault((f.graph.tail(d), land[d]), set()).add(d)
+    return {d: frozenset(group) for group in groups.values() for d in group}
+
+
+def illegal_turns(f) -> list:
+    """The turns (-a, b) of consecutive image letters a, b that lie inside
+    one gate of :func:`gates_by_iteration`; none on a train track map."""
+    gate_of = gates_by_iteration(f)
+    return [(-a, b) for p in f.edge_image.values() for a, b in zip(p, p[1:])
+            if gate_of[-a] == gate_of[b]]
 
 
 # ---------------------------------------------------------------------------

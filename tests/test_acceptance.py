@@ -319,7 +319,7 @@ def test_criterion_8_layout_suite(reference_runs):
     deterministic = True
     for name, run in reference_runs.items():
         tri, radii, layout, svg = _layout_and_svg(run)
-        n = tri.triangle_count
+        n = len(tri.sides)
         r = [radii.vertex[v] for v in tri.corner_vertex]
         apex = sum(oracles.corner_angle(radii.apex, r[i], r[(i + 1) % n])
                    for i in range(n))

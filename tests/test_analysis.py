@@ -17,13 +17,13 @@ from traintrack import (
     gate_map,
     gates,
     infinitesimal_edges,
-    is_train_track,
     orbit_permutation,
     polygons,
     puncture_index,
     standard_generators,
     standard_rose,
 )
+from traintrack import analysis, bh
 
 import oracles
 from conftest import REFERENCE_WORDS
@@ -42,7 +42,7 @@ def torus_track():
 
 def test_torus_track_gates():
     f = torus_track()
-    assert is_train_track(f)
+    assert not oracles.illegal_turns(f)
     gate_of = gates(f)
     assert set(gate_of) == {1, -1, 2, -2}
     assert gate_of[1] == gate_of[2] == frozenset({1, 2})
@@ -206,6 +206,26 @@ def test_report_fields_pseudo_anosov(reference_runs):
     assert rep.orbit == (1, 0, 3, 2)
 
 
+def test_full_report_builds_two_gate_partitions(reference_runs,
+                                               monkeypatch):
+    # infinitesimal_edges and orbit_permutation each read one gate map;
+    # every module that binds gates is wrapped, so no import hides a call
+    real, calls = bh.gates, []
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    for module in (bh, analysis):
+        if getattr(module, "gates", None) is real:
+            monkeypatch.setattr(module, "gates", counting)
+    for name in PA_NAMES:
+        run = reference_runs[name]
+        calls.clear()
+        assert full_report(run.outcome) == run.report
+        assert calls == [run.final, run.final], name
+
+
 def test_report_growth_one():
     outcome = bestvina_handel(compose_word(2, [("a1", 1), ("a1", -1)]))
     rep = full_report(outcome)
@@ -241,13 +261,9 @@ def test_hexagon_word_regression(reference_runs):
 
 # ---------------------------------------------------------------------------
 # Error paths, on crafted inputs.  The public functions check what they are
-# given; no word reaches these branches through the pipeline.  Two checks
-# cannot fire at all.  infinitesimal_edges' "gate map collapses an
-# infinitesimal edge": both gates of a pair sit at one vertex, and two gates
-# there whose images share a gate would collide under an iterate of the
-# direction map, so they would be one gate.  puncture_index's fractional
-# prong count: each index 1 - k/2 is a multiple of 1/2, so 2 (1 - index)
-# is an integer.
+# given; no word reaches these branches through the pipeline.
+# puncture_index's fractional prong count needs a genus that is no integer,
+# since each index 1 - k/2 is a multiple of 1/2.
 # ---------------------------------------------------------------------------
 
 def _gates_at(f, vertex):
@@ -259,7 +275,7 @@ def _gates_at(f, vertex):
 def test_infinitesimal_edges_reject_illegal_turns():
     genus, word = REFERENCE_WORDS["ex1"]
     f = compose_word(genus, list(word))
-    assert not is_train_track(f)
+    assert oracles.illegal_turns(f)
     with pytest.raises(InternalInvariantError,
                        match="infinitesimal edges need a train track map"):
         infinitesimal_edges(f)

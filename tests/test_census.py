@@ -283,18 +283,22 @@ def test_census_growth_matches_curve_growth_of_the_input(census):
 
 def test_census_gate_maps_keep_the_gates_at_a_vertex_apart(census):
     # and are well defined: each direction of a gate maps into the gate's
-    # image, which gate_map takes from the gate's directions in turn
+    # image, which gate_map takes from the gate's directions in turn.  The
+    # gates bh.gates finds by squaring the direction map are those of
+    # plain iteration
     checked = 0
     for runs in census.values():
         for run in runs:
             f = run.final
             if all(f.edge_image.values()):
                 gate_of, induced = bh.gates(f), bh.gate_map(f)
+                assert gate_of == oracles.gates_by_iteration(f), _text(
+                    run.word)
                 assert all(induced[gate_of[d]] == gate_of[f.derivative(d)]
                            for d in gate_of), _text(run.word)
                 assert gate_map_keeps_gates_apart(f), _text(run.word)
                 checked += 1
-    assert checked > 1000
+    assert checked == 2012
 
 
 def _verdict_mismatches(census):
