@@ -14,14 +14,14 @@ is the rotation successor of the reversed direction ``-d`` at their common
 vertex.
 Conversely a graph with a rotation system has a well-defined boundary walk,
 so ``rho`` carries exactly the embedding data and nothing more.
+
+NumPy is imported where it is first used, not when the package loads.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from operator import neg
-
-import numpy as np
 
 from .errors import GraphStructureError, MapCompatibilityError
 
@@ -364,6 +364,7 @@ class GraphSelfMap:
         returned as a copy, which the caller may write into.
         """
         if self._matrix is None:
+            import numpy as np
             order = sorted(self.graph.edges)
             n = len(order)
             images = [self.edge_image[e] for e in order]

@@ -5,15 +5,16 @@ transition matrix.  One reachability closure splits the matrix into strongly
 connected blocks, and one eigen-solve per block finds the block's simple
 Perron-Frobenius eigenvalue to rounding error (that of the whole matrix can
 be defective).
+
+NumPy is imported where it is first used, not when the package loads.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def is_permutation_matrix(m) -> bool:
     """True iff ``m`` is 0/1 with a single 1 per row and column (so square)."""
+    import numpy as np
     m = np.asarray(m)
     if m.ndim != 2 or m.size == 0:
         return False
@@ -27,6 +28,7 @@ def _reach(m):
     # edge j's image crosses edge i (m[i, j] != 0).  Each squaring doubles
     # the path length covered, so ceil(log2 n) products suffice; stop early
     # once everything reaches everything, as in most rounds of the fold loop
+    import numpy as np
     r = (np.asarray(m) != 0).T.astype(float)
     np.fill_diagonal(r, 1.0)
     for _ in range(max(len(r) - 2, 0).bit_length()):
@@ -39,6 +41,7 @@ def _reach(m):
 def _components(r, starts):
     # the strongly connected components (all that j reaches and that reach
     # j back) meeting the ascending ``starts``, each once, by smallest member
+    import numpy as np
     done = np.zeros(len(r), dtype=bool)
     for j in starts:
         if not done[j]:
@@ -64,6 +67,7 @@ def sink_components(m):
     whole index set never counts, so the list is empty exactly when ``m`` is
     irreducible.
     """
+    import numpy as np
     r = _reach(m)
     # j lies in a sink when everything it reaches reaches it back
     sinks = np.flatnonzero((r <= r.T).all(axis=1))
@@ -79,6 +83,7 @@ def spectral_radius(m) -> float:
     own single block, so it takes one eigen-solve of the whole matrix.  A
     zero matrix gives exactly 0.0.
     """
+    import numpy as np
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("spectral_radius needs a square matrix")

@@ -8,13 +8,13 @@ by Newton's method on the angle sums, makes the triangulation geodesic for
 the surface's hyperbolic metric; developing the triangle fan around the
 puncture then draws the whole picture inside the Poincare disk, ready for
 SVG output.
+
+NumPy is imported where it is first used, not when the package loads.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import (
     GraphStructureError,
@@ -99,6 +99,7 @@ def _corner_angles(radii):
     l_k sin theta_i)`` and ``dtheta_i/dl_j = -(dtheta_i/dl_i) cos theta_k``;
     radius ``p`` lies on every side but side ``p``.
     """
+    import numpy as np
     side = radii.sum(axis=1, keepdims=True) - radii
     ch = np.cosh(side)
     sh = np.sinh(side)
@@ -159,6 +160,7 @@ def circle_pack(tri):
 def _solve_packing(c):
     """The radii of the apex and of unknowns ``1..max(c)``, as a tuple, for
     the corner sequence ``c`` of unknowns; every unknown has a corner."""
+    import numpy as np
     tris = np.array([(0, c[i], c[(i + 1) % len(c)]) for i in range(len(c))])
     n = max(c) + 1
     entry = (tris[:, :, None] * n + tris[:, None, :]).ravel()
@@ -247,6 +249,7 @@ def develop(tri, radii):
     origin, at the accumulated apex angle of the preceding triangles; the
     packing's apex condition makes the fan close up again.
     """
+    import numpy as np
     corners = tri.corner_vertex
     m = len(corners)
     r = [radii.vertex[v] for v in corners]
