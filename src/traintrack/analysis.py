@@ -113,8 +113,15 @@ def polygons(f, edges):
 
 
 def orbit_permutation(f, polys):
-    """Label ``i`` -> label of the image polygon under the gate map."""
-    induced = gate_map(f)
+    """Label ``i`` -> label of the image polygon under the gate map.
+
+    A gate's image holds ``f.derivative(d)`` for every ``d`` in the gate, so
+    only the polygons' own gates are read; an image in none of them leaves
+    the polygon's image no polygon.
+    """
+    gate_of = {d: g for poly in polys for g in poly.cycle for d in g}
+    induced = {g: gate_of.get(f.derivative(min(g)))
+               for poly in polys for g in poly.cycle}
     table = {poly.edge_set(): i for i, poly in enumerate(polys)}
     perm = []
     for poly in polys:

@@ -76,14 +76,22 @@ def _trim_seam(p):
 
 
 def _is_cyclic_rotation(p, q):
-    """Whether two tuples agree up to a cyclic rotation."""
+    """Whether two tuples agree up to a cyclic rotation.  Only a rotation
+    of ``q`` that starts where ``q`` holds ``p[0]`` can spell ``p``; when
+    the letters of ``q`` are distinct, as those of ρ are, there is one."""
     if len(p) != len(q):
         return False
     if not p:
         return True
     dbl = q + q
     n = len(p)
-    return any(dbl[i:i + n] == p for i in range(len(q)))
+    try:
+        i = q.index(p[0])
+        while dbl[i:i + n] != p:
+            i = q.index(p[0], i + 1)
+    except ValueError:
+        return False
+    return True
 
 
 def _path_image(images, path):

@@ -248,12 +248,35 @@ def develop(tri, radii):
     Corner ``i`` goes at hyperbolic distance ``r_apex + r_vertex`` from the
     origin, at the accumulated apex angle of the preceding triangles; the
     packing's apex condition makes the fan close up again.
+
+    The fan reads only the apex and corner radii, so the last 256 fans are
+    kept per process, as :func:`circle_pack` keeps its solve: a hit is
+    bit-identical to a cold development, and a fan that fails to close is
+    not kept.  The side-pairing check reads ``tri.sides`` and runs on every
+    call, which returns a fresh :class:`DiskLayout`.  A one-shot CLI run
+    develops once and gains nothing.
     """
-    import numpy as np
     corners = tri.corner_vertex
-    m = len(corners)
-    r = [radii.vertex[v] for v in corners]
-    fan = np.array([(radii.apex, r[i], r[(i + 1) % m]) for i in range(m)])
+    points, lengths, geodesics, closure = _develop_fan(
+        radii.apex, tuple(radii.vertex[v] for v in corners))
+    pair_defect = 0.0
+    for i in range(len(corners)):
+        j = tri.side_partner(i)
+        pair_defect = max(pair_defect, abs(lengths[i] - lengths[j]))
+    if pair_defect > 1e-6:
+        raise InternalInvariantError(
+            f"identified sides developed to unequal lengths ({pair_defect:.3e})")
+    return DiskLayout(tri.sides, corners, points, geodesics, lengths,
+                      closure, pair_defect)
+
+
+@lru_cache(maxsize=256)
+def _develop_fan(apex, r):
+    """The corner points, side lengths, side geodesics and closure defect
+    of the fan with apex radius ``apex`` and corner radii ``r``."""
+    import numpy as np
+    m = len(r)
+    fan = np.array([(apex, r[i], r[(i + 1) % m]) for i in range(m)])
     apex_angles = _corner_angles(fan)[0][:, 0].tolist()
     closure = abs(sum(apex_angles) - _TWO_PI)
     if closure > 1e-8:
@@ -262,22 +285,14 @@ def develop(tri, radii):
     points = []
     theta = 0.0
     for i in range(m):
-        rho = math.tanh(0.5 * (radii.apex + radii.vertex[corners[i]]))
+        rho = math.tanh(0.5 * (apex + r[i]))
         points.append((rho * math.cos(theta), rho * math.sin(theta)))
         theta += apex_angles[i]
     lengths = tuple(
         _hyp_dist(points[i], points[(i + 1) % m]) for i in range(m))
-    pair_defect = 0.0
-    for i in range(m):
-        j = tri.side_partner(i)
-        pair_defect = max(pair_defect, abs(lengths[i] - lengths[j]))
-    if pair_defect > 1e-6:
-        raise InternalInvariantError(
-            f"identified sides developed to unequal lengths ({pair_defect:.3e})")
     geodesics = tuple(
         _geodesic(points[i], points[(i + 1) % m]) for i in range(m))
-    return DiskLayout(tri.sides, corners, tuple(points), geodesics, lengths,
-                      closure, pair_defect)
+    return tuple(points), lengths, geodesics, closure
 
 
 # ---------------------------------------------------------------------------
@@ -315,31 +330,23 @@ def emit_svg(layout, structure=()):
     pair), one shaded schematic ``k``-gon per infinitesimal polygon near its
     vertex, and the puncture at the origin.  Identical inputs yield identical
     bytes.
+
+    The side paths and label positions read only ``layout.corners`` and
+    ``layout.geodesics`` and are kept per process for the last 256 such
+    pairs; the labels ``e<edge>`` and the polygons are written on every
+    call.  A one-shot CLI run draws once and gains nothing.
     """
-    m = len(layout.sides)
+    paths, spots = _outline(layout.corners, layout.geodesics)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'width="600" height="600" viewBox="-1.05 -1.05 2.1 2.1">',
         _STYLE,
         '<circle class="disk-boundary" cx="0" cy="0" r="1"/>',
+        *paths,
     ]
-    for i in range(m):
-        p = layout.corners[i]
-        q = layout.corners[(i + 1) % m]
-        out.append(f'<path class="polygon-side" '
-                   f'd="{_path(p, q, layout.geodesics[i])}"/>')
-    for i in range(m):
-        p = layout.corners[i]
-        q = layout.corners[(i + 1) % m]
-        mx = 0.5 * (p[0] + q[0])
-        my = 0.5 * (p[1] + q[1])
-        norm = math.hypot(mx, my)
-        if norm > 1e-9:
-            mx += 0.085 * mx / norm
-            my += 0.085 * my / norm
-        out.append(f'<text class="edge-label" x="{_fmt(mx)}" y="{_fmt(my)}">'
-                   f'e{abs(layout.sides[i])}</text>')
+    out.extend(f'<text class="edge-label" {spot}>e{abs(side)}</text>'
+               for side, spot in zip(layout.sides, spots))
     polys = tuple(structure or ())
     seen_at = {}
     for label, poly in enumerate(polys):
@@ -361,3 +368,25 @@ def emit_svg(layout, structure=()):
     out.append('<circle class="puncture" cx="0" cy="0" r="0.015"/>')
     out.append('</svg>')
     return "\n".join(out) + "\n"
+
+
+@lru_cache(maxsize=256)
+def _outline(corners, geodesics):
+    """The ``<path>`` line of each polygon side and the ``x``, ``y``
+    attributes of its edge label, just outside the side's chord midpoint."""
+    m = len(corners)
+    paths = []
+    spots = []
+    for i in range(m):
+        p = corners[i]
+        q = corners[(i + 1) % m]
+        paths.append(f'<path class="polygon-side" '
+                     f'd="{_path(p, q, geodesics[i])}"/>')
+        mx = 0.5 * (p[0] + q[0])
+        my = 0.5 * (p[1] + q[1])
+        norm = math.hypot(mx, my)
+        if norm > 1e-9:
+            mx += 0.085 * mx / norm
+            my += 0.085 * my / norm
+        spots.append(f'x="{_fmt(mx)}" y="{_fmt(my)}"')
+    return tuple(paths), tuple(spots)

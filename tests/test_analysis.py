@@ -206,10 +206,10 @@ def test_report_fields_pseudo_anosov(reference_runs):
     assert rep.orbit == (1, 0, 3, 2)
 
 
-def test_full_report_builds_two_gate_partitions(reference_runs,
-                                               monkeypatch):
-    # infinitesimal_edges and orbit_permutation each read one gate map;
-    # every module that binds gates is wrapped, so no import hides a call
+def test_full_report_builds_one_gate_partition(reference_runs, monkeypatch):
+    # infinitesimal_edges reads the one gate map, and orbit_permutation reads
+    # the gates off the polygons; every module that binds gates is wrapped,
+    # so no import hides a call
     real, calls = bh.gates, []
 
     def counting(f):
@@ -223,7 +223,7 @@ def test_full_report_builds_two_gate_partitions(reference_runs,
         run = reference_runs[name]
         calls.clear()
         assert full_report(run.outcome) == run.report
-        assert calls == [run.final, run.final], name
+        assert calls == [run.final], name
 
 
 def test_report_growth_one():

@@ -354,6 +354,20 @@ def test_is_cyclic_rotation_examples():
     assert not _is_cyclic_rotation((1, 2), (1, 2, 3))
 
 
+def test_is_cyclic_rotation_with_repeated_letters():
+    # p[0] occurs several times in q, and only a later occurrence may start
+    # the rotation; every pair of words over two letters up to length 6
+    # against all rotations of q
+    assert _is_cyclic_rotation((1, 2, 1, 2, 2), (2, 1, 2, 1, 2))
+    assert _is_cyclic_rotation((1, 1, 2), (1, 2, 1))
+    assert not _is_cyclic_rotation((1, 1, 2, 2), (1, 2, 1, 2))
+    for n in range(7):
+        words = list(product((1, 2), repeat=n))
+        for p, q in product(words, repeat=2):
+            want = any(q[k:] + q[:k] == p for k in range(n)) or n == 0
+            assert _is_cyclic_rotation(p, q) == want, (p, q)
+
+
 letters = st.sampled_from([1, -1, 2, -2, 3, -3])
 paths = st.lists(letters, max_size=12).map(tuple)
 

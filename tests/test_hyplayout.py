@@ -1,6 +1,7 @@
 """Circle packing, disk development, and SVG rendering."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import xml.etree.ElementTree as ET
@@ -11,6 +12,7 @@ import pytest
 from traintrack import (
     EmbeddedGraph,
     GraphStructureError,
+    InternalInvariantError,
     PackingDidNotConverge,
     PackingRadii,
     bestvina_handel,
@@ -188,13 +190,34 @@ def test_packing_rejects_genus_one():
             circle_pack(cone_triangulation(split))
 
 
+# every per-process memo of the layout: the packing solve, the developed
+# fan and the SVG outline
+LAYOUT_MEMOS = (hyplayout._solve_packing, hyplayout._develop_fan,
+                hyplayout._outline)
+
+
 @pytest.fixture
 def cold_memo():
-    """An empty packing memo before and after the test, for tests that
-    patch the solve: a solve they let through must neither hit nor stay."""
-    hyplayout._solve_packing.cache_clear()
+    """Empty layout memos before and after the test, for tests that count
+    hits or patch a step: what they let through must neither hit nor stay."""
+    for memo in LAYOUT_MEMOS:
+        memo.cache_clear()
     yield
-    hyplayout._solve_packing.cache_clear()
+    for memo in LAYOUT_MEMOS:
+        memo.cache_clear()
+
+
+def test_cold_memo_empties_every_layout_memo(request):
+    # LAYOUT_MEMOS names every memo hyplayout keeps, and the fixture
+    # empties each one that drawing a word fills
+    kept = {name for name, value in vars(hyplayout).items()
+            if hasattr(value, "cache_clear")}
+    assert kept == {memo.__name__ for memo in LAYOUT_MEMOS}
+    tri = cone_triangulation(standard_rose(2))
+    emit_svg(develop(tri, circle_pack(tri)))
+    assert all(memo.cache_info().currsize for memo in LAYOUT_MEMOS)
+    request.getfixturevalue("cold_memo")
+    assert [memo.cache_info().currsize for memo in LAYOUT_MEMOS] == [0, 0, 0]
 
 
 def _shifted(graph, by):
@@ -352,6 +375,55 @@ def test_geodesics_meet_corners():
         for c in (layout.corners[i],
                   layout.corners[(i + 1) % len(layout.corners)]):
             assert abs(_c(c) - complex(cx, cy)) == pytest.approx(r, abs=1e-9)
+
+
+def test_layout_memo_hit_is_the_cold_layout(reference_runs, cold_memo):
+    # the fan and the outline are kept by radii and by coordinates: a hit,
+    # also on the same graph with other vertex ids, gives exactly the cold
+    # layout and SVG bytes, with the caller's own vertex ids
+    for name, run in reference_runs.items():
+        graph = run.final.graph
+        structure = run.report.polygons or ()
+        for memo in LAYOUT_MEMOS:
+            memo.cache_clear()
+        tri, _, cold = build_layout(graph)
+        cold_svg = emit_svg(cold, structure)
+        _, _, hit = build_layout(graph)
+        hit_svg = emit_svg(hit, structure)
+        moved_tri, _, moved = build_layout(_shifted(graph, 10))
+        moved_svg = emit_svg(moved, [
+            dataclasses.replace(poly, vertex=poly.vertex + 10)
+            for poly in structure])
+        for memo in LAYOUT_MEMOS:
+            info = memo.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 2, 1), name
+        assert hit == cold, name
+        assert hit_svg == cold_svg, name
+        assert moved == dataclasses.replace(
+            cold, corner_vertex=moved_tri.corner_vertex), name
+        assert moved_svg == cold_svg, name
+
+
+def test_failed_development_is_not_kept(cold_memo):
+    # radii that are no packing: the fan fails to close on every call
+    tri = cone_triangulation(standard_rose(2))
+    for _ in range(2):
+        with pytest.raises(PackingDidNotConverge,
+                           match="^developed fan misses closing up by "):
+            develop(tri, PackingRadii(1.0, {0: 1.0}))
+    assert hyplayout._develop_fan.cache_info().currsize == 0
+
+
+def test_development_hit_checks_the_side_pairing(reference_runs, cold_memo):
+    # the memo keys a fan by its radii alone: a triangulation with the same
+    # corners whose sides pair differently hits it and still fails the check
+    tri, radii, _ = build_layout(reference_runs["ex3"].final.graph)
+    rotated = hyplayout.ConeTriangulation(
+        tri.graph, tri.sides[1:] + tri.sides[:1], tri.corner_vertex)
+    with pytest.raises(InternalInvariantError, match="^identified sides "
+                       "developed to unequal lengths "):
+        develop(rotated, radii)
+    assert hyplayout._develop_fan.cache_info().hits == 1
 
 
 # ---------------------------------------------------------------------------
