@@ -53,3 +53,14 @@ try:
 except GraphStructureError as err:
     print("\nrejected a multi-face boundary word:")
     print("  ", err)
+
+# A spine has no leaf either: the train track algorithm runs on graphs
+# without a vertex of valence one, and construction is where that is
+# decided.  Here the genus-1 rose grows an edge 3 out to vertex 1, which
+# then meets that edge alone.
+try:
+    EmbeddedGraph(edges={1: (0, 0), 2: (0, 0), 3: (0, 1)},
+                  rho=(1, 2, -1, -2, 3, -3))
+except GraphStructureError as err:
+    print("rejected a spine with a leaf:")
+    print("  ", err)

@@ -55,7 +55,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    GraphStructureError,
     InternalInvariantError,
     IterationLimitExceeded,
     MapCompatibilityError,
@@ -319,8 +318,8 @@ def _fold(prep, d1, d2):
     ``d1``, their images are equal and nonempty, and their far endpoints
     differ.  That the two lie on distinct edges needs no check of its own:
     ``-d1`` never follows ``d1``, since rho would step along ``-d1`` twice,
-    and ``d1`` follows itself only at a leaf, where the far endpoints agree
-    or the image is empty.
+    and ``d1`` follows itself only at a leaf, which
+    :class:`~.graphs.EmbeddedGraph` rejects.
     """
     v = prep.tail(d1)
     # rotate rho to start at the corner; sewing it shut drops the pair, and
@@ -422,14 +421,9 @@ def _simplify(f, hook):
             f = _collapse_edges(f, forest, rep)
             hook("collapse", f, edges=sorted(forest))
             continue
-        # the lowest-id vertex of valence two.  bestvina_handel takes no
-        # leaf, and no move makes one: a fold keeps its vertex at valence
-        # two or more and the merged far end at three or more, collapsing a
-        # tree leaves valence two or more, removing a valence-two vertex
-        # keeps both its neighbours, and a split's new vertex has valence two
+        # the lowest-id vertex of valence two.  EmbeddedGraph rejects a leaf,
+        # so no vertex has valence below two
         valence, v = min((f.graph.valence(v), v) for v in f.graph.vertices)
-        if valence == 1:
-            raise InternalInvariantError("a move made a leaf")
         if valence == 2:
             f = _merge_through(f, v)
             hook("valence_two", f)
@@ -460,7 +454,7 @@ def _fold_corner(f, t1, t2):
     for v in g.vertices:
         for x in g.rotation_order(v):
             y = g.successor(x)
-            if x != y and f.derivative(x) == f.derivative(y):
+            if f.derivative(x) == f.derivative(y):
                 return x
     raise InternalInvariantError("no adjacent foldable pair exists")
 
@@ -591,9 +585,9 @@ def _fold_round(f, o1, o2, hook):
 def bestvina_handel(f, hook=None):
     """Run the train track algorithm on a boundary-preserving self-map.
 
-    A graph with a vertex of valence one raises
-    :class:`GraphStructureError`, a map that does not preserve the boundary
-    word :class:`MapCompatibilityError`, and a round that cancels no letter
+    The graph has no leaf, since :class:`~.graphs.EmbeddedGraph` rejects
+    one.  A map that does not preserve the boundary word raises
+    :class:`MapCompatibilityError`, and a round that cancels no letter
     :class:`InternalInvariantError`.  By the descent argument in the module
     docstring no input should reach :data:`MAX_ROUNDS` rounds;
     :class:`IterationLimitExceeded` after that many stays as a safety net.
@@ -602,10 +596,6 @@ def bestvina_handel(f, hook=None):
     the map *after* the move; pass one to trace or audit a run.
     """
     hook = hook or _noop_hook
-    leaf = next((v for v in f.graph.vertices if f.graph.valence(v) == 1),
-                None)
-    if leaf is not None:
-        raise GraphStructureError(f"vertex {leaf} has valence one")
     if not f.preserves_boundary():
         raise MapCompatibilityError(
             "input map does not preserve the boundary word")

@@ -75,25 +75,6 @@ def _trim_seam(p):
     return p[k:len(p) - k]
 
 
-def _is_cyclic_rotation(p, q):
-    """Whether two tuples agree up to a cyclic rotation.  Only a rotation
-    of ``q`` that starts where ``q`` holds ``p[0]`` can spell ``p``; when
-    the letters of ``q`` are distinct, as those of ρ are, there is one."""
-    if len(p) != len(q):
-        return False
-    if not p:
-        return True
-    dbl = q + q
-    n = len(p)
-    try:
-        i = q.index(p[0])
-        while dbl[i:i + n] != p:
-            i = q.index(p[0], i + 1)
-    except ValueError:
-        return False
-    return True
-
-
 def _path_image(images, path):
     """The tight image of an edge path under a map with tight edge images
     ``images`` (edge id -> path): each letter's image is spliced on, read
@@ -143,8 +124,12 @@ class EmbeddedGraph:
     the complement of the graph in the surface to be one disk containing the
     puncture.  The walk that checks a vertex's rotation is kept as its
     :meth:`rotation_order`.  The genus then comes out of the Euler count and
-    must be a positive integer.  Instances are immutable; algorithm moves
-    build new graphs rather than mutating.
+    must be a positive integer.  Last, no vertex may have valence one: the
+    train track algorithm runs on spines without leaves, and this is the
+    one place that rule is checked.  A pair ``(d, -d)`` in ``rho``, across
+    its seam too, would make ``-d`` its own successor, which happens only
+    at a leaf, so ``rho`` is cyclically reduced.  Instances are immutable;
+    algorithm moves build new graphs rather than mutating.
     """
 
     __slots__ = ("edges", "rho", "_tail", "_succ", "_rotation")
@@ -194,6 +179,10 @@ class EmbeddedGraph:
             raise GraphStructureError(
                 "boundary word does not give a once-punctured surface of "
                 f"genus >= 1 (V={len(self._rotation)}, E={len(self.edges)})")
+        # last, so every message above still fires as it would without it
+        for v, order in self._rotation.items():
+            if len(order) == 1:
+                raise GraphStructureError(f"vertex {v} has valence one")
 
     def tail(self, d):
         """Vertex an oriented edge leaves from."""
@@ -351,18 +340,23 @@ class GraphSelfMap:
         """Whether the map fixes the puncture loop up to free homotopy.
 
         True iff the cyclic reduction of the image of ``rho`` is a cyclic
-        rotation of the cyclic reduction of ``rho`` itself.  Every map built
-        from Dehn twists satisfies this, and every move of the train track
-        algorithm keeps it; it doubles as a cheap integrity check between
-        moves.
+        rotation of ``rho``, which is cyclically reduced since the graph
+        has no leaf.  Every map built from Dehn twists satisfies this, and
+        every move of the train track algorithm keeps it; it doubles as a
+        cheap integrity check between moves.
 
         The image of ``rho`` is spliced by :func:`_path_image`, which
         cancels only where two images meet, since each image is tight; that
-        leaves it tight, so only its cyclic seam is trimmed.
+        leaves it tight, so only its cyclic seam is trimmed.  ``rho`` holds
+        each direction once, so only its rotation that starts at the
+        image's first letter can spell it.
         """
-        return _is_cyclic_rotation(
-            _trim_seam(_path_image(self.edge_image, self.graph.rho)),
-            _trim_seam(tighten(self.graph.rho)))
+        rho = self.graph.rho
+        p = _trim_seam(_path_image(self.edge_image, rho))
+        if len(p) != len(rho):
+            return False
+        i = rho.index(p[0])
+        return rho[i:] + rho[:i] == p
 
     def transition_matrix(self):
         """Unsigned crossing counts, rows/columns in sorted edge-id order.

@@ -329,7 +329,8 @@ def emit_svg(layout, structure=()):
     edge label (each label appears twice, once per side of the identified
     pair), one shaded schematic ``k``-gon per infinitesimal polygon near its
     vertex, and the puncture at the origin.  Identical inputs yield identical
-    bytes.
+    bytes.  A polygon at a vertex that is no corner of the layout raises
+    :class:`ValueError`.
 
     The side paths and label positions read only ``layout.corners`` and
     ``layout.geodesics`` and are kept per process for the last 256 such
@@ -350,8 +351,10 @@ def emit_svg(layout, structure=()):
     polys = tuple(structure or ())
     seen_at = {}
     for label, poly in enumerate(polys):
-        spot = next(i for i, v in enumerate(layout.corner_vertex)
-                    if v == poly.vertex)
+        if poly.vertex not in layout.corner_vertex:
+            raise ValueError(
+                f"polygon vertex {poly.vertex} is not a corner of the layout")
+        spot = layout.corner_vertex.index(poly.vertex)
         nth = seen_at.get(poly.vertex, 0)
         seen_at[poly.vertex] = nth + 1
         scale = 0.80 - 0.12 * nth

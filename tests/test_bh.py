@@ -393,7 +393,7 @@ def test_hook_snapshots_keep_surface_invariants(reference_runs):
             assert f.preserves_boundary()
             assert oracles.face_count(f.graph) == 1
             assert oracles.genus_via_euler(f.graph) == run.genus
-            # no move makes a leaf: _simplify raises "a move made a leaf"
+            # EmbeddedGraph rejects a leaf, so no move can make one
             assert min(map(f.graph.valence, f.graph.vertices)) >= 2, move
             growth = spectral_radius(f.transition_matrix())
             assert growth <= last_growth + 1e-7, (run.word, move)
@@ -824,40 +824,24 @@ LEAF_GRAPH = ({1: (0, 0), 2: (0, 0), 3: (0, 1)}, (1, 2, -1, -2, 3, -3))
 
 
 def test_a_leaf_is_rejected():
-    # edge 3 maps across itself, so it is no invariant forest.  No move
-    # makes a leaf, so bestvina_handel rejects one as input and _simplify
-    # reports one as a broken invariant
-    f = GraphSelfMap(EmbeddedGraph(*LEAF_GRAPH), {0: 0, 1: 1},
-                     {1: (1,), 2: (2,), 3: (1, 3)})
-    assert f.preserves_boundary()
+    # the train track algorithm runs on spines without leaves, and
+    # EmbeddedGraph is where that is decided, so no map on one is built
     with pytest.raises(GraphStructureError,
                        match="^vertex 1 has valence one$"):
-        bestvina_handel(f)
-    with pytest.raises(InternalInvariantError,
-                       match="^a move made a leaf$"):
-        bh._simplify(f, bh._noop_hook)
+        EmbeddedGraph(*LEAF_GRAPH)
 
 
 def test_leaf_goes_before_a_valence_two_vertex():
-    # edge 3 split at 1 has halves 4 = (0, 2) and 5 = (2, 1): the leaf 1 and
-    # the valence-two vertex 2 at once.  The leaf is rejected before any
-    # move runs.  Relabelled so that the valence-two vertex has the lower
-    # id, the order holds too
-    f = GraphSelfMap(EmbeddedGraph(*LEAF_GRAPH), {0: 0, 1: 1},
-                     {1: (1,), 2: (2,), 3: (1, 3)})
-    relabelled = GraphSelfMap(
-        EmbeddedGraph({1: (0, 0), 2: (0, 0), 4: (0, 1), 5: (1, 2)},
-                      (1, 2, -1, -2, 4, 5, -5, -4)),
-        {0: 0, 1: 0, 2: 2}, {1: (1,), 2: (2,), 4: (1,), 5: (4, 5)})
-    for h, leaf in ((_split(f, 3, 1), 1), (relabelled, 2)):
-        assert sorted(map(h.graph.valence, h.graph.vertices)) == [1, 2, 5]
-        assert h.preserves_boundary()
-        moves = []
+    # edge 3 split at one letter has halves 4 = (0, 2) and 5 = (2, 1): the
+    # leaf 1 and the valence-two vertex 2 at once.  The leaf is rejected as
+    # the graph is built, so no move sees it.  Relabelled so that the
+    # valence-two vertex has the lower id, the leaf is named too
+    for edges, leaf in (({4: (0, 2), 5: (2, 1)}, 1),
+                        ({4: (0, 1), 5: (1, 2)}, 2)):
         with pytest.raises(GraphStructureError,
                            match=f"^vertex {leaf} has valence one$"):
-            bestvina_handel(
-                h, hook=lambda name, _g, **info: moves.append(name))
-        assert moves == []
+            EmbeddedGraph({1: (0, 0), 2: (0, 0), **edges},
+                          (1, 2, -1, -2, 4, 5, -5, -4))
 
 
 def test_fold_rejects_parallel_pair():
@@ -893,14 +877,3 @@ def test_fold_names_the_broken_precondition():
     with pytest.raises(InternalInvariantError,
                        match="^fold needs d2 to follow d1$"):
         bh._fold(bh._Subdivision(f), 1, -2)
-    # -3 leaves the leaf 1 and follows itself there, so (-3, -3) is a
-    # corner: a nonempty image ends at vertex 0 for both, and an empty one
-    # fails the image check first
-    g = EmbeddedGraph({1: (0, 0), 2: (0, 0), 3: (0, 1)}, (1, 2, -1, -2, 3, -3))
-    assert g.successor(-3) == -3
-    for vertex_image, image, message in [
-            ({0: 0, 1: 1}, (3,), "parallel fold: far endpoints already agree"),
-            ({0: 0, 1: 0}, (), "fold needs equal nonempty images")]:
-        f = GraphSelfMap(g, vertex_image, {1: (1,), 2: (2,), 3: image})
-        with pytest.raises(InternalInvariantError, match=f"^{message}$"):
-            bh._fold(bh._Subdivision(f), -3, -3)

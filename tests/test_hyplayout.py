@@ -12,6 +12,7 @@ import pytest
 from traintrack import (
     EmbeddedGraph,
     GraphStructureError,
+    InfinitesimalPolygon,
     InternalInvariantError,
     PackingDidNotConverge,
     PackingRadii,
@@ -188,6 +189,16 @@ def test_packing_rejects_genus_one():
                            "deficit: fewer than three polygon corners "
                            "descend to it$"):
             circle_pack(cone_triangulation(split))
+
+
+def test_svg_rejects_a_polygon_off_the_layout():
+    # vertex 7 is no corner of the genus-2 rose's layout, whose one vertex
+    # is 0, so no spot near it can be drawn
+    tri = cone_triangulation(standard_rose(2))
+    layout = develop(tri, circle_pack(tri))
+    with pytest.raises(ValueError, match="^polygon vertex 7 is not a corner "
+                       "of the layout$"):
+        emit_svg(layout, [InfinitesimalPolygon(7, (1, 2, 3))])
 
 
 # every per-process memo of the layout: the packing solve, the developed
