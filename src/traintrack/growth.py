@@ -7,13 +7,27 @@ Perron-Frobenius eigenvalue to rounding error (that of the whole matrix can
 be defective).
 
 NumPy is imported where it is first used, not when the package loads.
+:func:`is_permutation_matrix` decides a list or tuple of rows without it,
+so the train track loop, which decides a map of few letters with Python
+ints, loads NumPy for such a map only to compute a growth rate.
 """
 
 from __future__ import annotations
 
 
 def is_permutation_matrix(m) -> bool:
-    """True iff ``m`` is 0/1 with a single 1 per row and column (so square)."""
+    """True iff ``m`` is 0/1 with a single 1 per row and column (so square).
+
+    A list or tuple of rows is decided without NumPy.
+    """
+    if isinstance(m, (list, tuple)):
+        # n rows of n entries, each one 1 and n - 1 zeros, the 1s in n
+        # distinct columns
+        n = len(m)
+        return n > 0 and all(
+            isinstance(row, (list, tuple)) and len(row) == n
+            and row.count(1) == 1 and row.count(0) == n - 1 for row in m
+        ) and len({row.index(1) for row in m}) == n
     import numpy as np
     m = np.asarray(m)
     if m.ndim != 2 or m.size == 0:

@@ -30,6 +30,7 @@ from traintrack.graphs import _path_image, substitute
 
 import oracles
 from conftest import REFERENCE_WORDS, gate_map_keeps_gates_apart, run_word
+from test_census import census_runs
 
 MOVE_NAMES = {"collapse", "valence_two", "fold"}
 
@@ -443,6 +444,48 @@ def test_spectral_radius_matches_the_blockwise_solve(reference_runs):
             assert spectral_radius(m) == _blockwise_radius(m), (name, move)
             seen.add(is_irreducible(m))
     assert seen == {True, False}
+
+
+def _kernel_agreement_maps(reference_runs):
+    """The input map and hook snapshots of the empty word, ex1-ex5, cap1
+    and seeded words at genus 2-5, then the final maps of the length-<= 3
+    census."""
+    runs = [run_word(2, (), collect_snapshots=True)]
+    runs += reference_runs.values()
+    runs.append(run_word(2, CHAIN_OF_FIVE_WORD, collect_snapshots=True))
+    rng = random.Random(39)
+    for genus in (2, 3, 4, 5):
+        names = sorted(standard_generators(genus))
+        for _ in range(6):
+            word = [(rng.choice(names), rng.choice((1, -1)))
+                    for _ in range(rng.randint(8, 14))]
+            runs.append(run_word(genus, word, collect_snapshots=True))
+    maps = [f for run in runs
+            for f in [run.start] + [f for _move, f, _info in run.snapshots]]
+    return maps + [run.final for runs in census_runs(3).values()
+                   for run in runs]
+
+
+def test_small_map_kernels_agree_with_numpy(reference_runs):
+    # bh decides a map of at most bh._SMALL_MAP letters from its crossing
+    # sets and reads its permutation test and growth off rows of Python
+    # ints; both kernels run on every map here, whatever its size
+    sides, seen = {True: 0, False: 0}, set()
+    for f in _kernel_agreement_maps(reference_runs):
+        order = sorted(f.graph.edges)
+        m = f.transition_matrix()
+        irreducible, sinks = bh._crossing_sinks(f, order)
+        assert irreducible == is_irreducible(m)
+        assert sinks == [{order[j] for j in comp}
+                         for comp in growth.sink_components(m)]
+        rows = bh._count_rows(f, order)
+        assert rows == m.tolist()
+        assert is_permutation_matrix(rows) == is_permutation_matrix(m)
+        sides[sum(map(len, f.edge_image.values())) <= bh._SMALL_MAP] += 1
+        seen.add((irreducible, is_permutation_matrix(rows)))
+    # both sides of the bound, and each pairing of the two decisions
+    assert sides[True] > 1000 and sides[False] > 400
+    assert len(seen) == 4
 
 
 def test_fold_events_replay_as_public_moves(reference_runs):

@@ -104,11 +104,15 @@ def census_classes(max_len):
     return sorted(classes)
 
 
-@pytest.fixture(scope="module")
-def census():
+def census_runs(max_len):
     """Least rotation -> runs: its distinct rotations, then its inverse."""
     return {c: [run_word(GENUS, w) for w in _rotations(c) + [_inverse(c)]]
-            for c in census_classes(3)}
+            for c in census_classes(max_len)}
+
+
+@pytest.fixture(scope="module")
+def census():
+    return census_runs(3)
 
 
 def _train_tracks(runs):

@@ -85,14 +85,23 @@ def test_defective_reducible_matrix():
 
 
 def test_is_permutation_matrix():
-    assert is_permutation_matrix(np.eye(3, dtype=int))
-    assert is_permutation_matrix(np.roll(np.eye(3, dtype=int), 1, axis=1))
-    assert not is_permutation_matrix(np.array([[1, 1], [0, 1]]))
-    assert not is_permutation_matrix(np.array([[2, 0], [0, 1]]))
-    assert not is_permutation_matrix(np.zeros((2, 2), dtype=int))
-    assert not is_permutation_matrix(np.array([[1, 0, 0], [0, 1, 0]]))
-    assert not is_permutation_matrix(np.array([1]))
-    assert not is_permutation_matrix(np.zeros((0, 0), dtype=int))
+    cases = [
+        (np.eye(3, dtype=int), True),
+        (np.roll(np.eye(3, dtype=int), 1, axis=1), True),
+        (np.array([[1, 1], [0, 1]]), False),
+        (np.array([[2, 0], [0, 1]]), False),
+        (np.zeros((2, 2), dtype=int), False),
+        (np.array([[1, 0, 0], [0, 1, 0]]), False),
+        (np.array([1]), False),
+        (np.zeros((0, 0), dtype=int), False),
+    ]
+    for m, want in cases:
+        # the array, and its entries as nested tuples of Python ints, which
+        # are decided without NumPy
+        nested = tuple(tuple(r) if isinstance(r, list) else r
+                       for r in m.tolist())
+        assert is_permutation_matrix(m) is want, m
+        assert is_permutation_matrix(nested) is want, nested
 
 
 def test_is_irreducible():

@@ -42,11 +42,15 @@ def test_all_lists_exactly_the_public_names():
     (["--genus", "2", "--word", "b0"], 2, False),
     (["--genus", "two", "--word", "a1"], 2, False),
     (["--genus", "2", "--word", "-a1 d1 -c0 d0"], 0, True),
-], ids=["help", "bad-token", "bad-genus", "ex2"])
+    (["--genus", "2", "--word", ""], 0, False),
+    (["--genus", "2", "--word", "d0 c0 d1"], 0, False),
+], ids=["help", "bad-token", "bad-genus", "ex2", "empty-word", "ex5"])
 def test_numpy_loads_on_first_numeric_use(argv, code, loads_numpy):
     # this process has NumPy already, so only a fresh interpreter shows
     # a module-level import; the child finds the package where this process
-    # found it.  ex2 computes a transition matrix, so it must load NumPy
+    # found it.  ex2 computes its growth, so it must load NumPy; the empty
+    # word (GrowthOne) and ex5 (Reducible) are decided on maps of few
+    # letters, with Python ints
     src = os.path.dirname(os.path.dirname(traintrack.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
