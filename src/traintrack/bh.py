@@ -49,12 +49,11 @@ integer image lengths, not on λ: a round that cancels no letter raises
 :class:`InternalInvariantError`.  Real rounds lower λ by as little as
 4e-13, below any float margin.
 
-A map whose images hold at most ``_SMALL_MAP`` letters in all is decided
-without NumPy: irreducibility and the sink components come from each
-image's crossing set, a Python int used as a bitset over edge ids, and the
-permutation test and λ read the transition matrix as rows of Python ints.
-A larger map is decided on its NumPy transition matrix.  Both give the
-same sinks, in the same order, and λ from the same floats.
+Each simplify pass builds the transition matrix once and decides it in
+:mod:`~.growth`: as rows of Python ints, without NumPy, for a map whose
+images hold at most ``_SMALL_MAP`` letters in all, and as a NumPy array for
+a larger one.  Both forms give the same sinks, in the same order, and λ
+from the same floats.
 """
 
 from __future__ import annotations
@@ -77,10 +76,10 @@ from .growth import (
 # safety net: by the descent argument above no input reaches this many rounds
 MAX_ROUNDS = 10000
 
-# a map whose images hold at most this many letters in all is decided with
-# Python ints.  Over the benchmark corpora's maps, the two kernels cost the
-# same at about 90 letters (2-core Xeon, Python 3.11, NumPy 2.4); the bound
-# keeps a margin below that
+# a map whose images hold at most this many letters in all is decided on
+# rows of Python ints.  Over the benchmark corpora's maps, the two kernels
+# cost the same at about 90 letters (2-core Xeon, Python 3.11, NumPy 2.4);
+# the bound keeps a margin below that
 _SMALL_MAP = 64
 
 
@@ -409,45 +408,6 @@ def _no_pretrivial_loops(f):
             raise InternalInvariantError(f"loop {e} has a trivial image")
 
 
-def _crossing_sinks(f, order):
-    """Whether a map is irreducible, and its proper sink components, read
-    from each image's crossing set.
-
-    The crossing set of edge e is a Python int whose bit c is set when the
-    image of e crosses edge c.  Bit e is set too, so every edge reaches
-    itself, as in :func:`~.growth.is_irreducible`.  The sinks are edge sets,
-    ordered by smallest edge id as :func:`~.growth.sink_components` orders
-    them.
-    """
-    reach = {}
-    for e in order:
-        bits = 1 << e
-        for d in f.edge_image[e]:
-            bits |= 1 << abs(d)
-        reach[e] = bits
-    # Warshall's closure: once k is done, e reaches all it reaches along
-    # paths whose inner edges are at most k
-    for k in order:
-        bit, via = 1 << k, reach[k]
-        for e, r in reach.items():
-            if r & bit:
-                reach[e] = r | via
-    everything = sum(1 << e for e in order)
-    if all(r == everything for r in reach.values()):
-        return True, []
-    # e lies in a sink when all it reaches reaches it back, and that sink is
-    # all e reaches, never everything in a reducible map; the ascending scan
-    # meets each sink at its smallest edge
-    sinks, seen = [], 0
-    for e in order:
-        r = reach[e]
-        if not seen >> e & 1 and all(
-                reach[c] >> e & 1 for c in order if r >> c & 1):
-            sinks.append({c for c in order if r >> c & 1})
-            seen |= r
-    return False, sinks
-
-
 def _count_rows(f, order):
     """The transition matrix as rows of Python ints, in ``order``."""
     at = {e: i for i, e in enumerate(order)}
@@ -465,21 +425,21 @@ def _simplify(f, hook):
     sink components (the minimal invariant subgraphs) by smallest edge id:
     empty exactly when the matrix is irreducible, since a reducible one
     without a proper sink raises, and never a forest, since forests are
-    collapsed.  A map of at most ``_SMALL_MAP`` letters is decided by
-    :func:`_crossing_sinks` and its matrix is :func:`_count_rows`'s, a
-    larger one on its NumPy transition matrix.
+    collapsed.  Each pass builds the matrix once, as :func:`_count_rows`'s
+    rows for a map of at most ``_SMALL_MAP`` letters and as the NumPy
+    transition matrix for a larger one, and decides either form with
+    :func:`~.growth.is_irreducible` and :func:`~.growth.sink_components`.
     """
     while True:
         _no_pretrivial_loops(f)
         order = sorted(f.graph.edges)
-        small = sum(map(len, f.edge_image.values())) <= _SMALL_MAP
-        if small:
-            irreducible, sinks = _crossing_sinks(f, order)
+        if sum(map(len, f.edge_image.values())) <= _SMALL_MAP:
+            m = _count_rows(f, order)
         else:
             m = f.transition_matrix()
-            irreducible = is_irreducible(m)
-            sinks = [] if irreducible else [
-                {order[j] for j in comp} for comp in sink_components(m)]
+        irreducible = is_irreducible(m)
+        sinks = [] if irreducible else [
+            {order[j] for j in comp} for comp in sink_components(m)]
         if not (irreducible or sinks):
             raise InternalInvariantError(
                 "reducible matrix without a proper sink component")
@@ -497,7 +457,7 @@ def _simplify(f, hook):
             f = _merge_through(f, v)
             hook("valence_two", f)
         else:
-            return f, _count_rows(f, order) if small else m, sinks
+            return f, m, sinks
 
 
 def _fold_corner(f, t1, t2):

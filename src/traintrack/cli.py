@@ -2,7 +2,8 @@
 
 ``traintrack --genus 2 --word "-a1 d1 -c0 d0"`` composes the twists, runs the
 train track algorithm, prints the verdict with growth rate and singularity
-data as text or JSON, and optionally writes an SVG of the final graph
+data as text or as a one-line JSON report (``python -m json.tool``
+pretty-prints it), and optionally writes an SVG of the final graph
 developed in the hyperbolic disk.
 
 Exit codes: 0 for any mathematical verdict, 2 for parse or configuration
@@ -153,7 +154,7 @@ def run(args, out=None, err=None):
     data = _report_dict(report, moves, final.graph)
     if args.format == "json":
         data["timings"] = timings
-        print(json.dumps(data, sort_keys=True, indent=2), file=out)
+        print(json.dumps(data, sort_keys=True), file=out)
     else:
         print(_text_report(data, args.svg), file=out)
     return 0

@@ -7,12 +7,16 @@ Perron-Frobenius eigenvalue to rounding error (that of the whole matrix can
 be defective).
 
 NumPy is imported where it is first used, not when the package loads.
-:func:`is_permutation_matrix` decides a list or tuple of rows without it,
-so the train track loop, which decides a map of few letters with Python
-ints, loads NumPy for such a map only to compute a growth rate.
+:func:`is_permutation_matrix`, :func:`is_irreducible` and
+:func:`sink_components` decide a list or tuple of rows of Python ints
+without it, by one closure of bitsets over row indices, and return what
+they return on the array; the train track loop, which reads a map of few
+letters as such rows, loads NumPy for it only to compute a growth rate.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 
 def is_permutation_matrix(m) -> bool:
@@ -64,11 +68,30 @@ def _components(r, starts):
             yield members
 
 
+def _row_reach(m):
+    # bit i of reach[j]: a path of arcs leads from j to i, as in _reach,
+    # with bit j always set; rows of Python ints, one closure of bitsets
+    n = len(m)
+    reach = [1 << j for j in range(n)]
+    for i, row in enumerate(m):
+        for j in compress(range(n), row):
+            reach[j] |= 1 << i
+    # Warshall's closure: once k is done, j reaches all it reaches along
+    # paths whose inner indices are at most k
+    for k in range(n):
+        bit, via = 1 << k, reach[k]
+        reach = [r | via if r & bit else r for r in reach]
+    return reach
+
+
 def is_irreducible(m) -> bool:
     """Whether the crossing digraph of ``m`` is strongly connected.
 
     A 1x1 matrix counts as irreducible (a single component), zero or not.
+    A list or tuple of rows is decided without NumPy.
     """
+    if isinstance(m, (list, tuple)):
+        return _row_reach(m).count((1 << len(m)) - 1) == len(m)
     return bool(_reach(m).all())
 
 
@@ -79,8 +102,16 @@ def sink_components(m):
     subgraph, and the sink components are exactly the minimal ones.  Each
     comes back as a sorted list of indices, ordered by smallest index; the
     whole index set never counts, so the list is empty exactly when ``m`` is
-    irreducible.
+    irreducible.  A list or tuple of rows is decided without NumPy.
     """
+    if isinstance(m, (list, tuple)):
+        reach, n = _row_reach(m), len(m)
+        # j lies in a sink when all it reaches reaches it back, that is when
+        # as many indices share j's reach set r as r holds; the sink is r,
+        # met once, at its smallest index
+        return [[i for i in range(n) if r >> i & 1]
+                for j, r in enumerate(reach)
+                if r & -r == 1 << j and reach.count(r) == r.bit_count() < n]
     import numpy as np
     r = _reach(m)
     # j lies in a sink when everything it reaches reaches it back

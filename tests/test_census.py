@@ -23,7 +23,17 @@ and test each verdict against oracles that read the input map:
   within 1e-9 and the same singularity data;
 - (h) λ of each class whose least rotation ends PseudoAnosov agrees within
   1e-3 relative with ``oracles.curve_growth`` of that run's input rose map,
-  which reads λ off iterates of a loop with no train track, gate or matrix.
+  which reads λ off iterates of a loop with no train track, gate or matrix;
+- (i) a Penner word (one that ``oracles.penner_data`` accepts) ends
+  PseudoAnosov, with λ within 1e-9 of Penner's and the same puncture index;
+- (j) when every letter's curve misses a generator curve γ or is γ, the
+  class fixes γ, so the run never ends PseudoAnosov.  Intersections come
+  from ``oracles.geometric_intersection`` on the standard rose's boundary
+  word.
+
+(i) and (j) read the word alone, so they share nothing with ``bh``.  No
+word of length <= 3 is a Penner word, so (i) runs on the length-<= 4
+census only.
 
 (a) and (b) fail until PseudoAnosov verdicts get BH95's reducibility test;
 they sit in one strict xfail that lists every mismatch.  So does (g): five
@@ -34,8 +44,8 @@ because the circuit search costs far more than the runs.
 The ``slow`` tests, outside tier-1, run the length-<= 4 census (4238
 classes) once: each class's least rotation and its inverse, 8476 runs.
 They pin the outcomes with their verdict counts and run checks (c)-(f),
-which pass, and (a) and (g), each a strict xfail that lists every
-mismatch: 35 classes whose two runs get two verdicts, and 34 least
+(i) and (j), which pass, and (a) and (g), each a strict xfail that lists
+every mismatch: 35 classes whose two runs get two verdicts, and 34 least
 rotations whose verdict flips with the fold order.  (b) is left out
 because ``fixed_circuits`` on the 1419 TrainTrack runs would take minutes.
 (h) is left out too.  ``curve_growth`` returns the plain last ratio of
@@ -58,7 +68,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from traintrack import bh
+from traintrack import bh, standard_generators, standard_rose
 
 import oracles
 from conftest import gate_map_keeps_gates_apart, run_word
@@ -235,6 +245,44 @@ def _check_growth_one_periods(census):
     return checked
 
 
+def _check_penner_words(census):
+    """Check (i); return how many runs it read."""
+    curves = standard_generators(GENUS)
+    checked = 0
+    for runs in census.values():
+        for run in runs:
+            try:
+                data = oracles.penner_data(GENUS, curves, run.word)
+            except ValueError:
+                continue
+            assert run.report.verdict == "PseudoAnosov", _text(run.word)
+            assert abs(run.report.growth - data["growth"]) <= 1e-9, \
+                _text(run.word)
+            assert run.report.puncture_index == data["puncture_index"], \
+                _text(run.word)
+            checked += 1
+    return checked
+
+
+def _check_disjoint_curves(census):
+    """Check (j); return how many runs it read."""
+    curves = standard_generators(GENUS)
+    rho = standard_rose(GENUS).rho
+    # gamma -> the generators whose curves miss gamma's or are gamma
+    fixing = {gamma: {x for x in curves if x == gamma
+                      or not oracles.geometric_intersection(
+                          curves[x], curves[gamma], rho)}
+              for gamma in curves}
+    checked = 0
+    for runs in census.values():
+        for run in runs:
+            names = {name for name, _ in run.word}
+            if any(names <= fixed for fixed in fixing.values()):
+                assert run.report.verdict != "PseudoAnosov", _text(run.word)
+                checked += 1
+    return checked
+
+
 def test_census_growth_is_a_class_invariant_above_homology(census):
     _check_growth_above_homology(census)
 
@@ -251,6 +299,24 @@ def test_census_growth_one_runs_have_a_period(census):
     # no class of length <= 3 ends GrowthOne today; this guards verdicts
     # that move
     _check_growth_one_periods(census)
+
+
+def test_census_runs_with_a_disjoint_curve_are_not_pseudo_anosov(census):
+    # every rotation: 1820 runs, 976 of them least rotations and inverses,
+    # all Reducible today
+    assert _check_disjoint_curves(census) == 1820
+
+
+@pytest.mark.slow
+def test_length_four_census_penner_words_are_pseudo_anosov(census4):
+    assert _check_penner_words(census4[1]) == 80
+
+
+@pytest.mark.slow
+def test_length_four_census_runs_with_a_disjoint_curve_are_not_pseudo_anosov(
+        census4):
+    # 6240 end Reducible and 28 GrowthOne today
+    assert _check_disjoint_curves(census4[1]) == 6268
 
 
 @pytest.mark.slow

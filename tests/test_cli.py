@@ -1,6 +1,7 @@
 """Command-line interface: parsing, formats, exit codes, SVG export."""
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -144,6 +145,32 @@ def test_json_is_deterministic():
     a, b = json.loads(first), json.loads(second)
     a.pop("timings"), b.pop("timings")
     assert a == b
+
+
+# ex1-ex5 and the empty word, hashed by test_json_report_is_one_line; a
+# change that means to alter a report re-records it and says so
+JSON_REPORTS_SHA256 = (
+    "ead7044ff8821fb77f41d720a4c6a2cb2e651230dc977b43ad4805e17ba3df15")
+
+
+def test_json_report_is_one_line():
+    # each report is one line, and the parsed reports, without timings and
+    # with growth to 1e-9 as the other pins take it, hash to the constant
+    words = [(genus, " ".join(("-" if sign < 0 else "") + name
+                              for name, sign in word))
+             for genus, word in REFERENCE_WORDS.values()] + [(2, "")]
+    digest = hashlib.sha256()
+    for genus, text in words:
+        code, out, _ = run_cli(["--genus", str(genus), "--word", text,
+                                "--format", "json"])
+        assert code == 0
+        assert out.count("\n") == 1 and out.endswith("\n"), text
+        data = json.loads(out)
+        del data["timings"]
+        if "growth" in data:
+            data["growth"] = f"{data['growth']:.9f}"
+        digest.update(json.dumps(data, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == JSON_REPORTS_SHA256
 
 
 # ---------------------------------------------------------------------------

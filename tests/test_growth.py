@@ -105,13 +105,20 @@ def test_is_permutation_matrix():
 
 
 def test_is_irreducible():
-    assert is_irreducible(np.array([[0, 1], [1, 1]]))
-    assert is_irreducible(np.roll(np.eye(3, dtype=int), 1, axis=0))
-    assert not is_irreducible(np.array([[1, 1], [0, 1]]))
-    assert not is_irreducible(np.zeros((2, 2), dtype=int))
-    # 1x1 matrices count as a single strongly connected component
-    assert is_irreducible(np.array([[0]]))
-    assert is_irreducible(np.array([[3]]))
+    cases = [
+        (np.array([[0, 1], [1, 1]]), True),
+        (np.roll(np.eye(3, dtype=int), 1, axis=0), True),
+        (np.array([[1, 1], [0, 1]]), False),
+        (np.zeros((2, 2), dtype=int), False),
+        # 1x1 matrices count as a single strongly connected component
+        (np.array([[0]]), True),
+        (np.array([[3]]), True),
+    ]
+    for m, want in cases:
+        # the array, and its entries as rows of Python ints, which are
+        # decided without NumPy
+        assert is_irreducible(m) is want, m
+        assert is_irreducible(m.tolist()) is want, m
 
 
 def test_sink_components_match_condensation():
@@ -129,10 +136,12 @@ def test_sink_components_match_condensation():
         want = sorted(sorted(cond.nodes[c]["members"]) for c in cond
                       if cond.out_degree(c) == 0
                       and len(cond.nodes[c]["members"]) < n)
-        got = sink_components(m)
-        assert got == want, m
-        assert all(type(i) is int for comp in got for i in comp)
-        assert is_irreducible(m) == (got == []), m
+        # the array, and its entries as rows of Python ints
+        for form in (m, m.tolist()):
+            got = sink_components(form)
+            assert got == want, m
+            assert all(type(i) is int for comp in got for i in comp)
+            assert is_irreducible(form) == (got == []), m
         if got:
             seen_reducible += 1
         else:
