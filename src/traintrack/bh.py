@@ -49,11 +49,12 @@ integer image lengths, not on λ: a round that cancels no letter raises
 :class:`InternalInvariantError`.  Real rounds lower λ by as little as
 4e-13, below any float margin.
 
-Each simplify pass builds the transition matrix once and decides it in
-:mod:`~.growth`: as rows of Python ints, without NumPy, for a map whose
-images hold at most ``_SMALL_MAP`` letters in all, and as a NumPy array for
-a larger one.  Both forms give the same sinks, in the same order, and λ
-from the same floats.
+Each simplify pass and each valence-two comparison reads the transition
+matrix once, through ``_matrix``: as rows of Python ints, without NumPy,
+for a map whose images hold at most ``_SMALL_MAP`` letters in all, and as a
+NumPy array for a larger one.  :mod:`~.growth` decides permutations and
+sinks on rows, reading an array as rows, and irreducibility on either form;
+λ comes from the same floats either way.
 """
 
 from __future__ import annotations
@@ -240,9 +241,9 @@ def _merge_through(f, v):
         return new
     # only row m, the last, of the transition matrix changes; ties keep the
     # |b| side, whose direction b follows a in the rotation at v
-    matrix = new.transition_matrix()
-    lam = spectral_radius(matrix)
     order = sorted(edges)
+    matrix = _matrix(new, order)
+    lam = spectral_radius(matrix)
     # row m of the |a| side counts b and -b in each image, since table_a
     # (drop +-a, rename +-b) cancels nothing.  A tight path passes v inside
     # only as (-a, b) or (-b, a): a dropped a follows a -b and comes before
@@ -250,7 +251,7 @@ def _merge_through(f, v):
     # into x, and the inverse of that -b or b starts or ends at v, not at x
     for e in moved:
         p = image_m if e == m else f.edge_image[e]
-        matrix[-1, order.index(e)] = p.count(b) + p.count(-b)
+        matrix[-1][order.index(e)] = p.count(b) + p.count(-b)
     if lam <= spectral_radius(matrix) + 1e-12:
         return new
     return collapse(table_a, x)
@@ -418,6 +419,14 @@ def _count_rows(f, order):
     return rows
 
 
+def _matrix(f, order):
+    # the transition matrix in ``order``, the sorted edge ids: rows of Python
+    # ints for a map of at most _SMALL_MAP image letters, else the NumPy array
+    if sum(map(len, f.edge_image.values())) <= _SMALL_MAP:
+        return _count_rows(f, order)
+    return f.transition_matrix()
+
+
 def _simplify(f, hook):
     """Drive forest collapses and valence-two removals to a fixed point.
 
@@ -425,18 +434,15 @@ def _simplify(f, hook):
     sink components (the minimal invariant subgraphs) by smallest edge id:
     empty exactly when the matrix is irreducible, since a reducible one
     without a proper sink raises, and never a forest, since forests are
-    collapsed.  Each pass builds the matrix once, as :func:`_count_rows`'s
-    rows for a map of at most ``_SMALL_MAP`` letters and as the NumPy
-    transition matrix for a larger one, and decides either form with
-    :func:`~.growth.is_irreducible` and :func:`~.growth.sink_components`.
+    collapsed.  Each pass reads the matrix once with :func:`_matrix`, as
+    rows or as an array by the map's size.
+    :func:`~.growth.is_irreducible` decides either form, and
+    :func:`~.growth.sink_components` decides rows, reading an array as rows.
     """
     while True:
         _no_pretrivial_loops(f)
         order = sorted(f.graph.edges)
-        if sum(map(len, f.edge_image.values())) <= _SMALL_MAP:
-            m = _count_rows(f, order)
-        else:
-            m = f.transition_matrix()
+        m = _matrix(f, order)
         irreducible = is_irreducible(m)
         sinks = [] if irreducible else [
             {order[j] for j in comp} for comp in sink_components(m)]

@@ -7,11 +7,11 @@ Perron-Frobenius eigenvalue to rounding error (that of the whole matrix can
 be defective).
 
 NumPy is imported where it is first used, not when the package loads.
-:func:`is_permutation_matrix`, :func:`is_irreducible` and
-:func:`sink_components` decide a list or tuple of rows of Python ints
-without it, by one closure of bitsets over row indices, and return what
-they return on the array; the train track loop, which reads a map of few
-letters as such rows, loads NumPy for it only to compute a growth rate.
+:func:`is_permutation_matrix` and :func:`sink_components` decide rows of
+Python numbers, reading an array with ``.tolist()``; :func:`is_irreducible`
+decides rows too, and an array by a closure of NumPy products, which is
+faster there.  The train track loop, which reads a map of few letters as
+rows, loads NumPy for it only to compute a growth rate.
 """
 
 from __future__ import annotations
@@ -22,23 +22,17 @@ from itertools import compress
 def is_permutation_matrix(m) -> bool:
     """True iff ``m`` is 0/1 with a single 1 per row and column (so square).
 
-    A list or tuple of rows is decided without NumPy.
+    Decided on rows; an array is read with ``.tolist()``.
     """
-    if isinstance(m, (list, tuple)):
-        # n rows of n entries, each one 1 and n - 1 zeros, the 1s in n
-        # distinct columns
-        n = len(m)
-        return n > 0 and all(
-            isinstance(row, (list, tuple)) and len(row) == n
-            and row.count(1) == 1 and row.count(0) == n - 1 for row in m
-        ) and len({row.index(1) for row in m}) == n
-    import numpy as np
-    m = np.asarray(m)
-    if m.ndim != 2 or m.size == 0:
-        return False
-    return bool(((m == 0) | (m == 1)).all()
-                and (m.sum(axis=0) == 1).all()
-                and (m.sum(axis=1) == 1).all())
+    if hasattr(m, "tolist"):
+        m = m.tolist()
+    # n rows of n entries, each one 1 and n - 1 zeros, the 1s in n distinct
+    # columns
+    n = len(m) if isinstance(m, (list, tuple)) else 0
+    return n > 0 and all(
+        isinstance(row, (list, tuple)) and len(row) == n
+        and row.count(1) == 1 and row.count(0) == n - 1 for row in m
+    ) and len({row.index(1) for row in m}) == n
 
 
 def _reach(m):
@@ -56,12 +50,12 @@ def _reach(m):
     return r > 0
 
 
-def _components(r, starts):
+def _components(r):
     # the strongly connected components (all that j reaches and that reach
-    # j back) meeting the ascending ``starts``, each once, by smallest member
+    # j back), each once, by smallest member
     import numpy as np
     done = np.zeros(len(r), dtype=bool)
-    for j in starts:
+    for j in range(len(r)):
         if not done[j]:
             members = np.flatnonzero(r[j] & r[:, j])
             done[members] = True
@@ -70,7 +64,7 @@ def _components(r, starts):
 
 def _row_reach(m):
     # bit i of reach[j]: a path of arcs leads from j to i, as in _reach,
-    # with bit j always set; rows of Python ints, one closure of bitsets
+    # with bit j always set; rows of Python numbers, one closure of bitsets
     n = len(m)
     reach = [1 << j for j in range(n)]
     for i, row in enumerate(m):
@@ -102,21 +96,17 @@ def sink_components(m):
     subgraph, and the sink components are exactly the minimal ones.  Each
     comes back as a sorted list of indices, ordered by smallest index; the
     whole index set never counts, so the list is empty exactly when ``m`` is
-    irreducible.  A list or tuple of rows is decided without NumPy.
+    irreducible.  Decided on rows; an array is read with ``.tolist()``.
     """
-    if isinstance(m, (list, tuple)):
-        reach, n = _row_reach(m), len(m)
-        # j lies in a sink when all it reaches reaches it back, that is when
-        # as many indices share j's reach set r as r holds; the sink is r,
-        # met once, at its smallest index
-        return [[i for i in range(n) if r >> i & 1]
-                for j, r in enumerate(reach)
-                if r & -r == 1 << j and reach.count(r) == r.bit_count() < n]
-    import numpy as np
-    r = _reach(m)
-    # j lies in a sink when everything it reaches reaches it back
-    sinks = np.flatnonzero((r <= r.T).all(axis=1))
-    return [c.tolist() for c in _components(r, sinks) if len(c) < len(r)]
+    if hasattr(m, "tolist"):
+        m = m.tolist()
+    reach, n = _row_reach(m), len(m)
+    # j lies in a sink when all it reaches reaches it back, that is when as
+    # many indices share j's reach set r as r holds; the sink is r, met
+    # once, at its smallest index
+    return [[i for i in range(n) if r >> i & 1]
+            for j, r in enumerate(reach)
+            if r & -r == 1 << j and reach.count(r) == r.bit_count() < n]
 
 
 def spectral_radius(m) -> float:
@@ -126,19 +116,19 @@ def spectral_radius(m) -> float:
     entry, a permutation block exactly 1.0, any other block the largest
     eigenvalue modulus from one eigen-solve.  An irreducible matrix is its
     own single block, so it takes one eigen-solve of the whole matrix.  A
-    zero matrix gives exactly 0.0.
+    zero matrix gives exactly 0.0, from its zero 1x1 blocks.
     """
     import numpy as np
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("spectral_radius needs a square matrix")
-    if m.size == 0 or not m.any():
+    if m.size == 0:
         return 0.0
     if (m < 0).any():
         raise ValueError("spectral_radius needs a nonnegative matrix")
     r = _reach(m)
     blocks = [m] if r.all() else (
-        m[np.ix_(c, c)] for c in _components(r, range(len(m))))
+        m[np.ix_(c, c)] for c in _components(r))
     best = 0.0
     for block in blocks:
         if len(block) == 1 or is_permutation_matrix(block):

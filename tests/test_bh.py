@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -417,12 +418,15 @@ def test_moves_reported_with_details(reference_runs):
 
 def _blockwise_radius(m):
     # the largest radius over the strongly connected blocks, one eigen-solve
-    # per block that is neither 1x1 nor a permutation
+    # per block that is neither 1x1 nor a permutation.  The blocks are
+    # networkx's components of the crossing digraph (arc j -> i whenever
+    # m[i, j] != 0), by smallest member, not growth's own split
     m = np.asarray(m, dtype=float)
-    if not m.any():
-        return 0.0
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(range(len(m)))
+    digraph.add_edges_from((j, i) for i, j in zip(*np.nonzero(m)))
     best = 0.0
-    for c in growth._components(growth._reach(m), range(len(m))):
+    for c in sorted(map(sorted, nx.strongly_connected_components(digraph))):
         block = m[np.ix_(c, c)]
         if len(c) == 1 or is_permutation_matrix(block):
             radius = float(block.max())
@@ -468,8 +472,10 @@ def _kernel_agreement_maps(reference_runs):
 
 def test_small_map_kernels_agree_with_numpy(reference_runs):
     # bh reads a map of at most bh._SMALL_MAP letters as rows of Python ints
-    # and a larger one as a NumPy array, and growth decides either form;
-    # both forms run on every map here, whatever its size
+    # and a larger one as a NumPy array.  growth decides irreducibility on
+    # either form by its own closure, and permutations and sinks on rows,
+    # reading an array with .tolist(); both forms run on every map here,
+    # whatever its size
     sides, seen = {True: 0, False: 0}, set()
     for f in _kernel_agreement_maps(reference_runs):
         m = f.transition_matrix()
@@ -484,6 +490,27 @@ def test_small_map_kernels_agree_with_numpy(reference_runs):
     # both sides of the bound, and each pairing of the two decisions
     assert sides[True] > 1000 and sides[False] > 400
     assert len(seen) == 4
+
+
+def test_only_large_maps_build_the_numpy_matrix(monkeypatch):
+    # the loop reads a map of at most bh._SMALL_MAP letters as rows, in
+    # _simplify and in the valence-two comparison alike, so such a map
+    # never builds its NumPy transition matrix
+    starts = [compose_word(genus, list(word))
+              for genus, word in REFERENCE_WORDS.values()]
+    built, forms = [], []
+    matrix, radius = GraphSelfMap.transition_matrix, bh.spectral_radius
+    monkeypatch.setattr(
+        GraphSelfMap, "transition_matrix",
+        lambda f: built.append(sum(map(len, f.edge_image.values())))
+        or matrix(f))
+    monkeypatch.setattr(bh, "spectral_radius",
+                        lambda m: forms.append(type(m)) or radius(m))
+    for f in starts:
+        bestvina_handel(f)
+    assert built and min(built) > bh._SMALL_MAP
+    # λ was read from both forms
+    assert set(forms) == {list, np.ndarray}
 
 
 def test_fold_events_replay_as_public_moves(reference_runs):
@@ -775,8 +802,10 @@ def test_valence_two_sides_differ_by_a_slide(monkeypatch):
             # make the |a| side win, so the move builds it
             seen = []
             with monkeypatch.context() as patch:
+                # row m of either matrix form is written in place after
+                # the first call, so keep a deep copy
                 patch.setattr(bh, "spectral_radius",
-                              lambda m: seen.append(m.copy()) or -len(seen))
+                              lambda m: seen.append(np.array(m)) or -len(seen))
                 derived = bh._merge_through(f, v)
             assert oracles.maps_equal(derived, side_a)
             assert [m.tolist() for m in seen] == [

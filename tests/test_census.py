@@ -33,7 +33,8 @@ and test each verdict against oracles that read the input map:
 
 (i) and (j) read the word alone, so they share nothing with ``bh``.  No
 word of length <= 3 is a Penner word, so (i) runs on the length-<= 4
-census only.
+census only.  Tier-1 also runs (i) and (j) on random genus-2 words of
+length 1-8, drawn as the benchmark's draw-short workload draws them.
 
 (a) and (b) fail until PseudoAnosov verdicts get BH95's reducibility test;
 they sit in one strict xfail that lists every mismatch.  So does (g): five
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -305,6 +307,45 @@ def test_census_runs_with_a_disjoint_curve_are_not_pseudo_anosov(census):
     # every rotation: 1820 runs, 976 of them least rotations and inverses,
     # all Reducible today
     assert _check_disjoint_curves(census) == 1820
+
+
+def _draw_short_words(count):
+    """The first ``count`` random words of the benchmark's draw-short
+    workload, drawn as ``benchmarks/corpus.py`` draws them: from a stream
+    seeded with the workload's name, a genus (always 2), a length of 1-8,
+    then letters uniform over the sorted generators with a uniform sign."""
+    draw = random.Random("draw-short")
+    names = sorted(standard_generators(GENUS))
+    words = []
+    for _ in range(count):
+        draw.randint(GENUS, GENUS)
+        words.append(tuple((draw.choice(names), draw.choice((1, -1)))
+                           for _ in range(draw.randint(1, 8))))
+    return words
+
+
+def _penner_word(word):
+    try:
+        oracles.penner_data(GENUS, standard_generators(GENUS), word)
+    except ValueError:
+        return False
+    return True
+
+
+def test_draw_short_penner_words_are_pseudo_anosov():
+    # about one drawn word in a thousand is a Penner word, so the first
+    # 20000 are screened by the oracle and only those 19 are run
+    words = [w for w in _draw_short_words(20000) if _penner_word(w)]
+    runs = {i: [run_word(GENUS, w)] for i, w in enumerate(words)}
+    assert _check_penner_words(runs) == 19
+
+
+def test_draw_short_runs_with_a_disjoint_curve_are_not_pseudo_anosov():
+    # the 300 random words of a 25-second draw-short run; 212 end Reducible
+    # and 6 GrowthOne today
+    runs = {i: [run_word(GENUS, w)]
+            for i, w in enumerate(_draw_short_words(300))}
+    assert _check_disjoint_curves(runs) == 218
 
 
 @pytest.mark.slow

@@ -94,14 +94,20 @@ def test_is_permutation_matrix():
         (np.array([[1, 0, 0], [0, 1, 0]]), False),
         (np.array([1]), False),
         (np.zeros((0, 0), dtype=int), False),
+        # float entries, as spectral_radius hands over its blocks
+        (np.eye(3), True),
+        (np.roll(np.eye(3), 1, axis=0), True),
+        (np.array([[0.5, 0.5], [0.5, 0.5]]), False),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), False),
     ]
     for m, want in cases:
-        # the array, and its entries as nested tuples of Python ints, which
-        # are decided without NumPy
+        # the array, and its entries as nested tuples of Python numbers
         nested = tuple(tuple(r) if isinstance(r, list) else r
                        for r in m.tolist())
         assert is_permutation_matrix(m) is want, m
         assert is_permutation_matrix(nested) is want, nested
+    # a 0-d array reads as a scalar
+    assert is_permutation_matrix(np.array(1)) is False
 
 
 def test_is_irreducible():
@@ -136,8 +142,9 @@ def test_sink_components_match_condensation():
         want = sorted(sorted(cond.nodes[c]["members"]) for c in cond
                       if cond.out_degree(c) == 0
                       and len(cond.nodes[c]["members"]) < n)
-        # the array, and its entries as rows of Python ints
-        for form in (m, m.tolist()):
+        # the array, its entries as rows of Python ints, and a float array
+        # of the same pattern whose entries are not whole
+        for form in (m, m.tolist(), m / 3):
             got = sink_components(form)
             assert got == want, m
             assert all(type(i) is int for comp in got for i in comp)
