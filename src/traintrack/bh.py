@@ -54,7 +54,11 @@ matrix once, through ``_matrix``: as rows of Python ints, without NumPy,
 for a map whose images hold at most ``_SMALL_MAP`` letters in all, and as a
 NumPy array for a larger one.  :mod:`~.growth` decides permutations and
 sinks on rows, reading an array as rows, and irreducibility on either form;
-λ comes from the same floats either way.
+λ comes from the same floats either way.  A valence-two comparison keeps
+the |b| side without an eigen-solve when the integer counts of the |a|
+side's row dominate, with one eigen-solve when the |b| side's
+Perron-Frobenius vector shows that the |a| side grows no slower, and
+otherwise compares both growth rates.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from .errors import (
 )
 from .graphs import EmbeddedGraph, GraphSelfMap, _path_image, _turns, substitute
 from .growth import (
+    _perron_vector,
     is_irreducible,
     is_permutation_matrix,
     sink_components,
@@ -209,6 +214,16 @@ def _merge_through(f, v):
     ``v`` cross m, and can give different growth rates.  The smaller is
     kept, which keeps growth non-increasing, and only the kept side is built.
 
+    The two transition matrices, B of the |b| side and A of the |a| side,
+    differ only in row m, by delta on the columns of the moved edges.  The
+    |b| side is kept, as ties are, in three steps: with no eigen-solve when
+    delta >= 0 (λ is monotone in the entries); with one, of B, when B's
+    Perron-Frobenius vector u (:func:`~.growth._perron_vector`) is
+    nonnegative and delta . u > 0 beyond rounding, since then A u >= λ(B) u;
+    and otherwise when ``spectral_radius`` of B is at most that of A plus
+    1e-12.  Only the last step can keep |a|, and it also decides every near
+    tie the first two leave open, as the two-solve rule always did.
+
     The edges |a| and |b| are distinct and neither is a loop, so x and y
     differ from v.  A loop at ``v`` would take both its germs, so ``v``
     would meet no other edge and, a spine being connected, the loop would
@@ -239,19 +254,31 @@ def _merge_through(f, v):
     moved = [e for e, uv in edges.items() if v in map(f.vertex_image.get, uv)]
     if not moved:
         return new
-    # only row m, the last, of the transition matrix changes; ties keep the
+    # only row m, the last, of the transition matrix B changes; ties keep the
     # |b| side, whose direction b follows a in the rotation at v
     order = sorted(edges)
     matrix = _matrix(new, order)
-    lam = spectral_radius(matrix)
-    # row m of the |a| side counts b and -b in each image, since table_a
+    columns = [order.index(e) for e in moved]
+    # row m of the |a| side's A counts b and -b in each image, since table_a
     # (drop +-a, rename +-b) cancels nothing.  A tight path passes v inside
     # only as (-a, b) or (-b, a): a dropped a follows a -b and comes before
     # a letter from x, a dropped -a comes before a b and follows a letter
     # into x, and the inverse of that -b or b starts or ends at v, not at x
-    for e in moved:
-        p = image_m if e == m else f.edge_image[e]
-        matrix[-1][order.index(e)] = p.count(b) + p.count(-b)
+    row_a = [p.count(b) + p.count(-b) for p in (
+        image_m if e == m else f.edge_image[e] for e in moved)]
+    delta = [c - matrix[-1][j] for c, j in zip(row_a, columns)]
+    # A >= B entrywise, so λ(A) >= λ(B)
+    if min(delta) >= 0:
+        return new
+    # B's Perron-Frobenius vector u >= 0 gives A u >= λ(B) u when
+    # delta . u >= 0, so λ(A) >= λ(B) again (Collatz-Wielandt)
+    u = _perron_vector(matrix)
+    terms = [d * u[j] for d, j in zip(delta, columns)]
+    if min(u) >= -1e-12 and sum(terms) > 1e-9 * sum(map(abs, terms)):
+        return new
+    lam = spectral_radius(matrix)
+    for c, j in zip(row_a, columns):
+        matrix[-1][j] = c
     if lam <= spectral_radius(matrix) + 1e-12:
         return new
     return collapse(table_a, x)

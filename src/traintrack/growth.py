@@ -11,7 +11,9 @@ NumPy is imported where it is first used, not when the package loads.
 Python numbers, reading an array with ``.tolist()``; :func:`is_irreducible`
 decides rows too, and an array by a closure of NumPy products, which is
 faster there.  The train track loop, which reads a map of few letters as
-rows, loads NumPy for it only to compute a growth rate.
+rows, loads NumPy for it only to compute a growth rate or, for the
+valence-two comparison, a Perron-Frobenius vector (``_perron_vector``);
+a comparison that integer counts decide loads none.
 """
 
 from __future__ import annotations
@@ -137,3 +139,13 @@ def spectral_radius(m) -> float:
             radius = float(np.abs(np.linalg.eigvals(block)).max())
         best = max(best, radius)
     return best
+
+
+def _perron_vector(m):
+    # the real eigenvector of m's eigenvalue of largest real part, which for
+    # a nonnegative m is its spectral radius, scaled so that its entry of
+    # largest modulus is 1.0, as a list of floats for either form of m
+    import numpy as np
+    values, vectors = np.linalg.eig(np.asarray(m, dtype=float))
+    v = vectors[:, values.real.argmax()].real
+    return (v / v[np.abs(v).argmax()]).tolist()

@@ -500,16 +500,19 @@ def test_only_large_maps_build_the_numpy_matrix(monkeypatch):
               for genus, word in REFERENCE_WORDS.values()]
     built, forms = [], []
     matrix, radius = GraphSelfMap.transition_matrix, bh.spectral_radius
+    vector = bh._perron_vector
     monkeypatch.setattr(
         GraphSelfMap, "transition_matrix",
         lambda f: built.append(sum(map(len, f.edge_image.values())))
         or matrix(f))
     monkeypatch.setattr(bh, "spectral_radius",
                         lambda m: forms.append(type(m)) or radius(m))
+    monkeypatch.setattr(bh, "_perron_vector",
+                        lambda m: forms.append(type(m)) or vector(m))
     for f in starts:
         bestvina_handel(f)
     assert built and min(built) > bh._SMALL_MAP
-    # λ was read from both forms
+    # λ and Perron-Frobenius vectors were read from both forms
     assert set(forms) == {list, np.ndarray}
 
 
@@ -775,9 +778,10 @@ def test_valence_two_sides_differ_by_a_slide(monkeypatch):
     # they differ by a slide along m, so only in row m of the transition
     # matrix.  The move compares the |b| side's matrix with that row
     # recounted for the |a| side, and builds the kept side by its own table:
-    # each matrix and map must be the oracle's side exactly.  Seeded
-    # snapshots and twice subdivided maps give valence-two vertices that
-    # another vertex maps onto
+    # each matrix and map must be the oracle's side exactly.  A row m of the
+    # |a| side that dominates the |b| side's keeps |b| with no eigen-solve.
+    # Seeded snapshots and twice subdivided maps give valence-two vertices
+    # that another vertex maps onto
     maps = _seeded_snapshots(40)
     f = compose_word(2, [("d0", 1), ("c0", 1), ("d1", 1)])
     for e, k in _split_points(f):
@@ -785,7 +789,7 @@ def test_valence_two_sides_differ_by_a_slide(monkeypatch):
         z = max(g.graph.vertices)
         maps += [_split(g, e2, k2) for e2, k2 in _split_points(g)
                  if g.graph.head(g.edge_image[e2][k2 - 1]) == z]
-    kept_sides = []
+    kept_sides, dominated = [], 0
     for f in maps:
         two = [v for v in f.graph.vertices if f.graph.valence(v) == 2]
         for v in two:
@@ -799,18 +803,83 @@ def test_valence_two_sides_differ_by_a_slide(monkeypatch):
             want = side_b if kept == "b" else side_a
             assert oracles.maps_equal(bh._merge_through(f, v), want)
             kept_sides.append(kept)
-            # make the |a| side win, so the move builds it
+            # make the |a| side win where row m leaves it open, so the move
+            # builds it: a Perron-Frobenius vector with a negative entry
+            # decides nothing, and the radii rank |b| above |a|
             seen = []
             with monkeypatch.context() as patch:
+                patch.setattr(bh, "_perron_vector",
+                              lambda m: [-1.0] * len(m))
                 # row m of either matrix form is written in place after
                 # the first call, so keep a deep copy
                 patch.setattr(bh, "spectral_radius",
                               lambda m: seen.append(np.array(m)) or -len(seen))
                 derived = bh._merge_through(f, v)
+            matrices = [h.transition_matrix() for h in (side_b, side_a)]
+            if (matrices[1] >= matrices[0]).all():
+                dominated += 1
+                assert oracles.maps_equal(derived, side_b) and not seen
+                continue
             assert oracles.maps_equal(derived, side_a)
-            assert [m.tolist() for m in seen] == [
-                h.transition_matrix().tolist() for h in (side_b, side_a)]
+            assert [m.tolist() for m in seen] == [m.tolist() for m in matrices]
     assert kept_sides.count("a") > 10 and kept_sides.count("b") > 100
+    assert 0 < dominated < len(kept_sides) - 100
+
+
+def _classify_long_word(index):
+    """Word ``w<index>`` of the classify-long corpus, drawn as
+    ``benchmarks/corpus.py`` draws it: genus 2-3, length 16-24, from a stream
+    seeded with the workload's name."""
+    draw = random.Random("classify-long")
+    for _ in range(index + 1):
+        genus, length = draw.randint(2, 3), draw.randint(16, 24)
+        names = sorted(standard_generators(genus))
+        word = [(draw.choice(names), draw.choice((1, -1)))
+                for _ in range(length)]
+    return genus, word
+
+
+def test_valence_two_comparison_steps_keep_the_two_solve_side(
+        monkeypatch, reference_runs):
+    # the move keeps |b| without an eigen-solve when row m of A dominates
+    # row m of B (step 1), after one solve of B when B's Perron-Frobenius
+    # vector shows λ(A) >= λ(B) (step 2), and otherwise compares
+    # both spectral radii (step 3).  On every valence-two vertex that
+    # another vertex maps onto, in the kernel agreement maps and the hook
+    # snapshots of classify-long's w57, the kept side must be the one the
+    # two-solve rule keeps.  |a| can only win in step 3, and each step
+    # decides many comparisons, some of them near ties
+    run = run_word(*_classify_long_word(57), collect_snapshots=True)
+    maps = _kernel_agreement_maps(reference_runs) + [run.start] + [
+        f for _move, f, _info in run.snapshots]
+    calls = []
+    vector, radius = bh._perron_vector, bh.spectral_radius
+    monkeypatch.setattr(bh, "_perron_vector",
+                        lambda m: calls.append(2) or vector(m))
+    monkeypatch.setattr(bh, "spectral_radius",
+                        lambda m: calls.append(3) or radius(m))
+    decided = {1: 0, 2: 0, 3: 0}
+    wins_a = near_ties = 0
+    for f in maps:
+        for v in f.graph.vertices:
+            if f.graph.valence(v) != 2 or not any(
+                    w == v != z for z, w in f.vertex_image.items()):
+                continue
+            calls.clear()
+            kept = bh._merge_through(f, v)
+            step = max(calls, default=1)
+            decided[step] += 1
+            side_b, side_a = (_valence_two_side(f, v, c) for c in "ba")
+            lam_b, lam_a = (radius(h.transition_matrix())
+                            for h in (side_b, side_a))
+            if lam_b <= lam_a + 1e-12:
+                assert oracles.maps_equal(kept, side_b), (step, v)
+                near_ties += step < 3 and abs(lam_b - lam_a) <= 1e-9
+            else:
+                assert step == 3 and oracles.maps_equal(kept, side_a), v
+                wins_a += 1
+    assert decided[1] > 15 and decided[2] > 400 and decided[3] > 100
+    assert wins_a > 30 and near_ties > 0
 
 
 def test_valence_two_tables_cancel_nothing(reference_runs):
