@@ -1,19 +1,20 @@
 """Growth rates of nonnegative integer matrices.
 
 The growth rate of a graph self-map is the Perron-Frobenius eigenvalue of its
-transition matrix.  One reachability closure splits the matrix into strongly
-connected blocks, and one eigen-solve per block finds the block's simple
+transition matrix.  One closure, a bitset of reached indices per index,
+splits the matrix into strongly connected blocks, the classes of equal
+reach sets, and one eigen-solve per block finds the block's simple
 Perron-Frobenius eigenvalue to rounding error (that of the whole matrix can
-be defective).
+be defective).  The sinks are the blocks that reach nothing outside them.
 
-NumPy is imported where it is first used, not when the package loads.
-:func:`is_permutation_matrix` and :func:`sink_components` decide rows of
-Python numbers, reading an array with ``.tolist()``; :func:`is_irreducible`
-decides rows too, and an array by a closure of NumPy products, which is
-faster there.  The train track loop, which reads a map of few letters as
-rows, loads NumPy for it only to compute a growth rate or, for the
-valence-two comparison, a Perron-Frobenius vector (``_perron_vector``);
-a comparison that integer counts decide loads none.
+NumPy is imported where it is first used, not when the package loads, and
+serves only the irreducibility test of an array (a large map's), by a
+closure of NumPy products that is faster there, and the eigen-solves:
+every other decision reads rows of Python numbers, an array through
+``.tolist()``.  The train track loop reads a map of few letters as rows,
+so it loads NumPy only for a growth rate or, in the valence-two
+comparison, a Perron-Frobenius vector (``_perron_vector``); a comparison
+that integer counts decide loads none.
 """
 
 from __future__ import annotations
@@ -52,32 +53,31 @@ def _reach(m):
     return r > 0
 
 
-def _components(r):
-    # the strongly connected components (all that j reaches and that reach
-    # j back), each once, by smallest member
-    import numpy as np
-    done = np.zeros(len(r), dtype=bool)
-    for j in range(len(r)):
-        if not done[j]:
-            members = np.flatnonzero(r[j] & r[:, j])
-            done[members] = True
-            yield members
-
-
 def _row_reach(m):
     # bit i of reach[j]: a path of arcs leads from j to i, as in _reach,
     # with bit j always set; rows of Python numbers, one closure of bitsets
     n = len(m)
-    reach = [1 << j for j in range(n)]
-    for i, row in enumerate(m):
-        for j in compress(range(n), row):
-            reach[j] |= 1 << i
+    bits = [1 << i for i in range(n)]
+    # the arcs j -> i, nonzero m[i][j]: column j's nonzero rows, as the sum
+    # of their distinct bits
+    reach = [sum(compress(bits, col)) | bit
+             for col, bit in zip(zip(*m), bits)]
     # Warshall's closure: once k is done, j reaches all it reaches along
     # paths whose inner indices are at most k
     for k in range(n):
         bit, via = 1 << k, reach[k]
         reach = [r | via if r & bit else r for r in reach]
     return reach
+
+
+def _blocks(reach):
+    # the strongly connected blocks, as reach set -> members in order: i
+    # and j reach each other exactly when their reach sets are equal, since
+    # each holds its own index; each block is met at its smallest member
+    blocks = {}
+    for i, r in enumerate(reach):
+        blocks.setdefault(r, []).append(i)
+    return blocks
 
 
 def is_irreducible(m) -> bool:
@@ -102,13 +102,10 @@ def sink_components(m):
     """
     if hasattr(m, "tolist"):
         m = m.tolist()
-    reach, n = _row_reach(m), len(m)
-    # j lies in a sink when all it reaches reaches it back, that is when as
-    # many indices share j's reach set r as r holds; the sink is r, met
-    # once, at its smallest index
-    return [[i for i in range(n) if r >> i & 1]
-            for j, r in enumerate(reach)
-            if r & -r == 1 << j and reach.count(r) == r.bit_count() < n]
+    # a block is a sink when it reaches no index outside it, that is when
+    # its reach set holds no more indices than the block
+    return [members for r, members in _blocks(_row_reach(m)).items()
+            if len(members) == r.bit_count() < len(m)]
 
 
 def spectral_radius(m) -> float:
@@ -128,9 +125,9 @@ def spectral_radius(m) -> float:
         return 0.0
     if (m < 0).any():
         raise ValueError("spectral_radius needs a nonnegative matrix")
-    r = _reach(m)
-    blocks = [m] if r.all() else (
-        m[np.ix_(c, c)] for c in _components(r))
+    blocks = list(_blocks(_row_reach(m.tolist())).values())
+    blocks = [m] if len(blocks) == 1 else (
+        m[np.ix_(c, c)] for c in blocks)
     best = 0.0
     for block in blocks:
         if len(block) == 1 or is_permutation_matrix(block):

@@ -29,12 +29,21 @@ and test each verdict against oracles that read the input map:
 - (j) when every letter's curve misses a generator curve γ or is γ, the
   class fixes γ, so the run never ends PseudoAnosov.  Intersections come
   from ``oracles.geometric_intersection`` on the standard rose's boundary
-  word.
+  word;
+- (k) a run whose input map ``oracles.homology_certificate`` certifies
+  ends PseudoAnosov.  The certificate is Casson-Bleiler's criterion on the
+  characteristic polynomial of the action on H_1: irreducible modulo some
+  prime below 60, not cyclotomic and not a polynomial in t^k for k > 1.
 
-(i) and (j) read the word alone, so they share nothing with ``bh``.  No
-word of length <= 3 is a Penner word, so (i) runs on the length-<= 4
-census only.  Tier-1 also runs (i) and (j) on random genus-2 words of
-length 1-8, drawn as the benchmark's draw-short workload draws them.
+(i), (j) and (k) read the word alone, so they share nothing with ``bh``.
+No word of length <= 3 is a Penner word, and none is certified, so (i) and
+(k) run on the length-<= 4 census only.  Tier-1 also runs (i) and (j) on
+random genus-2 words of length 1-8, drawn as the benchmark's draw-short
+workload draws them, and (k) on seeded genus-2 to genus-5 words, drawn as
+``test_bh.py`` draws its seeded words.  The certificate is sufficient, not
+necessary, so the PseudoAnosov runs it leaves uncertified are not known to
+be wrong; the slow (k) reports their count in the terminal summary, as the
+measure of the reducibility test that TrainTrack outcomes lack.
 
 (a) and (b) fail until PseudoAnosov verdicts get BH95's reducibility test;
 they sit in one strict xfail that lists every mismatch.  So does (g): five
@@ -45,7 +54,7 @@ because the circuit search costs far more than the runs.
 The ``slow`` tests, outside tier-1, run the length-<= 4 census (4238
 classes) once: each class's least rotation and its inverse, 8476 runs.
 They pin the outcomes with their verdict counts and run checks (c)-(f),
-(i) and (j), which pass, and (a) and (g), each a strict xfail that lists
+(i), (j) and (k), which pass, and (a) and (g), each a strict xfail that lists
 every mismatch: 35 classes whose two runs get two verdicts, and 34 least
 rotations whose verdict flips with the fold order.  (b) is left out
 because ``fixed_circuits`` on the 1419 TrainTrack runs would take minutes.
@@ -70,10 +79,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from traintrack import bh, standard_generators, standard_rose
+from traintrack import bh, compose_word, standard_generators, standard_rose
 
+import acceptance_log
 import oracles
-from conftest import gate_map_keeps_gates_apart, run_word
+from conftest import REFERENCE_WORDS, gate_map_keeps_gates_apart, run_word
 
 GENUS = 2
 LETTERS = tuple((name, sign) for name in ("a0", "a1", "c0", "c1", "d0", "d1")
@@ -170,8 +180,9 @@ def census4():
     inverse, 8476 runs, hashed as they come into the pin's digest.
 
     Returns the hex digest and least rotation -> runs.  A run keeps only
-    what the checks read: its word and report, its input map if it ends
-    PseudoAnosov and its final map if it ends GrowthOne.
+    what the checks read: its word and report, whether its input map is
+    certified, its input map if it ends PseudoAnosov and its final map if
+    it ends GrowthOne.
     """
     digest = hashlib.sha256()
     classes = {}
@@ -183,6 +194,7 @@ def census4():
             verdict = run.report.verdict
             classes[c].append(SimpleNamespace(
                 word=run.word, report=run.report,
+                certified=oracles.homology_certificate(run.start),
                 start=run.start if verdict == "PseudoAnosov" else None,
                 final=run.final if verdict == "GrowthOne" else None))
     return digest.hexdigest(), classes
@@ -285,6 +297,20 @@ def _check_disjoint_curves(census):
     return checked
 
 
+def _check_homology_certificates(census):
+    """Check (k); return how many runs are certified and how many
+    PseudoAnosov runs are not."""
+    certified = uncertified = 0
+    for runs in census.values():
+        for run in runs:
+            if run.certified:
+                assert run.report.verdict == "PseudoAnosov", _text(run.word)
+                certified += 1
+            else:
+                uncertified += run.report.verdict == "PseudoAnosov"
+    return certified, uncertified
+
+
 def test_census_growth_is_a_class_invariant_above_homology(census):
     _check_growth_above_homology(census)
 
@@ -348,6 +374,43 @@ def test_draw_short_runs_with_a_disjoint_curve_are_not_pseudo_anosov():
     assert _check_disjoint_curves(runs) == 218
 
 
+def test_homology_certificate_self_check():
+    # the certificate's parts on polynomials of known factors, lowest
+    # degree first
+    assert oracles.irreducible_mod((1, 0, 1), 3)  # t^2 + 1
+    assert not oracles.irreducible_mod((1, 0, 1), 5)  # (t - 2)(t + 2)
+    # t^4 + 1: irreducible over Q, but reducible modulo every prime
+    assert not any(oracles.irreducible_mod((1, 0, 0, 0, 1), p)
+                   for p in oracles.PRIMES_BELOW_60)
+    assert oracles.certifies((1, -3, 1))  # the cat map's
+    assert not oracles.certifies((1, 1, 1, 1, 1))  # cyclotomic, Phi_5
+    assert not oracles.certifies((1, 0, -3, 0, 1))  # a polynomial in t^2
+    assert not oracles.certifies((1, -6, 11, -6, 1))  # (t^2 - 3t + 1)^2
+    # ex1-ex4 end PseudoAnosov and ex5 Reducible
+    certified = [oracles.homology_certificate(compose_word(genus, list(word)))
+                 for genus, word in REFERENCE_WORDS.values()]
+    assert certified == [True, True, True, True, False]
+
+
+def test_seeded_certified_words_are_pseudo_anosov():
+    # check (k) on 400 words of 1-10 letters at genus 2-5, drawn as
+    # test_bh.py draws its seeded words.  The certificate reads the word
+    # alone, so only the certified words are run: 24 at genus 2 and 3 at
+    # genus 3, all PseudoAnosov today
+    rng = random.Random(19)
+    runs = {}
+    for i in range(400):
+        genus = rng.randint(2, 5)
+        names = sorted(standard_generators(genus))
+        word = tuple((rng.choice(names), rng.choice((1, -1)))
+                     for _ in range(rng.randint(1, 10)))
+        if oracles.homology_certificate(compose_word(genus, list(word))):
+            run = run_word(genus, word)
+            run.certified = True
+            runs[i] = [run]
+    assert _check_homology_certificates(runs) == (27, 0)
+
+
 @pytest.mark.slow
 def test_length_four_census_penner_words_are_pseudo_anosov(census4):
     assert _check_penner_words(census4[1]) == 80
@@ -358,6 +421,18 @@ def test_length_four_census_runs_with_a_disjoint_curve_are_not_pseudo_anosov(
         census4):
     # 6240 end Reducible and 28 GrowthOne today
     assert _check_disjoint_curves(census4[1]) == 6268
+
+
+@pytest.mark.slow
+def test_length_four_census_certified_runs_are_pseudo_anosov(census4):
+    certified, uncertified = _check_homology_certificates(census4[1])
+    assert certified == 1212
+    # the PseudoAnosov runs left uncertified (207 today), each a suspect of
+    # the missing reducibility test: a count for that test to lower, shown
+    # in the terminal summary, not an expected value
+    acceptance_log.record(
+        "census (k)", True, f"{certified} certified runs end PseudoAnosov; "
+        f"{uncertified} PseudoAnosov runs are uncertified")
 
 
 @pytest.mark.slow
